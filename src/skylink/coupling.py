@@ -12,8 +12,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
 from .units import from_db
 from .zernike import ModeVarianceSet, residual_variance
 
@@ -104,14 +102,87 @@ def optimize_beta(alpha: float) -> tuple[float, float]:
     """Maximize eta0 over beta in [1e-3, 10]; returns (beta_opt, eta0_max)."""
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    res = minimize_scalar(
-        lambda b: -eta0(b, alpha),
-        bounds=(_SMALL_BETA, 10.0),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    beta_opt = float(res.x)
+    beta_opt = _fminbound(lambda b: -eta0(b, alpha), _SMALL_BETA, 10.0, xatol=1e-6)
     return beta_opt, eta0(beta_opt, alpha)
+
+
+def _fminbound(func, a: float, b: float, xatol: float, maxiter: int = 500) -> float:
+    """Minimize func on [a, b] by Brent's bounded golden-section/parabolic search.
+
+    A step-for-step port of ``_minimize_scalar_bounded`` from SciPy 1.17
+    (scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc. 2003, SciPy Developers) with scalar ``math`` in place of
+    numpy.  For finite func it returns the same minimizer bit for bit as
+    ``minimize_scalar(func, bounds=(a, b), method="bounded",
+    options={"xatol": xatol})`` without importing SciPy.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        # numpy's sign(rat) + (rat == 0): +1 for rat >= 0, else -1
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf
+
 
 
 def eta_phi_on(variances: ModeVarianceSet, J: int) -> float:

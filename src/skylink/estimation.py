@@ -128,15 +128,24 @@ def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:
     """Write a WFS log CSV.
 
     Format: `# wavelength_m=<float> d_rx_m=<float>` then
-    `t_s,valid,b1,...,bJ`; per-sample valid flag in {0,1}.
+    `t_s,valid,b1,...,bJ`; per-sample valid flag in {0,1}.  The format has
+    one flag per row, so a row whose mask is valid for some modes only
+    raises ValueError instead of losing its valid cells.
     """
     if d_rx <= 0:
         raise ValueError("d_rx must be positive")
+    row_valid = series.valid_mask.all(axis=1)
+    partial = np.flatnonzero(series.valid_mask.any(axis=1) & ~row_valid)
+    if partial.size:
+        raise ValueError(
+            f"row {int(partial[0])} is valid for some modes only; "
+            "the WFS log holds one valid flag per row"
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# wavelength_m={series.wavelength_tag!r} d_rx_m={d_rx!r}\n")
         fh.write("t_s,valid," + ",".join(f"b{j}" for j in range(1, series.j_max + 1)) + "\n")
         for i in range(series.n_samples):
-            valid = 1 if bool(series.valid_mask[i].all()) else 0
+            valid = 1 if row_valid[i] else 0
             coeffs = ",".join(repr(float(v)) for v in series.coefficients[i])
             fh.write(f"{float(series.timestamps[i])!r},{valid},{coeffs}\n")
 
@@ -145,7 +154,8 @@ def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
     """Read a WFS log CSV; returns the series and the receiver diameter.
 
     Rows with valid=0 are kept but masked out for all modes.  Malformed
-    content raises ValueError with the offending line number.
+    content, including nan or inf cells, raises ValueError with the
+    offending line number.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -163,6 +173,8 @@ def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
             meta[key] = float(value)
         except ValueError:
             raise ValueError(f"{path}:1: bad header value {token!r}") from None
+        if not math.isfinite(meta[key]):
+            raise ValueError(f"{path}:1: non-finite header value {token!r}")
     for key in ("wavelength_m", "d_rx_m"):
         if key not in meta:
             raise ValueError(f"{path}:1: missing header key {key}")
@@ -196,8 +208,14 @@ def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
     if not times:
         raise ValueError(f"{path}: no data rows")
     t = np.array(times)
+    b = np.array(coeffs)
+    finite = np.isfinite(t) & np.isfinite(b).all(axis=1)
+    if not finite.all():
+        data_lines = [n for n, line in enumerate(lines[2:], start=3) if line.strip()]
+        lineno = data_lines[int(np.argmin(finite))]
+        raise ValueError(f"{path}:{lineno}: non-finite value (nan or inf)")
     if t.size >= 2 and not np.all(np.diff(t) > 0):
         raise ValueError(f"{path}: timestamps not strictly increasing")
     mask = np.repeat(np.array(valid)[:, None], j_max, axis=1)
-    series = ZernikeSeries(t, np.array(coeffs), mask, meta["wavelength_m"])
+    series = ZernikeSeries(t, b, mask, meta["wavelength_m"])
     return series, meta["d_rx_m"]

@@ -94,11 +94,13 @@ class QkdSessionModel:
             raise ValueError("block_size must be positive")
         if not self.mu1 > self.mu2 >= 0:
             raise ValueError("need mu1 > mu2 >= 0")
-        for name in ("p_mu1", "p_z_alice", "p_z_bob"):
+        for name in ("p_mu1", "p_z_alice", "p_z_bob", "eps_sec", "eps_cor"):
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.r_ref <= 0:
             raise ValueError("r_ref must be positive")
+        if not 1 <= self.f_ec < math.inf:
+            raise ValueError(f"f_ec must be >= 1 and finite, got {self.f_ec}")
 
     def with_detector(self, detector: DetectorModel) -> "QkdSessionModel":
         return replace(self, detector=detector)
@@ -176,7 +178,9 @@ def expected_qber(signal_rate: float, noise_rate: float, intrinsic_qber: float =
     total = signal_rate + noise_rate
     if total == 0:
         raise ValueError("signal and noise rates are both zero; QBER undefined")
-    return (intrinsic_qber * signal_rate + 0.5 * noise_rate) / total
+    # Written as intrinsic plus a noise share so that zero noise gives
+    # intrinsic_qber exactly and the result never leaves [intrinsic, 0.5].
+    return intrinsic_qber + (0.5 - intrinsic_qber) * (noise_rate / total)
 
 
 def _binary_entropy(x: float) -> float:
@@ -203,8 +207,8 @@ def secret_key_rate(
     the phase error is transferred from the X basis with the usual
     random-sampling correction.  Negative bounds clamp to zero (logged).
     """
-    if signal_rate <= 0:
-        raise ValueError("signal_rate must be positive")
+    if not 0 < signal_rate < math.inf:
+        raise ValueError(f"signal_rate must be positive and finite, got {signal_rate}")
     for name, q in (("qber_z", qber_z), ("qber_x", qber_x)):
         if not 0 <= q <= 0.5:
             raise ValueError(f"{name} must be in [0, 0.5], got {q}")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .zernike import ZernikeSeries, turbulence_variance
 
@@ -70,6 +69,8 @@ def generate_series(cfg: SynthConfig) -> ZernikeSeries:
         if phi == 0.0:
             x = eps
         else:
+            from scipy.signal import lfilter  # deferred: SciPy loads on first AR(1) use only
+
             u = math.sqrt(1.0 - phi * phi) * eps
             u[0] = eps[0]  # stationary start at unit marginal variance
             x = lfilter([1.0], [1.0, -phi], u)

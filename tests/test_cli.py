@@ -99,6 +99,15 @@ def test_fit_missing_file(tmp_path, capsys):
     assert "error" in err
 
 
+def test_fit_rejects_non_finite_log(tmp_path, capsys):
+    p = tmp_path / "nan.csv"
+    p.write_text("# wavelength_m=1.555e-06 d_rx_m=0.41\nt_s,valid,b1,b2,b3\n0.0,1,0.1,nan,0.2\n")
+    code, out, err = run(capsys, "fit-r0", str(p))
+    assert code == 3
+    assert ":3: non-finite" in err
+    assert "r0_hat" not in out
+
+
 def test_fit_mode_selection(tmp_path, capsys):
     wfs = tmp_path / "wfs.csv"
     run(capsys, "synth", str(wfs), "--r0", "0.08", "--n", "4000", "--seed", "3")

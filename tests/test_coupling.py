@@ -78,6 +78,22 @@ def test_eta0_validation():
         eta0(1.0, 1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.0, 0.99, exclude_max=True))
+def test_optimize_beta_matches_scipy_bounded_bit_for_bit(alpha):
+    # SciPy is the reference only; optimize_beta itself must not import it.
+    from scipy.optimize import minimize_scalar
+
+    ref = minimize_scalar(
+        lambda b: -eta0(b, alpha),
+        bounds=(1e-3, 10.0),
+        method="bounded",
+        options={"xatol": 1e-6},
+    )
+    beta_ref = float(ref.x)
+    assert optimize_beta(alpha) == (beta_ref, eta0(beta_ref, alpha))
+
+
 def test_optimize_beta_reference_point():
     beta_opt, best = optimize_beta(0.41)
     assert to_db(best) == pytest.approx(-2.6, abs=0.05)

@@ -143,3 +143,22 @@ def test_wfs_log_errors(tmp_path):
     p.write_text("# wavelength_m=1.5e-06 d_rx_m=0.41\nt_s,valid,b1\n")
     with pytest.raises(ValueError, match="no data"):
         estimation.load_wfs_log(p)
+    p.write_text("# wavelength_m=1.5e-06 d_rx_m=0.41\nt_s,valid,b1\n0.0,1,0.1\n\n0.01,1,nan\n")
+    with pytest.raises(ValueError, match=r":5: non-finite"):
+        estimation.load_wfs_log(p)
+    p.write_text("# wavelength_m=1.5e-06 d_rx_m=inf\nt_s,valid,b1\n0.0,1,0.1\n")
+    with pytest.raises(ValueError, match=":1: non-finite"):
+        estimation.load_wfs_log(p)
+
+
+def test_wfs_log_rejects_partial_row_mask(tmp_path):
+    series = series_with_exact_variances({1: 0.1, 2: 0.05}, n=10, seed=1)
+    mask = series.valid_mask.copy()
+    mask[5, 1] = False
+    from skylink.zernike import ZernikeSeries
+
+    partial = ZernikeSeries(series.timestamps, series.coefficients, mask, series.wavelength_tag)
+    p = tmp_path / "wfs.csv"
+    with pytest.raises(ValueError, match="row 5"):
+        estimation.write_wfs_log(partial, 0.41, p)
+    assert not p.exists()

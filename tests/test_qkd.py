@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skylink import qkd
@@ -76,6 +76,8 @@ def test_windowed_noise_rate():
 
 def test_expected_qber_limits():
     assert qkd.expected_qber(1e4, 0.0, 0.005) == 0.005
+    # exact at zero noise, not one ulp below
+    assert qkd.expected_qber(1.16015625, 0.0, 0.21561256647637417) == 0.21561256647637417
     assert qkd.expected_qber(0.0, 1e3, 0.005) == 0.5
     # equal mixture sits halfway between intrinsic and 1/2
     assert qkd.expected_qber(1e3, 1e3, 0.0) == pytest.approx(0.25, rel=1e-12)
@@ -90,6 +92,7 @@ def test_expected_qber_limits():
     extra=st.floats(1.0, 1e4),
     intrinsic=st.floats(0.0, 0.4),
 )
+@example(signal=1.16015625, noise=0.0, extra=1.0, intrinsic=0.21561256647637417)
 def test_expected_qber_monotone_in_noise(signal, noise, extra, intrinsic):
     q1 = qkd.expected_qber(signal, noise, intrinsic)
     q2 = qkd.expected_qber(signal, noise + extra, intrinsic)
@@ -130,6 +133,37 @@ def test_skr_validation(snspd_session):
         qkd.secret_key_rate(snspd_session, 0.0, 0.01, 0.01)
     with pytest.raises(ValueError):
         qkd.secret_key_rate(snspd_session, 1e4, 0.6, 0.01)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_skr_rejects_non_finite(snspd_session, bad):
+    with pytest.raises(ValueError, match="signal_rate"):
+        qkd.secret_key_rate(snspd_session, bad, 0.01, 0.01)
+    with pytest.raises(ValueError, match="qber_z"):
+        qkd.secret_key_rate(snspd_session, 20.4e3, bad, 0.01)
+    with pytest.raises(ValueError, match="qber_x"):
+        qkd.secret_key_rate(snspd_session, 20.4e3, 0.01, bad)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("eps_sec", 0.0),
+        ("eps_sec", 1.0),
+        ("eps_sec", 2.0),
+        ("eps_sec", float("nan")),
+        ("eps_cor", 0.0),
+        ("eps_cor", 1.5),
+        ("eps_cor", float("nan")),
+        ("f_ec", 0.99),
+        ("f_ec", -1.0),
+        ("f_ec", float("inf")),
+        ("f_ec", float("nan")),
+    ],
+)
+def test_session_rejects_protocol_parameters(field, value):
+    with pytest.raises(ValueError, match=field):
+        qkd.QkdSessionModel(qkd.SNSPD, **{field: value})
 
 
 def test_analyze_session_log():

@@ -1,0 +1,38 @@
+"""Start-up cost: importing the package and the CLI must not load SciPy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = (
+        code + "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_cli_does_not_load_scipy():
+    assert _scipy_modules_after("import skylink.cli") == []
+
+
+def test_non_synth_commands_do_not_load_scipy(tmp_path):
+    out = tmp_path / "budget.json"
+    code = (
+        "from skylink import cli\n"
+        f"assert cli.main(['--out', {str(out)!r}, 'budget']) == 0\n"
+        "assert cli.main(['qkd', '--eta-ch', '-29']) == 0\n"
+        "from skylink.coupling import optimize_beta\n"
+        "optimize_beta(0.41)"
+    )
+    assert _scipy_modules_after(code) == []
