@@ -3,6 +3,10 @@
 Covers the Fried parameter / structure-constant conversion, Rytov variance,
 aperture-averaged scintillation, irradiance correlation widths and the
 Greenwood frequency.  Everything here is a pure function of its inputs.
+
+Terms shared with the array evaluation in ``linkbudget.sweep_budget`` are
+private functions of their numbers; those that call exp/log take the array
+module ``xp`` (``math`` for scalars, numpy for arrays).
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ class OpticalPath:
     path_length: float  # m
 
     def __post_init__(self) -> None:
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if self.path_length <= 0:
-            raise ValueError(f"path_length must be positive, got {self.path_length}")
+        for name in ("wavelength", "path_length"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
 
     @property
     def wavenumber(self) -> float:
@@ -42,23 +46,31 @@ class OpticalPath:
         return 2.0 * math.pi / self.wavelength
 
 
+def _r0_from_cn2(cn2, path: OpticalPath):
+    k = path.wavenumber
+    return (0.16 * cn2 * k * k * path.path_length) ** (-3.0 / 5.0)
+
+
+def _cn2_from_r0(r0, path: OpticalPath):
+    k = path.wavenumber
+    return r0 ** (-5.0 / 3.0) / (0.16 * k * k * path.path_length)
+
+
 def r0_from_cn2(cn2: float, path: OpticalPath) -> float:
     """Fried parameter of a spherical wave on a horizontal path.
 
     r0 = (0.16 * Cn2 * k^2 * L)^(-3/5)
     """
-    if cn2 <= 0:
-        raise ValueError(f"cn2 must be positive, got {cn2}")
-    k = path.wavenumber
-    return (0.16 * cn2 * k * k * path.path_length) ** (-3.0 / 5.0)
+    if not (math.isfinite(cn2) and cn2 > 0):
+        raise ValueError(f"cn2 must be finite and positive, got {cn2}")
+    return _r0_from_cn2(cn2, path)
 
 
 def cn2_from_r0(r0: float, path: OpticalPath) -> float:
     """Exact algebraic inverse of :func:`r0_from_cn2`."""
-    if r0 <= 0:
-        raise ValueError(f"r0 must be positive, got {r0}")
-    k = path.wavenumber
-    return r0 ** (-5.0 / 3.0) / (0.16 * k * k * path.path_length)
+    if not (math.isfinite(r0) and r0 > 0):
+        raise ValueError(f"r0 must be finite and positive, got {r0}")
+    return _cn2_from_r0(r0, path)
 
 
 def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: float) -> float:
@@ -83,12 +95,14 @@ class TurbulenceState:
     path_length: float  # m
 
     def __post_init__(self) -> None:
-        if self.fried_r0 <= 0 or self.cn2 <= 0:
-            raise ValueError("fried_r0 and cn2 must be positive")
-        if self.wind_speed < 0:
-            raise ValueError(f"wind_speed must be >= 0, got {self.wind_speed}")
+        for name in ("fried_r0", "cn2"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not (math.isfinite(self.wind_speed) and self.wind_speed >= 0):
+            raise ValueError(f"wind_speed must be finite and >= 0, got {self.wind_speed}")
         path = OpticalPath(self.reference_wavelength, self.path_length)
-        expected = r0_from_cn2(self.cn2, path)
+        expected = _r0_from_cn2(self.cn2, path)
         if not math.isclose(expected, self.fried_r0, rel_tol=1e-9):
             raise ValueError(
                 f"inconsistent turbulence state: r0={self.fried_r0} but cn2 "
@@ -108,10 +122,14 @@ class TurbulenceState:
         return scale_r0_to_wavelength(self.fried_r0, self.reference_wavelength, wavelength)
 
 
+def _rytov(cn2, path: OpticalPath):
+    k = path.wavenumber
+    return 1.23 * cn2 * k ** (7.0 / 6.0) * path.path_length ** (11.0 / 6.0)
+
+
 def rytov_variance(ts: TurbulenceState, path: OpticalPath) -> float:
     """sigma_R^2 = 1.23 * Cn2 * k^(7/6) * L^(11/6)."""
-    k = path.wavenumber
-    return 1.23 * ts.cn2 * k ** (7.0 / 6.0) * path.path_length ** (11.0 / 6.0)
+    return _rytov(ts.cn2, path)
 
 
 @dataclass(frozen=True)
@@ -134,6 +152,18 @@ class ScintillationReport:
     rho_c_strong: float  # m
 
 
+def _aperture_averaged(xp, cn2, path: OpticalPath, d_rx: float):
+    """(sigma_R^2, beta0, d, T1, T2, sigmaI2, sigma_chi2, eta_s); cn2 may be an array."""
+    sigma_r2 = _rytov(cn2, path)
+    beta0 = 0.4065 * sigma_r2
+    d = math.sqrt(path.wavenumber * d_rx * d_rx / (4.0 * path.path_length))
+    t1 = 0.49 * beta0**2 / (1.0 + 0.18 * d * d + 0.56 * beta0 ** (12.0 / 5.0)) ** (7.0 / 6.0)
+    t2 = 0.51 * beta0**2 / (1.0 + 0.90 * d * d + 0.69 * beta0 ** (12.0 / 5.0)) ** (5.0 / 6.0)
+    sigma_i2 = xp.exp(t1 + t2) - 1.0
+    sigma_chi2 = 0.25 * xp.log(sigma_i2 + 1.0)
+    return sigma_r2, beta0, d, t1, t2, sigma_i2, sigma_chi2, xp.exp(-sigma_chi2)
+
+
 def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) -> ScintillationReport:
     """Aperture-averaged scintillation for a receiver of diameter d_rx.
 
@@ -143,17 +173,10 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     """
     if d_rx <= 0:
         raise ValueError(f"d_rx must be positive, got {d_rx}")
-    k = path.wavenumber
-    L = path.path_length
-    sigma_r2 = rytov_variance(ts, path)
-    beta0 = 0.4065 * sigma_r2
-    d = math.sqrt(k * d_rx * d_rx / (4.0 * L))
-    t1 = 0.49 * beta0**2 / (1.0 + 0.18 * d * d + 0.56 * beta0 ** (12.0 / 5.0)) ** (7.0 / 6.0)
-    t2 = 0.51 * beta0**2 / (1.0 + 0.90 * d * d + 0.69 * beta0 ** (12.0 / 5.0)) ** (5.0 / 6.0)
-    sigma_i2 = math.exp(t1 + t2) - 1.0
-    sigma_chi2 = 0.25 * math.log(sigma_i2 + 1.0)
-    eta_s = math.exp(-sigma_chi2)
-    sqrt_ll = math.sqrt(path.wavelength * L)
+    sigma_r2, beta0, d, t1, t2, sigma_i2, sigma_chi2, eta_s = _aperture_averaged(
+        math, ts.cn2, path, d_rx
+    )
+    sqrt_ll = math.sqrt(path.wavelength * path.path_length)
     rho_weak = sqrt_ll
     rho_strong = 0.36 * sigma_r2 ** (-3.0 / 10.0) * sqrt_ll  # sigma_R^(-3/5) on the amplitude
     return ScintillationReport(
@@ -170,6 +193,10 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     )
 
 
+def _greenwood(wind_speed, r0):
+    return 0.43 * wind_speed / r0
+
+
 def greenwood_frequency(ts: TurbulenceState) -> float:
     """f_G = 0.43 * w / r0, in Hz."""
-    return 0.43 * ts.wind_speed / ts.fried_r0
+    return _greenwood(ts.wind_speed, ts.fried_r0)

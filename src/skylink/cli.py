@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -178,18 +179,7 @@ def cmd_budget(args, cfg: dict) -> int:
     smf = model_smf_breakdown(geom.chain, ts, geom.path)
     if args.eta_smf is not None:
         # replace the modeled coupling with the supplied (measured) value
-        from .coupling import SmfCouplingBreakdown
-
-        override = from_db(args.eta_smf)
-        smf = SmfCouplingBreakdown(
-            eta0=smf.eta0,
-            eta_s=smf.eta_s,
-            eta_phi_on=smf.eta_phi_on,
-            eta_phi_residual=smf.eta_phi_residual,
-            eta_tau=smf.eta_tau,
-            eta_ao=smf.eta_ao,
-            eta_smf=override,
-        )
+        smf = dataclasses.replace(smf, eta_smf=from_db(args.eta_smf))
     report = full_budget(geom, ts, a_coeff, smf)
     print(f"link budget  (r0 = {r0:.4g} m, A = {a_coeff:.3g} dB/km, wind = {wind:.3g} m/s)")
     print(f"  beam radius W_L    {report.w_l:8.3f} m")
@@ -315,48 +305,19 @@ def cmd_qkd(args, cfg: dict) -> int:
 
 def cmd_sweep(args, cfg: dict) -> int:
     geom = build_geometry(cfg)
-    steps = args.steps
-    if steps < 1:
+    if args.steps < 1:
         raise ConfigError("steps must be >= 1")
-    lo, hi = args.min, args.max
-    values = [lo] if steps == 1 else list(np.linspace(lo, hi, steps))
-    wind = cfg["wind_mps"]
-    a_coeff = cfg["a_coeff_db_per_km"]
-    if args.var == "r0":
-        rows = sweep_budget(geom, values, wind, a_coeff)
-    else:
-        rows = []
-        for v in values:
-            if args.var == "wind":
-                ts = TurbulenceState.from_r0(cfg["r0_m"], geom.path, float(v))
-                smf = model_smf_breakdown(geom.chain, ts, geom.path)
-                a = a_coeff
-            elif args.var == "a_coeff":
-                ts = TurbulenceState.from_r0(cfg["r0_m"], geom.path, wind)
-                smf = model_smf_breakdown(geom.chain, ts, geom.path)
-                a = float(v)
-            elif args.var == "J":
-                ts = TurbulenceState.from_r0(cfg["r0_m"], geom.path, wind)
-                smf = model_smf_breakdown(geom.chain, ts, geom.path, J=int(round(v)))
-                a = a_coeff
-            else:  # pragma: no cover - argparse restricts choices
-                raise ConfigError(f"unknown sweep variable {args.var!r}")
-            rep = full_budget(geom, ts, a, smf)
-            rows.append(
-                {
-                    f"{args.var}": float(v),
-                    "w_l_m": rep.w_l,
-                    "eta_a": rep.eta_a,
-                    "eta_coll": rep.eta_coll,
-                    "eta_focus": rep.eta_focus,
-                    "eta0": smf.eta0,
-                    "eta_s": smf.eta_s,
-                    "eta_phi_residual": smf.eta_phi_residual,
-                    "eta_tau": smf.eta_tau,
-                    "eta_smf": smf.eta_smf,
-                    "eta_ch": rep.eta_ch,
-                }
-            )
+    values = [args.min] if args.steps == 1 else np.linspace(args.min, args.max, args.steps).tolist()
+    if args.var == "J":
+        values = [round(v) for v in values]  # label each row with the J it evaluates
+    point = {"r0": cfg["r0_m"], "wind": cfg["wind_mps"], "a_coeff": cfg["a_coeff_db_per_km"]}
+    point[args.var] = values
+    rows = sweep_budget(geom, point["r0"], point["wind"], point["a_coeff"], point.get("J"))
+    column = "r0_m" if args.var == "r0" else args.var  # the swept column replaces r0_m
+    rows = [
+        {column: v, **{k: x for k, x in row.items() if k != "r0_m"}}
+        for v, row in zip(values, rows)
+    ]
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)

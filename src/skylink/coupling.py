@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from .units import from_db
-from .zernike import ModeVarianceSet, residual_variance
+from .zernike import ModeVarianceSet, _check_residual_args, _residual_variance
 
 __all__ = [
     "ReceiverChain",
@@ -52,18 +52,18 @@ class ReceiverChain:
     f_3db: float = 10.0  # Hz
 
     def __post_init__(self) -> None:
-        if not 0 < self.d_obs < self.d_rx:
+        for name in ("d_rx", "d_obs", "f_eff", "mfd", "f_3db"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not self.d_obs < self.d_rx:
             raise ValueError("need 0 < d_obs < d_rx")
         for name in ("eta_tel", "eta_optics", "eta_fiber"):
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if self.f_3db <= 0:
-            raise ValueError("f_3db must be positive")
         if self.ao_modes < 2:
             raise ValueError("ao_modes must be >= 2")
-        if self.f_eff <= 0 or self.mfd <= 0:
-            raise ValueError("f_eff and mfd must be positive")
 
 
 def obscuration_ratio(chain: ReceiverChain) -> float:
@@ -201,9 +201,18 @@ def eta_phi_on(variances: ModeVarianceSet, J: int) -> float:
     return math.exp(-0.5 * log_sum)
 
 
+def _eta_phi_residual(xp, J, d_rx: float, r0):
+    return xp.exp(-_residual_variance(J, d_rx, r0))
+
+
 def eta_phi_residual(J: int, d_rx: float, r0: float) -> float:
     """Efficiency lost to uncorrected modes j > J: exp(-sigma_J^2)."""
-    return math.exp(-residual_variance(J, d_rx, r0))
+    _check_residual_args(J, d_rx, r0)
+    return _eta_phi_residual(math, J, d_rx, r0)
+
+
+def _eta_tau(xp, f_g, f_3db: float):
+    return xp.exp(-((f_g / f_3db) ** (5.0 / 3.0)))
 
 
 def eta_tau(f_g: float, f_3db: float) -> float:
@@ -212,7 +221,7 @@ def eta_tau(f_g: float, f_3db: float) -> float:
         raise ValueError("f_3db must be positive")
     if f_g < 0:
         raise ValueError("f_g must be >= 0")
-    return math.exp(-((f_g / f_3db) ** (5.0 / 3.0)))
+    return _eta_tau(math, f_g, f_3db)
 
 
 @dataclass(frozen=True)
@@ -246,9 +255,14 @@ def compose_smf(
     for name, v in factors.items():
         if not 0 < v <= 1:
             raise ValueError(f"{name} must be in (0, 1], got {v}")
-    eta_ao = eta_phi_on * eta_phi_residual * eta_tau
-    eta_smf = eta0 * eta_s * eta_ao
+    eta_ao, eta_smf = _smf_products(eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau)
     return SmfCouplingBreakdown(eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau, eta_ao, eta_smf)
+
+
+def _smf_products(eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau):
+    """(eta_ao, eta_smf); the factors may be arrays."""
+    eta_ao = eta_phi_on * eta_phi_residual * eta_tau
+    return eta_ao, eta0 * eta_s * eta_ao
 
 
 def coupling_from_power(p_in: float, p_focus: float, eta_focus_to_fiber: float) -> float:

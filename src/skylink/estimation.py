@@ -13,18 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atmosphere import OpticalPath, TurbulenceState, greenwood_frequency, scintillation_report
-from .coupling import (
-    ReceiverChain,
-    SmfCouplingBreakdown,
-    compose_smf,
-    eta0,
-    eta_phi_on,
-    eta_phi_residual,
-    eta_tau,
-    mode_match_beta,
-    obscuration_ratio,
-)
+from .atmosphere import OpticalPath, TurbulenceState
+from .coupling import ReceiverChain, SmfCouplingBreakdown, eta_phi_on
+from .linkbudget import model_smf_breakdown
 from .zernike import ModeVarianceSet, ZernikeSeries, empirical_variances, noll_weight
 
 __all__ = [
@@ -114,14 +105,9 @@ def predict_eta_smf(
     temporal terms from the fitted r0, scintillation from the turbulence state
     implied by r0, and the mode mismatch from the receiver chain.
     """
-    on_vars = empirical_variances(ao_on)
-    e_on = eta_phi_on(on_vars, chain.ao_modes)
-    e_phi_j = eta_phi_residual(chain.ao_modes, chain.d_rx, fried.r0_hat)
+    e_on = eta_phi_on(empirical_variances(ao_on), chain.ao_modes)
     ts = TurbulenceState.from_r0(fried.r0_hat, path, wind_speed)
-    e_s = scintillation_report(ts, path, chain.d_rx).eta_s
-    e_tau = eta_tau(greenwood_frequency(ts), chain.f_3db)
-    e0 = eta0(mode_match_beta(chain, path.wavelength), obscuration_ratio(chain))
-    return compose_smf(e0, e_s, e_on, e_phi_j, e_tau)
+    return model_smf_breakdown(chain, ts, path, eta_phi_on=e_on)
 
 
 def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:

@@ -3,6 +3,10 @@
 Beam divergence under turbulence, atmospheric absorption, telescope
 collection with central obstruction, and the full channel efficiency
 eta_ch = eta_focus * eta_optics * eta_smf * eta_fiber.
+
+Each term is written once, as a function of the array module ``xp``: the
+scalar entry points pass ``math`` and :func:`sweep_budget` passes numpy, so
+a sweep evaluates all of its points in one pass with the same formulas.
 """
 
 from __future__ import annotations
@@ -10,18 +14,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atmosphere import OpticalPath, TurbulenceState, greenwood_frequency, scintillation_report
+from .atmosphere import (
+    OpticalPath,
+    TurbulenceState,
+    _aperture_averaged,
+    _cn2_from_r0,
+    _greenwood,
+    _r0_from_cn2,
+)
 from .coupling import (
     ReceiverChain,
     SmfCouplingBreakdown,
+    _eta_phi_residual,
+    _eta_tau,
+    _smf_products,
     compose_smf,
     eta0,
-    eta_phi_residual,
-    eta_tau,
     mode_match_beta,
     obscuration_ratio,
 )
 from .units import to_db
+from .zernike import _check_residual_args
 
 __all__ = [
     "LinkGeometry",
@@ -48,13 +61,21 @@ class LinkGeometry:
     w0: float = 0.025  # m, collimated transmit waist
 
     def __post_init__(self) -> None:
-        if self.w0 <= 0:
-            raise ValueError("w0 must be positive")
+        if not (math.isfinite(self.w0) and self.w0 > 0):
+            raise ValueError(f"w0 must be finite and positive, got {self.w0}")
 
     @property
     def rayleigh_range(self) -> float:
         """z0 = pi * w0^2 / lambda."""
         return math.pi * self.w0 * self.w0 / self.path.wavelength
+
+
+def _divergence(xp, geom: LinkGeometry, r0):
+    lam = geom.path.wavelength
+    theta0 = lam / (math.pi * geom.w0)
+    rho0 = r0 / 2.1
+    theta_turb = lam / (math.pi * rho0)
+    return theta0, theta_turb, xp.hypot(theta0, theta_turb)
 
 
 def beam_divergence(geom: LinkGeometry, r0: float) -> tuple[float, float, float]:
@@ -65,19 +86,28 @@ def beam_divergence(geom: LinkGeometry, r0: float) -> tuple[float, float, float]
     """
     if r0 <= 0:
         raise ValueError("r0 must be positive")
-    lam = geom.path.wavelength
-    theta0 = lam / (math.pi * geom.w0)
-    rho0 = r0 / 2.1
-    theta_turb = lam / (math.pi * rho0)
-    theta = math.hypot(theta0, theta_turb)
-    return theta0, theta_turb, theta
+    return _divergence(math, geom, r0)
+
+
+def _received_waist(theta, path: OpticalPath):
+    return theta * path.path_length
 
 
 def received_waist(theta: float, path: OpticalPath) -> float:
     """Beam radius at the receiver, W_L = theta * L."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    return theta * path.path_length
+    return _received_waist(theta, path)
+
+
+def _check_absorption(a_coeff_db_km: float) -> None:
+    if not (math.isfinite(a_coeff_db_km) and a_coeff_db_km >= 0):
+        raise ValueError(f"a_coeff_db_km must be finite and >= 0, got {a_coeff_db_km}")
+
+
+def _absorption(xp, a_coeff_db_km, path: OpticalPath):
+    a_nat_per_m = a_coeff_db_km / _DB_PER_NAT / 1e3
+    return xp.exp(-a_nat_per_m * path.path_length)
 
 
 def absorption_efficiency(a_coeff_db_km: float, path: OpticalPath) -> float:
@@ -86,20 +116,29 @@ def absorption_efficiency(a_coeff_db_km: float, path: OpticalPath) -> float:
     The coefficient is taken in dB/km (engineering convention); internally
     this is the same as exp(-A*L) with A converted to nat/m.
     """
-    if a_coeff_db_km < 0:
-        raise ValueError("absorption coefficient must be >= 0")
-    a_nat_per_m = a_coeff_db_km / _DB_PER_NAT / 1e3
-    return math.exp(-a_nat_per_m * path.path_length)
+    _check_absorption(a_coeff_db_km)
+    return _absorption(math, a_coeff_db_km, path)
+
+
+def _collection(xp, w_l, chain: ReceiverChain):
+    two_wl2 = 2.0 * w_l * w_l
+    return chain.eta_tel * (xp.exp(-chain.d_obs**2 / two_wl2) - xp.exp(-chain.d_rx**2 / two_wl2))
 
 
 def collection_efficiency(w_l: float, chain: ReceiverChain) -> float:
     """Obstructed-aperture collection of a Gaussian beam of radius w_l."""
     if w_l <= 0:
         raise ValueError("w_l must be positive")
-    two_wl2 = 2.0 * w_l * w_l
-    return chain.eta_tel * (
-        math.exp(-chain.d_obs**2 / two_wl2) - math.exp(-chain.d_rx**2 / two_wl2)
-    )
+    return _collection(math, w_l, chain)
+
+
+def _smf_factors(xp, chain: ReceiverChain, path: OpticalPath, r0, cn2, wind, J, e_on):
+    """(eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau), in compose_smf order."""
+    e0 = eta0(mode_match_beta(chain, path.wavelength), obscuration_ratio(chain))
+    e_s = _aperture_averaged(xp, cn2, path, chain.d_rx)[-1]
+    e_phi_j = _eta_phi_residual(xp, J, chain.d_rx, r0)
+    e_tau = _eta_tau(xp, _greenwood(wind, r0), chain.f_3db)
+    return e0, e_s, e_on, e_phi_j, e_tau
 
 
 def model_smf_breakdown(
@@ -107,20 +146,17 @@ def model_smf_breakdown(
     ts: TurbulenceState,
     path: OpticalPath,
     J: int | None = None,
+    eta_phi_on: float = 1.0,
 ) -> SmfCouplingBreakdown:
     """Design-model coupling breakdown (ideal correction of the first J modes).
 
-    The closed-loop term eta_phi_on is 1 here; measured AO-ON variances enter
-    only through the estimation pipeline.
+    The closed-loop term eta_phi_on is 1 for the design model; the estimation
+    pipeline passes the value measured from AO-ON variances.
     """
     J = chain.ao_modes if J is None else J
-    beta = mode_match_beta(chain, path.wavelength)
-    alpha = obscuration_ratio(chain)
-    e0 = eta0(beta, alpha)
-    e_s = scintillation_report(ts, path, chain.d_rx).eta_s
-    e_phi_j = eta_phi_residual(J, chain.d_rx, ts.fried_r0)
-    e_tau = eta_tau(greenwood_frequency(ts), chain.f_3db)
-    return compose_smf(e0, e_s, 1.0, e_phi_j, e_tau)
+    _check_residual_args(J, chain.d_rx, ts.fried_r0)
+    factors = _smf_factors(math, chain, path, ts.fried_r0, ts.cn2, ts.wind_speed, J, eta_phi_on)
+    return compose_smf(*factors)
 
 
 @dataclass(frozen=True)
@@ -152,6 +188,19 @@ class BudgetReport:
         }
 
 
+def _budget_terms(xp, geom: LinkGeometry, r0, a_coeff_db_km, eta_smf):
+    """The BudgetReport fields, in order."""
+    chain = geom.chain
+    theta0, theta_turb, theta = _divergence(xp, geom, r0)
+    w_l = _received_waist(theta, geom.path)
+    eta_a = _absorption(xp, a_coeff_db_km, geom.path)
+    eta_coll = _collection(xp, w_l, chain)
+    eta_focus = eta_a * eta_coll
+    eta_ch = eta_focus * chain.eta_optics * eta_smf * chain.eta_fiber
+    return (theta0, theta_turb, theta, w_l, eta_a, eta_coll, eta_focus,
+            chain.eta_optics, eta_smf, chain.eta_fiber, eta_ch)
+
+
 def full_budget(
     geom: LinkGeometry,
     ts: TurbulenceState,
@@ -163,57 +212,59 @@ def full_budget(
     eta_smf is injected rather than recomputed so measured and modeled terms
     can be mixed.
     """
-    theta0, theta_turb, theta = beam_divergence(geom, ts.fried_r0)
-    w_l = received_waist(theta, geom.path)
-    eta_a = absorption_efficiency(a_coeff_db_km, geom.path)
-    eta_coll = collection_efficiency(w_l, geom.chain)
-    eta_focus = eta_a * eta_coll
-    eta_ch = eta_focus * geom.chain.eta_optics * smf.eta_smf * geom.chain.eta_fiber
-    return BudgetReport(
-        theta0=theta0,
-        theta_turb=theta_turb,
-        theta=theta,
-        w_l=w_l,
-        eta_a=eta_a,
-        eta_coll=eta_coll,
-        eta_focus=eta_focus,
-        eta_optics=geom.chain.eta_optics,
-        eta_smf=smf.eta_smf,
-        eta_fiber=geom.chain.eta_fiber,
-        eta_ch=eta_ch,
-    )
+    _check_absorption(a_coeff_db_km)
+    return BudgetReport(*_budget_terms(math, geom, ts.fried_r0, a_coeff_db_km, smf.eta_smf))
 
 
-def sweep_budget(
-    geom: LinkGeometry,
-    r0_values,
-    wind_speed: float,
-    a_coeff_db_km: float,
-    J: int | None = None,
-) -> list[dict[str, float]]:
-    """Evaluate the modeled budget on a grid of Fried parameters.
+_SWEEP_KEYS = ("r0_m", "w_l_m", "eta_a", "eta_coll", "eta_focus", "eta0", "eta_s",
+               "eta_phi_residual", "eta_tau", "eta_smf", "eta_ch")
 
-    Returns one row per grid point with every efficiency term as a linear
-    ratio; rows are ordered by grid index.
+
+def sweep_budget(geom: LinkGeometry, r0_values, wind_speed, a_coeff_db_km, J=None) -> list[dict]:
+    """Evaluate the modeled budget at many points in one vectorised pass.
+
+    Each of r0_values, wind_speed, a_coeff_db_km and J (None: the chain's
+    ao_modes) may be a scalar or a 1-D sequence; they broadcast together by
+    numpy rules, so one array sweeps that quantity and equal-length arrays
+    give one point per index.  Returns one row of Python floats per point,
+    in index order (no points: []).  Each point must pass the checks of the
+    scalar path (``model_smf_breakdown`` then ``full_budget``): the first
+    point that fails raises that path's ValueError, naming the point.
+    numpy's exp, log, pow and hypot round differently from ``math``, so
+    values may differ from the scalar path by a few ulp.
     """
-    rows = []
-    for r0 in r0_values:
-        ts = TurbulenceState.from_r0(float(r0), geom.path, wind_speed)
-        smf = model_smf_breakdown(geom.chain, ts, geom.path, J)
-        rep = full_budget(geom, ts, a_coeff_db_km, smf)
-        rows.append(
-            {
-                "r0_m": float(r0),
-                "w_l_m": rep.w_l,
-                "eta_a": rep.eta_a,
-                "eta_coll": rep.eta_coll,
-                "eta_focus": rep.eta_focus,
-                "eta0": smf.eta0,
-                "eta_s": smf.eta_s,
-                "eta_phi_residual": smf.eta_phi_residual,
-                "eta_tau": smf.eta_tau,
-                "eta_smf": smf.eta_smf,
-                "eta_ch": rep.eta_ch,
-            }
+    import numpy as np
+
+    chain, path = geom.chain, geom.path
+    inputs = (r0_values, wind_speed, a_coeff_db_km, chain.ao_modes if J is None else J)
+    raw = np.broadcast_arrays(*(np.atleast_1d(x) for x in inputs))
+    if raw[0].ndim != 1:
+        raise ValueError("r0_values, wind_speed, a_coeff_db_km and J must be scalars or 1-D")
+    r0, wind, a_coeff, modes = (x.astype(float) for x in raw)
+    with np.errstate(all="ignore"):
+        cn2 = _cn2_from_r0(r0, path)
+        factors = _smf_factors(np, chain, path, r0, cn2, wind, modes, 1.0)
+        eta_smf = _smf_products(*factors)[1]
+        _, _, _, w_l, eta_a, eta_coll, eta_focus, _, _, _, eta_ch = _budget_terms(
+            np, geom, r0, a_coeff, eta_smf
         )
-    return rows
+        r0_back = _r0_from_cn2(cn2, path)  # TurbulenceState's consistency check
+        ok = np.isfinite(r0) & (r0 > 0) & np.isfinite(cn2) & (cn2 > 0) & np.isfinite(r0_back)
+        ok &= abs(r0_back - r0) <= 1e-9 * np.maximum(abs(r0_back), r0)
+        ok &= np.isfinite(wind) & (wind >= 0) & (modes >= 1) & (modes % 1 == 0)
+        ok &= np.isfinite(a_coeff) & (a_coeff >= 0)
+        for factor in factors:  # compose_smf's (0, 1] check
+            ok &= (factor > 0) & (factor <= 1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        r0_i, wind_i, a_i, J_i = (x[i].item() for x in raw)
+        try:  # re-run the scalar path at the point for its error message
+            ts = TurbulenceState.from_r0(r0_i, path, wind_i)
+            full_budget(geom, ts, a_i, model_smf_breakdown(chain, ts, path, J_i))
+        except ValueError as exc:
+            raise ValueError(f"{exc} (sweep point {i})") from None
+        raise ValueError(f"sweep point {i} is outside the model's domain")
+    e0, e_s, _, e_phi_j, e_tau = factors
+    columns = (r0, w_l, eta_a, eta_coll, eta_focus, e0, e_s, e_phi_j, e_tau, eta_smf, eta_ch)
+    values = [np.broadcast_to(c, r0.shape).tolist() for c in columns]
+    return [dict(zip(_SWEEP_KEYS, row)) for row in zip(*values)]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atmosphere import _greenwood
 from .zernike import ZernikeSeries, turbulence_variance
 
 __all__ = ["SynthConfig", "generate_series"]
@@ -54,7 +55,7 @@ def generate_series(cfg: SynthConfig) -> ZernikeSeries:
     zero.  AO-ON multiplies corrected-mode variances by
     min(1, (f_G/f_3dB)^(5/3)).
     """
-    f_g = 0.43 * cfg.wind_speed / cfg.r0
+    f_g = _greenwood(cfg.wind_speed, cfg.r0)
     phi = math.exp(-2.0 * math.pi * f_g / cfg.sample_rate) if f_g > 0 else 0.0
     rejection = min(1.0, (f_g / cfg.f_3db) ** (5.0 / 3.0)) if cfg.ao_on else 1.0
 

@@ -64,13 +64,22 @@ def turbulence_variance(j: int, d_rx: float, r0: float) -> float:
     return (d_rx / r0) ** (5.0 / 3.0) * noll_weight(j)
 
 
-def residual_variance(J: int, d_rx: float, r0: float) -> float:
-    """Phase variance left after perfect correction of modes 1..J, in rad^2."""
-    if J < 1:
-        raise ValueError(f"J must be >= 1, got {J}")
+def _check_residual_args(J: int, d_rx: float, r0: float) -> None:
+    if not (J >= 1 and J % 1 == 0):
+        raise ValueError(f"J must be an integer >= 1, got {J}")
     if d_rx <= 0 or r0 <= 0:
         raise ValueError("d_rx and r0 must be positive")
+
+
+def _residual_variance(J, d_rx, r0):
+    """Unchecked residual variance; J and r0 may be arrays."""
     return 0.2944 * J ** (-math.sqrt(3.0) / 2.0) * (d_rx / r0) ** (5.0 / 3.0)
+
+
+def residual_variance(J: int, d_rx: float, r0: float) -> float:
+    """Phase variance left after perfect correction of modes 1..J, in rad^2."""
+    _check_residual_args(J, d_rx, r0)
+    return _residual_variance(J, d_rx, r0)
 
 
 @dataclass(frozen=True)

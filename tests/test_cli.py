@@ -213,6 +213,47 @@ def test_sweep_other_variable(tmp_path, capsys):
     assert len(text) == 3
 
 
+def test_sweep_j_rows_hold_the_evaluated_j(tmp_path, capsys):
+    from skylink.coupling import eta_phi_residual
+
+    out_file = tmp_path / "sweep.json"
+    code, out, _ = run(
+        capsys, "--out", str(out_file), "sweep", "--var", "J", "--min", "1", "--max", "36",
+        "--steps", "4",
+    )
+    assert code == 0
+    rows = json.loads(out_file.read_text())
+    assert [row["J"] for row in rows] == [1, 13, 24, 36]
+    assert [line.split(",")[0] for line in out.splitlines()] == ["J", "1", "13", "24", "36"]
+    d = cli.DEFAULT_CONFIG
+    for row in rows:
+        want = eta_phi_residual(row["J"], d["d_rx_m"], d["r0_m"])
+        assert row["eta_phi_residual"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag, quantity", [("--r0", "r0"), ("--wind", "wind_speed"), ("--a-coeff", "a_coeff")]
+)
+def test_budget_rejects_non_finite_flag(tmp_path, capsys, flag, quantity, value):
+    out_file = tmp_path / "b.json"
+    code, _, err = run(capsys, "--out", str(out_file), "budget", flag, value)
+    assert code == 3
+    assert f"error: {quantity}" in err
+    assert "must be finite" in err
+    assert not out_file.exists()
+
+
+def test_sweep_rejects_non_finite_absorption(tmp_path, capsys):
+    out_file = tmp_path / "s.csv"
+    code, _, err = run(
+        capsys, "--out", str(out_file), "sweep", "--var", "a_coeff", "--min", "nan", "--steps", "2"
+    )
+    assert code == 3
+    assert "a_coeff_db_km must be finite" in err and "sweep point 0" in err
+    assert not out_file.exists()
+
+
 def test_budget_focus_band(tmp_path, capsys):
     import math
 

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skylink.atmosphere import TurbulenceState
+from skylink.atmosphere import OpticalPath, TurbulenceState
+from skylink.coupling import ReceiverChain
 from skylink.linkbudget import (
     LinkGeometry,
     absorption_efficiency,
@@ -124,3 +126,112 @@ def test_sweep_budget_rows(geom):
         )
     # weaker turbulence, better channel
     assert rows[2]["eta_ch"] > rows[0]["eta_ch"]
+
+
+def _scalar_row(geom, r0, wind, a, J):
+    """One sweep row from the scalar path: model_smf_breakdown then full_budget."""
+    ts = TurbulenceState.from_r0(r0, geom.path, wind)
+    smf = model_smf_breakdown(geom.chain, ts, geom.path, J)
+    rep = full_budget(geom, ts, a, smf)
+    return {
+        "r0_m": r0,
+        "w_l_m": rep.w_l,
+        "eta_a": rep.eta_a,
+        "eta_coll": rep.eta_coll,
+        "eta_focus": rep.eta_focus,
+        "eta0": smf.eta0,
+        "eta_s": smf.eta_s,
+        "eta_phi_residual": smf.eta_phi_residual,
+        "eta_tau": smf.eta_tau,
+        "eta_smf": smf.eta_smf,
+        "eta_ch": rep.eta_ch,
+    }
+
+
+def _assert_rows_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert list(g) == list(w)
+        for key, value in w.items():
+            assert g[key] == pytest.approx(value, rel=1e-12, abs=0), key
+
+
+GEOM = LinkGeometry(OpticalPath(1.555e-6, 18e3), ReceiverChain())
+_NAMES = ("r0", "wind", "a", "J")  # _scalar_row's argument order
+_points = st.lists(
+    st.tuples(
+        st.floats(0.02, 0.2), st.floats(0.0, 5.0), st.floats(0.0, 0.5), st.integers(1, 100)
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=_points)
+def test_sweep_array_path_matches_scalar_path(points):
+    r0, wind, a, J = (np.array(col) for col in zip(*points))
+    got = sweep_budget(GEOM, r0, wind, a, J)
+    _assert_rows_close(got, [_scalar_row(GEOM, *p) for p in points])
+    assert all(type(v) is float for row in got for v in row.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=_points, which=st.sampled_from(_NAMES))
+def test_sweep_mixed_scalar_and_array_arguments(points, which):
+    first = dict(zip(_NAMES, points[0]))
+    swept = [dict(zip(_NAMES, p))[which] for p in points]
+    got = sweep_budget(GEOM, *{**first, which: swept}.values())
+    _assert_rows_close(got, [_scalar_row(GEOM, *{**first, which: v}.values()) for v in swept])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    points=_points,
+    at=st.integers(0, 19),
+    bad=st.sampled_from([("r0", float("nan")), ("J", 0), ("wind", -0.5), ("a", float("inf"))]),
+)
+def test_sweep_bad_point_raises_the_scalar_error(points, at, bad):
+    at %= len(points)
+    cols = {name: [p[k] for p in points] for k, name in enumerate(_NAMES)}
+    cols[bad[0]][at] = bad[1]
+    with pytest.raises(ValueError) as scalar:
+        _scalar_row(GEOM, *(col[at] for col in cols.values()))
+    with pytest.raises(ValueError) as array:
+        sweep_budget(GEOM, *(np.array(col) for col in cols.values()))
+    assert str(array.value) == f"{scalar.value} (sweep point {at})"
+
+
+def test_sweep_budget_shapes(geom):
+    assert sweep_budget(geom, [], 0.5, 0.2) == []
+    assert sweep_budget(geom, np.array([]), [], 0.2, []) == []
+    one = sweep_budget(geom, 0.09, 0.556, 0.2, 35)
+    assert len(one) == 1
+    _assert_rows_close(one, [_scalar_row(geom, 0.09, 0.556, 0.2, 35)])
+    with pytest.raises(ValueError):
+        sweep_budget(geom, [0.05, 0.09], 0.5, [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="1-D"):
+        sweep_budget(geom, [[0.05, 0.09]], 0.5, 0.2)
+    with pytest.raises(ValueError, match=r"J must be an integer >= 1, got 12.5 \(sweep point 1\)"):
+        sweep_budget(geom, 0.09, 0.5, 0.2, [12.0, 12.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_name_the_input(path, chain, bad):
+    with pytest.raises(ValueError, match="a_coeff_db_km must be finite"):
+        absorption_efficiency(bad, path)
+    with pytest.raises(ValueError, match="w0 must be finite"):
+        LinkGeometry(path, chain, w0=bad)
+    for field in ("wavelength", "path_length"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OpticalPath(**{"wavelength": 1.555e-6, "path_length": 18e3, field: bad})
+    for field in ("d_rx", "d_obs", "f_eff", "mfd", "f_3db"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ReceiverChain(**{field: bad})
+    for field in ("eta_tel", "eta_optics", "eta_fiber"):
+        with pytest.raises(ValueError, match=field):
+            ReceiverChain(**{field: bad})
+    with pytest.raises(ValueError, match="wind_speed must be finite"):
+        TurbulenceState.from_r0(0.09, path, bad)
+    with pytest.raises(ValueError, match="r0 must be finite"):
+        TurbulenceState.from_r0(bad, path, 0.5)
