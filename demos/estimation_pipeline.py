@@ -23,27 +23,29 @@ WIND = 0.556  # m/s
 
 path = OpticalPath(1.555e-6, 18e3)
 chain = ReceiverChain()
-workdir = Path(tempfile.mkdtemp())
 
-# 1. synthetic WFS campaign: open loop, then closed loop
-common = dict(r0=R0_TRUE, d_rx=chain.d_rx, j_max=35, n_samples=10000, wind_speed=WIND)
-off = synth.generate_series(synth.SynthConfig(ao_on=False, seed=1, **common))
-on = synth.generate_series(synth.SynthConfig(ao_on=True, seed=2, **common))
-estimation.write_wfs_log(off, chain.d_rx, workdir / "ao_off.csv")
-estimation.write_wfs_log(on, chain.d_rx, workdir / "ao_on.csv")
-print(f"wrote AO-OFF/AO-ON logs to {workdir}")
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
 
-# 2. Fried parameter from the open-loop variances
-off_loaded, d_rx = estimation.load_wfs_log(workdir / "ao_off.csv")
-fit = estimation.fit_fried(empirical_variances(off_loaded), d_rx)
-print(f"r0 fit: {fit.r0_hat * 100:.2f} cm (truth {R0_TRUE * 100:.2f} cm, "
-      f"spread {fit.r0_sigma * 100:.2f} cm, slope check {fit.fit_exponent_check:.3f})")
+    # 1. synthetic WFS campaign: open loop, then closed loop
+    common = dict(r0=R0_TRUE, d_rx=chain.d_rx, j_max=35, n_samples=10000, wind_speed=WIND)
+    off = synth.generate_series(synth.SynthConfig(ao_on=False, seed=1, **common))
+    on = synth.generate_series(synth.SynthConfig(ao_on=True, seed=2, **common))
+    estimation.write_wfs_log(off, chain.d_rx, workdir / "ao_off.csv")
+    estimation.write_wfs_log(on, chain.d_rx, workdir / "ao_on.csv")
+    print(f"wrote AO-OFF/AO-ON logs to {workdir}")
 
-# 3. coupling prediction from the closed-loop data plus the fit
-on_loaded, _ = estimation.load_wfs_log(workdir / "ao_on.csv")
-smf = estimation.predict_eta_smf(on_loaded, fit, WIND, chain, path)
-for name in ("eta0", "eta_s", "eta_phi_on", "eta_phi_residual", "eta_tau", "eta_smf"):
-    print(f"    {name:<18} {format_db(getattr(smf, name))}")
+    # 2. Fried parameter from the open-loop variances
+    off_loaded, d_rx = estimation.load_wfs_log(workdir / "ao_off.csv")
+    fit = estimation.fit_fried(empirical_variances(off_loaded), d_rx)
+    print(f"r0 fit: {fit.r0_hat * 100:.2f} cm (truth {R0_TRUE * 100:.2f} cm, "
+          f"spread {fit.r0_sigma * 100:.2f} cm, slope check {fit.fit_exponent_check:.3f})")
+
+    # 3. coupling prediction from the closed-loop data plus the fit
+    on_loaded, _ = estimation.load_wfs_log(workdir / "ao_on.csv")
+    smf = estimation.predict_eta_smf(on_loaded, fit, WIND, chain, path)
+    for name in ("eta0", "eta_s", "eta_phi_on", "eta_phi_residual", "eta_tau", "eta_smf"):
+        print(f"    {name:<18} {format_db(getattr(smf, name))}")
 
 # 4. channel budget and QKD throughput with the predicted coupling
 from skylink.atmosphere import TurbulenceState

@@ -75,8 +75,10 @@ def cn2_from_r0(r0: float, path: OpticalPath) -> float:
 
 def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: float) -> float:
     """Rescale r0 between wavelengths at fixed Cn2 (lambda^(6/5) law)."""
-    if min(r0, wavelength_from, wavelength_to) <= 0:
-        raise ValueError("r0 and wavelengths must be positive")
+    args = (("r0", r0), ("wavelength_from", wavelength_from), ("wavelength_to", wavelength_to))
+    for name, v in args:
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {v}")
     return r0 * (wavelength_to / wavelength_from) ** (6.0 / 5.0)
 
 
@@ -171,8 +173,8 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     the aperture-averaging terms; both weak- and strong-regime correlation
     widths are reported (the caller picks the branch via sigma_R^2 <= 1).
     """
-    if d_rx <= 0:
-        raise ValueError(f"d_rx must be positive, got {d_rx}")
+    if not 0 < d_rx < math.inf:
+        raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
     sigma_r2, beta0, d, t1, t2, sigma_i2, sigma_chi2, eta_s = _aperture_averaged(
         math, ts.cn2, path, d_rx
     )

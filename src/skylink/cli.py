@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -179,6 +180,10 @@ def cmd_budget(args, cfg: dict) -> int:
     smf = model_smf_breakdown(geom.chain, ts, geom.path)
     if args.eta_smf is not None:
         # replace the modeled coupling with the supplied (measured) value
+        if not (-math.inf < args.eta_smf <= 0 and from_db(args.eta_smf) > 0):
+            raise ValueError(
+                f"eta_smf must be in (0, 1], a finite dB value <= 0, got {args.eta_smf} dB"
+            )
         smf = dataclasses.replace(smf, eta_smf=from_db(args.eta_smf))
     report = full_budget(geom, ts, a_coeff, smf)
     print(f"link budget  (r0 = {r0:.4g} m, A = {a_coeff:.3g} dB/km, wind = {wind:.3g} m/s)")

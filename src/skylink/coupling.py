@@ -73,8 +73,8 @@ def obscuration_ratio(chain: ReceiverChain) -> float:
 
 def mode_match_beta(chain: ReceiverChain, wavelength: float) -> float:
     """Mode-matching factor beta = (pi*D_rx / 4*lambda) * (MFD / f_eff)."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
+    if not 0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be finite and positive, got {wavelength}")
     return (math.pi * chain.d_rx / (4.0 * wavelength)) * (chain.mfd / chain.f_eff)
 
 
@@ -85,8 +85,8 @@ def eta0(beta: float, alpha: float) -> float:
 
     Below beta = 1e-3 a second-order series replaces the 0/0-prone bracket.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     a2 = alpha * alpha
@@ -217,10 +217,10 @@ def _eta_tau(xp, f_g, f_3db: float):
 
 def eta_tau(f_g: float, f_3db: float) -> float:
     """Temporal AO efficiency exp(-(f_G/f_3dB)^(5/3))."""
-    if f_3db <= 0:
-        raise ValueError("f_3db must be positive")
-    if f_g < 0:
-        raise ValueError("f_g must be >= 0")
+    if not 0 < f_3db < math.inf:
+        raise ValueError(f"f_3db must be finite and positive, got {f_3db}")
+    if not 0 <= f_g < math.inf:
+        raise ValueError(f"f_g must be finite and >= 0, got {f_g}")
     return _eta_tau(math, f_g, f_3db)
 
 
@@ -272,12 +272,12 @@ def coupling_from_power(p_in: float, p_focus: float, eta_focus_to_fiber: float) 
     measurement and the fixed focus-to-fiber losses.  A measured efficiency
     above unity is reported with a warning rather than rejected.
     """
-    if p_focus <= 0:
-        raise ValueError("p_focus must be positive")
+    if not 0 < p_focus < math.inf:
+        raise ValueError(f"p_focus must be finite and positive, got {p_focus}")
     if not 0 < eta_focus_to_fiber <= 1:
-        raise ValueError("eta_focus_to_fiber must be in (0, 1]")
-    if p_in < 0:
-        raise ValueError("p_in must be >= 0")
+        raise ValueError(f"eta_focus_to_fiber must be in (0, 1], got {eta_focus_to_fiber}")
+    if not 0 <= p_in < math.inf:
+        raise ValueError(f"p_in must be finite and >= 0, got {p_in}")
     p_front = p_focus * eta_focus_to_fiber
     if p_in > p_front:
         warnings.warn(

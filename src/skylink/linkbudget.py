@@ -84,8 +84,8 @@ def beam_divergence(geom: LinkGeometry, r0: float) -> tuple[float, float, float]
     theta0 = lambda/(pi*w0), theta_turb = lambda/(pi*rho0) with rho0 = r0/2.1,
     combined in quadrature.
     """
-    if r0 <= 0:
-        raise ValueError("r0 must be positive")
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"r0 must be finite and positive, got {r0}")
     return _divergence(math, geom, r0)
 
 
@@ -95,8 +95,8 @@ def _received_waist(theta, path: OpticalPath):
 
 def received_waist(theta: float, path: OpticalPath) -> float:
     """Beam radius at the receiver, W_L = theta * L."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     return _received_waist(theta, path)
 
 
@@ -127,8 +127,8 @@ def _collection(xp, w_l, chain: ReceiverChain):
 
 def collection_efficiency(w_l: float, chain: ReceiverChain) -> float:
     """Obstructed-aperture collection of a Gaussian beam of radius w_l."""
-    if w_l <= 0:
-        raise ValueError("w_l must be positive")
+    if not 0 < w_l < math.inf:
+        raise ValueError(f"w_l must be finite and positive, got {w_l}")
     return _collection(math, w_l, chain)
 
 

@@ -15,6 +15,7 @@ import math
 import statistics
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 __all__ = [
     "DetectorModel",
@@ -50,10 +51,10 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if self.noise_rate < 0:
-            raise ValueError("noise_rate must be >= 0")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        if not 0 <= self.noise_rate < math.inf:
+            raise ValueError(f"noise_rate must be finite and >= 0, got {self.noise_rate}")
+        if not 0 < self.window < math.inf:
+            raise ValueError(f"window must be finite and positive, got {self.window}")
 
 
 SNSPD = DetectorModel(efficiency=0.80, label="snspd")
@@ -90,20 +91,114 @@ class QkdSessionModel:
     def __post_init__(self) -> None:
         if not 0 < self.internal_loss <= 1:
             raise ValueError("internal_loss must be in (0, 1]")
-        if self.block_size <= 0:
-            raise ValueError("block_size must be positive")
-        if not self.mu1 > self.mu2 >= 0:
-            raise ValueError("need mu1 > mu2 >= 0")
+        if not 0 < self.block_size < math.inf:
+            raise ValueError(f"block_size must be positive and finite, got {self.block_size}")
+        if not math.inf > self.mu1 > self.mu2 > 0:
+            raise ValueError(f"need finite mu1 > mu2 > 0, got mu1={self.mu1}, mu2={self.mu2}")
         for name in ("p_mu1", "p_z_alice", "p_z_bob", "eps_sec", "eps_cor"):
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in (0, 1)")
-        if self.r_ref <= 0:
-            raise ValueError("r_ref must be positive")
+        if not 0 < self.r_ref < math.inf:
+            raise ValueError(f"r_ref must be positive and finite, got {self.r_ref}")
         if not 1 <= self.f_ec < math.inf:
             raise ValueError(f"f_ec must be >= 1 and finite, got {self.f_ec}")
 
     def with_detector(self, detector: DetectorModel) -> "QkdSessionModel":
         return replace(self, detector=detector)
+
+    @cached_property
+    def _finite_key(self) -> "_FiniteKeyConstants":
+        # Kept in the instance __dict__, outside the dataclass fields, so
+        # ==, hash, repr and asdict ignore it and replace() builds afresh.
+        return _FiniteKeyConstants.of(self)
+
+
+@dataclass(frozen=True)
+class _FiniteKeyConstants:
+    """Factors of the finite-key bound that depend on the session alone.
+
+    Terms follow Rusca et al., "Finite-key analysis for the 1-decoy state
+    QKD protocol", APL 112, 171104 (2018).  Each prefix is the left-most
+    part of the product it stands for in :func:`secret_key_rate`, so the
+    rate keeps its bits.
+    """
+
+    mu1: float  # signal intensity
+    mu2: float  # decoy intensity
+    p1: float  # p_mu1
+    p2: float  # p_mu2 = 1 - p_mu1
+    n_z: float  # n_Z: block_size bytes of sifted Z key, as bits
+    p_zz: float  # share of detections sifted into Z (both chose Z)
+    p_xx: float  # share sifted into X
+    # The eps_sec/19 split: every Hoeffding deviation sqrt(n/2 ln(1/eps0))
+    # and gamma's 21^2/a^2 are taken at eps0 = eps_sec/19, one share of the
+    # 19 terms behind the 6 log2(19/eps_sec) cost.  Rusca et al. write gamma
+    # at a = eps_sec; the smaller a gives the larger gamma, the safe side.
+    eps0: float
+    log_inv_eps0: float  # ln(1/eps0)
+    # Deviation: no per-intensity counts are modeled, so detections (and
+    # errors) split across intensities as p_k mu_k, the high-loss limit;
+    # w1 + w2 = 1.
+    w1: float
+    w2: float
+    tau0: float  # tau_0 = sum_k p_k e^-k, vacuum probability
+    tau1: float  # tau_1 = sum_k p_k e^-k k, single-photon probability
+    exp_mu1: float  # e^mu1 of n^±_{mu1}, m^±_{mu1}
+    exp_mu2: float  # e^mu2 of n^±_{mu2}, m^±_{mu2}
+    s0m_pre: float  # s_0^-: tau_0/(mu1 - mu2)
+    # Deviation: s_0^+ is the min of 2(tau_0 e^k/p_k m_k^+ + delta) over
+    # both intensities k; these are its two prefixes tau_0 e^k/p_k.
+    s0p_pre1: float
+    s0p_pre2: float
+    s1m_pre: float  # s_1^-: tau_1 mu1/(mu2 (mu1 - mu2))
+    mu_ratio_sq: float  # s_1^-: mu2^2/mu1^2
+    s0_weight: float  # s_1^-: (mu1^2 - mu2^2)/(mu1^2 tau_0), applied to s_0^+
+    v1p_pre: float  # v_1^+: tau_1/(mu1 - mu2)
+    gamma_eps_sq: float  # gamma: 21^2/a^2 at a = eps0
+    ln2: float  # log 2 in gamma's denominator
+    pa_cost: float  # 6 log2(19/eps_sec), privacy amplification
+    ec_cost: float  # log2(2/eps_cor), error-verification hash
+
+    @classmethod
+    def of(cls, session: QkdSessionModel) -> "_FiniteKeyConstants":
+        mu1, mu2 = session.mu1, session.mu2
+        p1 = session.p_mu1
+        p2 = 1.0 - p1
+        eps0 = session.eps_sec / 19.0
+        tau0, tau1 = (
+            sum(p * math.exp(-mu) * mu**i / math.factorial(i) for p, mu in ((p1, mu1), (p2, mu2)))
+            for i in (0, 1)
+        )
+        w1 = p1 * mu1 / (p1 * mu1 + p2 * mu2)
+        exp_mu1, exp_mu2 = math.exp(mu1), math.exp(mu2)
+        return cls(
+            mu1=mu1,
+            mu2=mu2,
+            p1=p1,
+            p2=p2,
+            n_z=float(session.block_size * 8),
+            p_zz=session.p_z_alice * session.p_z_bob,
+            p_xx=(1.0 - session.p_z_alice) * (1.0 - session.p_z_bob),
+            eps0=eps0,
+            log_inv_eps0=math.log(1.0 / eps0),
+            w1=w1,
+            w2=1.0 - w1,
+            tau0=tau0,
+            tau1=tau1,
+            exp_mu1=exp_mu1,
+            exp_mu2=exp_mu2,
+            s0m_pre=tau0 / (mu1 - mu2),
+            s0p_pre1=tau0 * exp_mu1 / p1,
+            s0p_pre2=tau0 * exp_mu2 / p2,
+            s1m_pre=tau1 * mu1 / (mu2 * (mu1 - mu2)),
+            mu_ratio_sq=mu2**2 / mu1**2,
+            s0_weight=(mu1**2 - mu2**2) / (mu1**2 * tau0),
+            v1p_pre=tau1 / (mu1 - mu2),
+            gamma_eps_sq=(21.0 / eps0) ** 2,
+            ln2=math.log(2.0),
+            pa_cost=6.0 * math.log2(19.0 / session.eps_sec),
+            ec_cost=math.log2(2.0 / session.eps_cor),
+        )
 
 
 @dataclass(frozen=True)
@@ -118,13 +213,16 @@ class RateObservation:
     skr: float | None = None
 
     def __post_init__(self) -> None:
-        if self.signal_rate < 0 or self.noise_rate < 0:
-            raise ValueError("rates must be >= 0")
-        for q in (self.qber_z, self.qber_x):
-            if not 0 <= q <= 0.5:
-                raise ValueError(f"qber must be in [0, 0.5], got {q}")
-        if self.skr is not None and self.skr < 0:
-            raise ValueError("skr must be >= 0")
+        if not -math.inf < self.timestamp < math.inf:
+            raise ValueError(f"timestamp must be finite, got {self.timestamp}")
+        for name in ("signal_rate", "noise_rate"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("qber_z", "qber_x"):
+            if not 0 <= getattr(self, name) <= 0.5:
+                raise ValueError(f"{name} must be in [0, 0.5], got {getattr(self, name)}")
+        if self.skr is not None and not 0 <= self.skr < math.inf:
+            raise ValueError(f"skr must be finite and >= 0, got {self.skr}")
 
 
 def expected_signal_rate(session: QkdSessionModel, eta_ch: float) -> float:
@@ -136,8 +234,8 @@ def expected_signal_rate(session: QkdSessionModel, eta_ch: float) -> float:
 
 def channel_efficiency_from_rate(session: QkdSessionModel, measured_rate: float) -> float:
     """Invert :func:`expected_signal_rate` for a measured detection rate."""
-    if measured_rate <= 0:
-        raise ValueError("measured_rate must be positive")
+    if not 0 < measured_rate < math.inf:
+        raise ValueError(f"measured_rate must be finite and positive, got {measured_rate}")
     eta = measured_rate / (session.r_ref * session.internal_loss * session.detector.efficiency)
     if eta > 1:
         warnings.warn(
@@ -152,16 +250,22 @@ def calibrate_r_ref(
     session: QkdSessionModel, measured_rate: float, eta_ch: float
 ) -> QkdSessionModel:
     """Return a session whose r_ref maps eta_ch onto the measured rate."""
-    if measured_rate <= 0 or not 0 < eta_ch <= 1:
-        raise ValueError("need measured_rate > 0 and eta_ch in (0, 1]")
+    if not 0 < measured_rate < math.inf:
+        raise ValueError(f"measured_rate must be finite and positive, got {measured_rate}")
+    if not 0 < eta_ch <= 1:
+        raise ValueError(f"eta_ch must be in (0, 1], got {eta_ch}")
     r_ref = measured_rate / (eta_ch * session.internal_loss * session.detector.efficiency)
     return replace(session, r_ref=r_ref)
 
 
 def windowed_noise_rate(raw_rate: float, window: float, pulse_rate: float) -> float:
     """Background rate accepted inside the gating window (duty-factor model)."""
-    if raw_rate < 0 or window <= 0 or pulse_rate <= 0:
-        raise ValueError("invalid windowing parameters")
+    if not 0 <= raw_rate < math.inf:
+        raise ValueError(f"raw_rate must be finite and >= 0, got {raw_rate}")
+    if not 0 < window < math.inf:
+        raise ValueError(f"window must be finite and positive, got {window}")
+    if not 0 < pulse_rate < math.inf:
+        raise ValueError(f"pulse_rate must be finite and positive, got {pulse_rate}")
     duty = min(window * pulse_rate, 1.0)
     return raw_rate * duty
 
@@ -171,10 +275,12 @@ def expected_qber(signal_rate: float, noise_rate: float, intrinsic_qber: float =
     noise_rate is the accepted in-window noise; use
     :func:`windowed_noise_rate` first if the log carries the raw rate.
     """
-    if signal_rate < 0 or noise_rate < 0:
-        raise ValueError("rates must be >= 0")
+    if not 0 <= signal_rate < math.inf:
+        raise ValueError(f"signal_rate must be finite and >= 0, got {signal_rate}")
+    if not 0 <= noise_rate < math.inf:
+        raise ValueError(f"noise_rate must be finite and >= 0, got {noise_rate}")
     if not 0 <= intrinsic_qber <= 0.5:
-        raise ValueError("intrinsic_qber must be in [0, 0.5]")
+        raise ValueError(f"intrinsic_qber must be in [0, 0.5], got {intrinsic_qber}")
     total = signal_rate + noise_rate
     if total == 0:
         raise ValueError("signal and noise rates are both zero; QBER undefined")
@@ -189,8 +295,28 @@ def _binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _hoeffding(n: float, eps: float) -> float:
-    return math.sqrt(n / 2.0 * math.log(1.0 / eps))
+def _decoy_bounds(
+    c: _FiniteKeyConstants, n_tot: float, m_tot: float
+) -> tuple[float, float, float]:
+    """(s0_minus, s1_minus, v1_plus) of one basis with n_tot detections, m_tot errors.
+
+    Each bound is clipped to [0, n_tot] ([0, m_tot] for v1_plus).
+    """
+    d_n = math.sqrt(n_tot / 2.0 * c.log_inv_eps0)
+    d_m = math.sqrt(m_tot / 2.0 * c.log_inv_eps0) if m_tot > 0 else 0.0
+    n1p = n_tot * c.w1 + d_n
+    n2m = max(n_tot * c.w2 - d_n, 0.0)
+    m1p = m_tot * c.w1 + d_m
+    m2p = m_tot * c.w2 + d_m
+    m2m = max(m_tot * c.w2 - d_m, 0.0)
+    s0m = c.s0m_pre * (c.mu1 * c.exp_mu2 * n2m / c.p2 - c.mu2 * c.exp_mu1 * n1p / c.p1)
+    s0p = min(2.0 * (c.s0p_pre1 * m1p + d_n), 2.0 * (c.s0p_pre2 * m2p + d_n))
+    s0p = max(0.0, min(n_tot, s0p))
+    s1m = c.s1m_pre * (
+        c.exp_mu2 * n2m / c.p2 - c.mu_ratio_sq * c.exp_mu1 * n1p / c.p1 - c.s0_weight * s0p
+    )
+    v1p = c.v1p_pre * (c.exp_mu1 * m1p / c.p1 - c.exp_mu2 * m2m / c.p2)
+    return max(0.0, min(n_tot, s0m)), max(0.0, min(n_tot, s1m)), max(0.0, min(m_tot, v1p))
 
 
 def secret_key_rate(
@@ -206,79 +332,23 @@ def secret_key_rate(
     single-photon contributions are bounded with Hoeffding inequalities and
     the phase error is transferred from the X basis with the usual
     random-sampling correction.  Negative bounds clamp to zero (logged).
+    The factors that depend on the session alone are computed once per
+    session (see :class:`_FiniteKeyConstants`).
     """
     if not 0 < signal_rate < math.inf:
         raise ValueError(f"signal_rate must be positive and finite, got {signal_rate}")
-    for name, q in (("qber_z", qber_z), ("qber_x", qber_x)):
-        if not 0 <= q <= 0.5:
-            raise ValueError(f"{name} must be in [0, 0.5], got {q}")
+    if not 0 <= qber_z <= 0.5:
+        raise ValueError(f"qber_z must be in [0, 0.5], got {qber_z}")
+    if not 0 <= qber_x <= 0.5:
+        raise ValueError(f"qber_x must be in [0, 0.5], got {qber_x}")
+    c = session._finite_key
 
-    mu1, mu2 = session.mu1, session.mu2
-    p1 = session.p_mu1
-    p2 = 1.0 - p1
-    p_zz = session.p_z_alice * session.p_z_bob
-    p_xx = (1.0 - session.p_z_alice) * (1.0 - session.p_z_bob)
-    rate_z = signal_rate * p_zz
-    rate_x = signal_rate * p_xx
+    n_z = c.n_z  # sifted Z bits per block
+    block_time = n_z / (signal_rate * c.p_zz)
+    n_x = block_time * (signal_rate * c.p_xx)
 
-    n_z = float(session.block_size * 8)  # sifted Z bits per block
-    block_time = n_z / rate_z
-    n_x = block_time * rate_x
-
-    eps0 = session.eps_sec / 19.0
-
-    def tau(i: int) -> float:
-        return sum(
-            p * math.exp(-mu) * mu**i / math.factorial(i) for p, mu in ((p1, mu1), (p2, mu2))
-        )
-
-    # High-loss regime: detections split across intensities in proportion
-    # to p_i * mu_i.
-    w1 = p1 * mu1 / (p1 * mu1 + p2 * mu2)
-    w2 = 1.0 - w1
-
-    def clip(x: float, hi: float) -> float:
-        return max(0.0, min(hi, x))
-
-    def decoy_bounds(n_tot: float, m_tot: float) -> tuple[float, float, float]:
-        """(s0_minus, s1_minus, v1_plus) for one basis."""
-        d_n = _hoeffding(n_tot, eps0)
-        d_m = _hoeffding(m_tot, eps0) if m_tot > 0 else 0.0
-        n1p = n_tot * w1 + d_n
-        n2m = max(n_tot * w2 - d_n, 0.0)
-        m1p = m_tot * w1 + d_m
-        m2p = m_tot * w2 + d_m
-        m2m = max(m_tot * w2 - d_m, 0.0)
-        s0m = clip(
-            tau(0) / (mu1 - mu2) * (mu1 * math.exp(mu2) * n2m / p2 - mu2 * math.exp(mu1) * n1p / p1),
-            n_tot,
-        )
-        s0p = clip(
-            min(
-                2.0 * (tau(0) * math.exp(mu1) / p1 * m1p + d_n),
-                2.0 * (tau(0) * math.exp(mu2) / p2 * m2p + d_n),
-            ),
-            n_tot,
-        )
-        s1m = clip(
-            tau(1)
-            * mu1
-            / (mu2 * (mu1 - mu2))
-            * (
-                math.exp(mu2) * n2m / p2
-                - (mu2**2 / mu1**2) * math.exp(mu1) * n1p / p1
-                - (mu1**2 - mu2**2) / (mu1**2 * tau(0)) * s0p
-            ),
-            n_tot,
-        )
-        v1p = clip(
-            tau(1) / (mu1 - mu2) * (math.exp(mu1) * m1p / p1 - math.exp(mu2) * m2m / p2),
-            m_tot,
-        )
-        return s0m, s1m, v1p
-
-    s_z0, s_z1, _ = decoy_bounds(n_z, qber_z * n_z)
-    _, s_x1, v_x1 = decoy_bounds(n_x, qber_x * n_x)
+    s_z0, s_z1, _ = _decoy_bounds(c, n_z, qber_z * n_z)
+    _, s_x1, v_x1 = _decoy_bounds(c, n_x, qber_x * n_x)
 
     if s_z1 <= 0 or s_x1 <= 0:
         log.info("secret_key_rate: single-photon bound vanished, clamping to 0")
@@ -288,19 +358,13 @@ def secret_key_rate(
     b = min(max(phi_x, 1e-12), 1.0 - 1e-12)
     gamma = math.sqrt(
         ((s_z1 + s_x1) * (1.0 - b) * b)
-        / (s_z1 * s_x1 * math.log(2.0))
-        * math.log2((s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * (21.0 / eps0) ** 2)
+        / (s_z1 * s_x1 * c.ln2)
+        * math.log2((s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * c.gamma_eps_sq)
     )
     phi_z = min(phi_x + gamma, 0.5)
 
     leak_ec = n_z * session.f_ec * _binary_entropy(qber_z)
-    key_len = (
-        s_z0
-        + s_z1 * (1.0 - _binary_entropy(phi_z))
-        - leak_ec
-        - 6.0 * math.log2(19.0 / session.eps_sec)
-        - math.log2(2.0 / session.eps_cor)
-    )
+    key_len = s_z0 + s_z1 * (1.0 - _binary_entropy(phi_z)) - leak_ec - c.pa_cost - c.ec_cost
     if key_len <= 0:
         log.info("secret_key_rate: bound non-positive (%.1f bits), clamping to 0", key_len)
         return 0.0

@@ -35,16 +35,16 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.r0 <= 0 or self.d_rx <= 0:
-            raise ValueError("r0 and d_rx must be positive")
+        for name in ("r0", "d_rx", "sample_rate", "f_3db", "wavelength"):
+            v = getattr(self, name)
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not 0 <= self.wind_speed < math.inf:
+            raise ValueError(f"wind_speed must be finite and >= 0, got {self.wind_speed}")
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
         if self.j_max < 2:
             raise ValueError("j_max must be >= 2")
-        if self.sample_rate <= 0 or self.f_3db <= 0:
-            raise ValueError("sample_rate and f_3db must be positive")
-        if self.wind_speed < 0:
-            raise ValueError("wind_speed must be >= 0")
 
 
 def generate_series(cfg: SynthConfig) -> ZernikeSeries:

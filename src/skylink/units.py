@@ -8,9 +8,9 @@ import math
 
 
 def to_db(ratio: float) -> float:
-    """10*log10(ratio). Requires ratio > 0."""
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
+    """10*log10(ratio). Requires a finite ratio > 0."""
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"ratio must be finite and positive, got {ratio}")
     return 10.0 * math.log10(ratio)
 
 

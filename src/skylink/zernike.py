@@ -57,18 +57,22 @@ def noll_weight(j: int) -> float:
     return _weight_for_order(radial_order(j))
 
 
+def _check_aperture(d_rx: float, r0: float) -> None:
+    for name, v in (("d_rx", d_rx), ("r0", r0)):
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+
+
 def turbulence_variance(j: int, d_rx: float, r0: float) -> float:
     """Open-loop variance of mode j: (D/r0)^(5/3) * g(j), in rad^2."""
-    if d_rx <= 0 or r0 <= 0:
-        raise ValueError("d_rx and r0 must be positive")
+    _check_aperture(d_rx, r0)
     return (d_rx / r0) ** (5.0 / 3.0) * noll_weight(j)
 
 
 def _check_residual_args(J: int, d_rx: float, r0: float) -> None:
     if not (J >= 1 and J % 1 == 0):
         raise ValueError(f"J must be an integer >= 1, got {J}")
-    if d_rx <= 0 or r0 <= 0:
-        raise ValueError("d_rx and r0 must be positive")
+    _check_aperture(d_rx, r0)
 
 
 def _residual_variance(J, d_rx, r0):

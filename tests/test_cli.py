@@ -280,6 +280,23 @@ def test_budget_eta_smf_override(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "3"])
+def test_budget_rejects_eta_smf_outside_unit_interval(tmp_path, capsys, value):
+    out_file = tmp_path / "b.json"
+    code, _, err = run(capsys, "--out", str(out_file), "budget", f"--eta-smf={value}")
+    assert code == 3
+    assert "error: eta_smf must be in (0, 1]" in err
+    assert not out_file.exists()
+
+
+def test_synth_rejects_non_finite_wind(tmp_path, capsys):
+    wfs = tmp_path / "wfs.csv"
+    code, _, err = run(capsys, "synth", str(wfs), "--r0", "0.08", "--wind", "nan")
+    assert code == 3
+    assert "error: wind_speed must be finite" in err
+    assert not wfs.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(tmp_path / "absent.json"), "budget")
     assert code == 2

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -218,3 +221,198 @@ def test_session_log_errors(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError, match="empty"):
         qkd.load_session_log(p)
+
+
+# Rates of the finite-key bound, pinned bit for bit: (session, signal Hz,
+# QBER Z, QBER X or None for the same, rate bit/s).  The "dB" cases take
+# signal and QBER from expected_signal_rate / windowed_noise_rate /
+# expected_qber at that channel efficiency, intrinsic QBER 0.005 and a
+# 100 MHz pulse rate.
+_SNSPD = qkd.QkdSessionModel(qkd.SNSPD)
+_SPAD = qkd.QkdSessionModel(qkd.SPAD, block_size=50000)
+_CUSTOM = qkd.QkdSessionModel(
+    qkd.SNSPD, block_size=100000, mu1=0.6, mu2=0.2, p_mu1=0.7, p_z_alice=0.5, p_z_bob=0.9,
+    f_ec=1.05, eps_sec=1e-6, eps_cor=1e-10,
+)
+_PINNED = {
+    "snspd-20dB": (_SNSPD, 162042.9598837534, 0.005366298198075448, None, 13503.735126757703),
+    "snspd-29dB-anchor": (_SNSPD, 20400.0, 0.007894736842105263, None, 1566.9084362893595),
+    "snspd-35dB": (_SNSPD, 5124.248320279543, 0.0163266947658256, None, 295.12385272275606),
+    "snspd-40dB": (_SNSPD, 1620.429598837534, 0.03912950460028627, None, 25.019120113843854),
+    "spad-20dB": (_SPAD, 30383.05497820376, 0.006947345931168036, None, 2219.23271591321),
+    "spad-29dB-anchor": (_SPAD, 3825.0, 0.02005703422053232, None, 167.09640681681492),
+    "snspd-x-worse": (_SNSPD, 20400.0, 0.01, 0.02, 1286.4234437394),
+    "custom-protocol": (_CUSTOM, 5e4, 0.02, 0.03, 1558.733766739441),
+}
+
+
+@pytest.mark.parametrize("case", _PINNED)
+def test_skr_pinned_bits(case):
+    session, signal, qber_z, qber_x, rate = _PINNED[case]
+    qber_x = qber_z if qber_x is None else qber_x
+    assert qkd.secret_key_rate(session, signal, qber_z, qber_x) == rate
+
+
+@pytest.mark.parametrize(
+    "session, signal, qber, reason",
+    [
+        # SPAD at -35 dB
+        (_SPAD, 960.7965600524142, 0.05995946433907908, "bound non-positive (-57223.4 bits)"),
+        (_SNSPD, 20400.0, 0.5, "single-photon bound vanished"),
+    ],
+)
+def test_skr_pinned_clamps(caplog, session, signal, qber, reason):
+    with caplog.at_level("INFO", logger="skylink.qkd"):
+        assert qkd.secret_key_rate(session, signal, qber, qber) == 0.0
+    assert reason in caplog.text
+
+
+def _reference_skr(session, signal_rate, qber_z, qber_x):
+    """The finite-key bound as one self-contained per-call formula."""
+    mu1, mu2 = session.mu1, session.mu2
+    p1 = session.p_mu1
+    p2 = 1.0 - p1
+    p_zz = session.p_z_alice * session.p_z_bob
+    p_xx = (1.0 - session.p_z_alice) * (1.0 - session.p_z_bob)
+    rate_z = signal_rate * p_zz
+    rate_x = signal_rate * p_xx
+    n_z = float(session.block_size * 8)
+    block_time = n_z / rate_z
+    n_x = block_time * rate_x
+    eps0 = session.eps_sec / 19.0
+
+    def tau(i):
+        return sum(
+            p * math.exp(-mu) * mu**i / math.factorial(i) for p, mu in ((p1, mu1), (p2, mu2))
+        )
+
+    def hoeffding(n):
+        return math.sqrt(n / 2.0 * math.log(1.0 / eps0))
+
+    w1 = p1 * mu1 / (p1 * mu1 + p2 * mu2)
+    w2 = 1.0 - w1
+
+    def clip(x, hi):
+        return max(0.0, min(hi, x))
+
+    def decoy_bounds(n_tot, m_tot):
+        d_n = hoeffding(n_tot)
+        d_m = hoeffding(m_tot) if m_tot > 0 else 0.0
+        n1p = n_tot * w1 + d_n
+        n2m = max(n_tot * w2 - d_n, 0.0)
+        m1p = m_tot * w1 + d_m
+        m2p = m_tot * w2 + d_m
+        m2m = max(m_tot * w2 - d_m, 0.0)
+        s0m = clip(
+            tau(0) / (mu1 - mu2) * (mu1 * math.exp(mu2) * n2m / p2 - mu2 * math.exp(mu1) * n1p / p1),
+            n_tot,
+        )
+        s0p = clip(
+            min(
+                2.0 * (tau(0) * math.exp(mu1) / p1 * m1p + d_n),
+                2.0 * (tau(0) * math.exp(mu2) / p2 * m2p + d_n),
+            ),
+            n_tot,
+        )
+        s1m = clip(
+            tau(1)
+            * mu1
+            / (mu2 * (mu1 - mu2))
+            * (
+                math.exp(mu2) * n2m / p2
+                - (mu2**2 / mu1**2) * math.exp(mu1) * n1p / p1
+                - (mu1**2 - mu2**2) / (mu1**2 * tau(0)) * s0p
+            ),
+            n_tot,
+        )
+        v1p = clip(
+            tau(1) / (mu1 - mu2) * (math.exp(mu1) * m1p / p1 - math.exp(mu2) * m2m / p2),
+            m_tot,
+        )
+        return s0m, s1m, v1p
+
+    s_z0, s_z1, _ = decoy_bounds(n_z, qber_z * n_z)
+    _, s_x1, v_x1 = decoy_bounds(n_x, qber_x * n_x)
+    if s_z1 <= 0 or s_x1 <= 0:
+        return 0.0
+    phi_x = min(v_x1 / s_x1, 0.5)
+    b = min(max(phi_x, 1e-12), 1.0 - 1e-12)
+    gamma = math.sqrt(
+        ((s_z1 + s_x1) * (1.0 - b) * b)
+        / (s_z1 * s_x1 * math.log(2.0))
+        * math.log2((s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * (21.0 / eps0) ** 2)
+    )
+    phi_z = min(phi_x + gamma, 0.5)
+    leak_ec = n_z * session.f_ec * qkd._binary_entropy(qber_z)
+    key_len = (
+        s_z0
+        + s_z1 * (1.0 - qkd._binary_entropy(phi_z))
+        - leak_ec
+        - 6.0 * math.log2(19.0 / session.eps_sec)
+        - math.log2(2.0 / session.eps_cor)
+    )
+    if key_len <= 0:
+        return 0.0
+    return key_len / block_time
+
+
+_unit = st.floats(0.05, 0.95)
+_qber = st.one_of(st.just(0.0), st.just(0.5), st.floats(1e-4, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mu1=st.floats(0.05, 1.0),
+    mu2_share=st.floats(0.01, 0.95),
+    p_mu1=_unit,
+    p_z_alice=_unit,
+    p_z_bob=_unit,
+    block_exp=st.floats(3.0, 6.0),
+    f_ec=st.floats(1.0, 1.5),
+    eps_sec_exp=st.floats(-15.0, -2.0),
+    eps_cor_exp=st.floats(-20.0, -2.0),
+    signal_exp=st.floats(0.0, 7.0),
+    qber_z=_qber,
+    qber_x=_qber,
+)
+def test_skr_matches_reference_formula_bit_for_bit(
+    mu1, mu2_share, p_mu1, p_z_alice, p_z_bob, block_exp, f_ec, eps_sec_exp, eps_cor_exp,
+    signal_exp, qber_z, qber_x,
+):
+    session = qkd.QkdSessionModel(
+        qkd.SNSPD,
+        block_size=int(10**block_exp),
+        mu1=mu1,
+        mu2=mu1 * mu2_share,
+        p_mu1=p_mu1,
+        p_z_alice=p_z_alice,
+        p_z_bob=p_z_bob,
+        f_ec=f_ec,
+        eps_sec=10**eps_sec_exp,
+        eps_cor=10**eps_cor_exp,
+    )
+    signal = 10**signal_exp
+    assert qkd.secret_key_rate(session, signal, qber_z, qber_x) == _reference_skr(
+        session, signal, qber_z, qber_x
+    )
+
+
+def test_session_constants_leave_the_dataclass_alone():
+    a = qkd.QkdSessionModel(qkd.SNSPD)
+    b = qkd.QkdSessionModel(qkd.SNSPD)
+    before = (repr(a), hash(a), dataclasses.asdict(a))
+    rate = qkd.secret_key_rate(a, 20.4e3, 0.01, 0.01)  # fills a's record only
+    assert "_finite_key" in vars(a) and "_finite_key" not in vars(b)
+    assert a == b
+    assert (repr(a), hash(a), dataclasses.asdict(a)) == before
+    assert (repr(b), hash(b), dataclasses.asdict(b)) == before
+    assert [f.name for f in dataclasses.fields(a)] == list(dataclasses.asdict(a))
+
+    replaced = dataclasses.replace(a, eps_sec=1e-6)
+    fresh = qkd.QkdSessionModel(qkd.SNSPD, eps_sec=1e-6)
+    assert "_finite_key" not in vars(replaced)
+    assert qkd.secret_key_rate(replaced, 20.4e3, 0.01, 0.01) == qkd.secret_key_rate(
+        fresh, 20.4e3, 0.01, 0.01
+    )
+    assert qkd.secret_key_rate(replaced, 20.4e3, 0.01, 0.01) != rate
+    assert qkd.secret_key_rate(a, 20.4e3, 0.01, 0.01) == rate
