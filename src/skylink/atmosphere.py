@@ -29,10 +29,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OpticalPath:
-    """Wavelength and length of the free-space propagation path."""
+    """Wavelength and length of the free-space propagation path.
 
-    wavelength: float  # m
-    path_length: float  # m
+    Defaults are the field trial's 1555 nm over 18 km.
+    """
+
+    wavelength: float = 1.555e-6  # m
+    path_length: float = 18e3  # m
 
     def __post_init__(self) -> None:
         for name in ("wavelength", "path_length"):
@@ -84,44 +87,40 @@ def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: flo
 
 @dataclass(frozen=True)
 class TurbulenceState:
-    """Turbulence strength (r0 and Cn2, kept mutually consistent) plus wind.
+    """Turbulence strength as the Fried parameter on a path, plus wind.
 
-    Use :meth:`from_r0` or :meth:`from_cn2`; the constructor verifies that the
-    stored pair satisfies the spherical-wave relation on the stored path.
+    Cn2 is derived from r0 and the path, so the two cannot disagree.
     """
 
-    fried_r0: float  # m, at reference_wavelength
-    cn2: float  # m^(-2/3)
+    fried_r0: float  # m, at path.wavelength
     wind_speed: float  # m/s, mean transverse
-    reference_wavelength: float  # m
-    path_length: float  # m
+    path: OpticalPath
 
     def __post_init__(self) -> None:
-        for name in ("fried_r0", "cn2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not (math.isfinite(self.fried_r0) and self.fried_r0 > 0):
+            raise ValueError(f"r0 must be finite and positive, got {self.fried_r0}")
+        cn2 = self.cn2
+        if not (math.isfinite(cn2) and cn2 > 0):
+            raise ValueError(f"cn2 must be finite and positive, got {cn2} (r0={self.fried_r0})")
         if not (math.isfinite(self.wind_speed) and self.wind_speed >= 0):
             raise ValueError(f"wind_speed must be finite and >= 0, got {self.wind_speed}")
-        path = OpticalPath(self.reference_wavelength, self.path_length)
-        expected = _r0_from_cn2(self.cn2, path)
-        if not math.isclose(expected, self.fried_r0, rel_tol=1e-9):
-            raise ValueError(
-                f"inconsistent turbulence state: r0={self.fried_r0} but cn2 "
-                f"implies r0={expected}"
-            )
 
     @classmethod
     def from_r0(cls, r0: float, path: OpticalPath, wind_speed: float = 0.0) -> "TurbulenceState":
-        return cls(r0, cn2_from_r0(r0, path), wind_speed, path.wavelength, path.path_length)
+        return cls(r0, wind_speed, path)
 
     @classmethod
     def from_cn2(cls, cn2: float, path: OpticalPath, wind_speed: float = 0.0) -> "TurbulenceState":
-        return cls(r0_from_cn2(cn2, path), cn2, wind_speed, path.wavelength, path.path_length)
+        return cls(r0_from_cn2(cn2, path), wind_speed, path)
+
+    @property
+    def cn2(self) -> float:
+        """Refractive-index structure constant, in m^(-2/3)."""
+        return _cn2_from_r0(self.fried_r0, self.path)
 
     def r0_at(self, wavelength: float) -> float:
         """Fried parameter rescaled to another wavelength."""
-        return scale_r0_to_wavelength(self.fried_r0, self.reference_wavelength, wavelength)
+        return scale_r0_to_wavelength(self.fried_r0, self.path.wavelength, wavelength)
 
 
 def _rytov(cn2, path: OpticalPath):
@@ -155,7 +154,7 @@ class ScintillationReport:
 
 
 def _aperture_averaged(xp, cn2, path: OpticalPath, d_rx: float):
-    """(sigma_R^2, beta0, d, T1, T2, sigmaI2, sigma_chi2, eta_s); cn2 may be an array."""
+    """ScintillationReport's first eight fields, in order; cn2 may be an array."""
     sigma_r2 = _rytov(cn2, path)
     beta0 = 0.4065 * sigma_r2
     d = math.sqrt(path.wavenumber * d_rx * d_rx / (4.0 * path.path_length))
@@ -175,24 +174,10 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     """
     if not 0 < d_rx < math.inf:
         raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
-    sigma_r2, beta0, d, t1, t2, sigma_i2, sigma_chi2, eta_s = _aperture_averaged(
-        math, ts.cn2, path, d_rx
-    )
+    terms = _aperture_averaged(math, ts.cn2, path, d_rx)
     sqrt_ll = math.sqrt(path.wavelength * path.path_length)
-    rho_weak = sqrt_ll
-    rho_strong = 0.36 * sigma_r2 ** (-3.0 / 10.0) * sqrt_ll  # sigma_R^(-3/5) on the amplitude
-    return ScintillationReport(
-        rytov_sigmaR2=sigma_r2,
-        beta0=beta0,
-        aperture_d=d,
-        T1=t1,
-        T2=t2,
-        sigmaI2=sigma_i2,
-        sigma_chi2=sigma_chi2,
-        eta_s=eta_s,
-        rho_c_weak=rho_weak,
-        rho_c_strong=rho_strong,
-    )
+    rho_strong = 0.36 * terms[0] ** (-3.0 / 10.0) * sqrt_ll  # sigma_R^(-3/5) on the amplitude
+    return ScintillationReport(*terms, rho_c_weak=sqrt_ll, rho_c_strong=rho_strong)
 
 
 def _greenwood(wind_speed, r0):

@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,43 +36,90 @@ class ConfigError(Exception):
     """Bad configuration file or incompatible flags."""
 
 
-DEFAULT_CONFIG = {
-    "wavelength_m": 1.555e-6,
-    "path_length_m": 18e3,
-    "w0_m": 0.025,
-    "d_rx_m": 0.41,
-    "d_obs_m": 0.168,
-    "f_eff_m": 2.0,
-    "mfd_m": 10.4e-6,
-    "eta_tel_db": -1.4,
-    "eta_optics_db": -4.5,
-    "eta_fiber_db": -2.4,
-    "ao_modes": 35,
-    "f_3db_hz": 10.0,
+class _Field(NamedTuple):
+    owner: type  # the dataclass whose field a config key sets
+    name: str
+    db: bool = False  # the key is in dB, the field a linear ratio
+    nullable: bool = False  # null or unset: the detector's qkd.BLOCK_SIZE
+
+
+# Each config key sets a dataclass field or, if no dataclass holds it, is an
+# operating-point value with its default given here.  A field key left unset
+# keeps the dataclass default, so each default is stated once, in its class.
+_CONFIG_KEYS = {
+    "wavelength_m": _Field(OpticalPath, "wavelength"),
+    "path_length_m": _Field(OpticalPath, "path_length"),
+    "w0_m": _Field(LinkGeometry, "w0"),
+    "d_rx_m": _Field(ReceiverChain, "d_rx"),
+    "d_obs_m": _Field(ReceiverChain, "d_obs"),
+    "f_eff_m": _Field(ReceiverChain, "f_eff"),
+    "mfd_m": _Field(ReceiverChain, "mfd"),
+    "eta_tel_db": _Field(ReceiverChain, "eta_tel", db=True),
+    "eta_optics_db": _Field(ReceiverChain, "eta_optics", db=True),
+    "eta_fiber_db": _Field(ReceiverChain, "eta_fiber", db=True),
+    "ao_modes": _Field(ReceiverChain, "ao_modes"),
+    "f_3db_hz": _Field(ReceiverChain, "f_3db"),
     "r0_m": 0.0875,
     "wind_mps": 0.556,
     "a_coeff_db_per_km": 0.2,
     "detector": "snspd",
     "pulse_rate_hz": 1e8,
-    "internal_loss_db": -1.2,
-    "r_ref_hz": qkd.R_REF_DEFAULT,
-    "n_z_bytes": None,  # per-detector default when unset
-    "mu1": 0.4,
-    "mu2": 0.1,
-    "p_mu1": 0.5,
-    "p_z_alice": 0.3,
-    "p_z_bob": 0.5,
-    "f_ec": 1.16,
-    "eps_sec": 1e-9,
-    "eps_cor": 1e-15,
+    "internal_loss_db": _Field(qkd.QkdSessionModel, "internal_loss", db=True),
+    "r_ref_hz": _Field(qkd.QkdSessionModel, "r_ref"),
+    "n_z_bytes": _Field(qkd.QkdSessionModel, "block_size", nullable=True),
+    "mu1": _Field(qkd.QkdSessionModel, "mu1"),
+    "mu2": _Field(qkd.QkdSessionModel, "mu2"),
+    "p_mu1": _Field(qkd.QkdSessionModel, "p_mu1"),
+    "p_z_alice": _Field(qkd.QkdSessionModel, "p_z_alice"),
+    "p_z_bob": _Field(qkd.QkdSessionModel, "p_z_bob"),
+    "f_ec": _Field(qkd.QkdSessionModel, "f_ec"),
+    "eps_sec": _Field(qkd.QkdSessionModel, "eps_sec"),
+    "eps_cor": _Field(qkd.QkdSessionModel, "eps_cor"),
 }
+_KINDS = {str: "a string", float: "a number", int: "a whole number"}
 
-_DETECTORS = {"snspd": (qkd.SNSPD, 250000), "spad": (qkd.SPAD, 50000)}
+
+def _default(key):
+    if not isinstance(key, _Field):
+        return key
+    if key.nullable:
+        return None
+    value = key.owner.__dataclass_fields__[key.name].default
+    return round(to_db(value), 10) if key.db else value  # -1.4, not -1.3999999999999995
+
+
+# Readable view of every key's default; the builders do not read it.
+DEFAULT_CONFIG = {name: _default(key) for name, key in _CONFIG_KEYS.items()}
+
+_DETECTORS = {d.label: d for d in (qkd.SNSPD, qkd.SPAD)}
+
+
+def _checked(name: str, value):
+    """The config value, or ConfigError if it is not of the key's kind."""
+    key = _CONFIG_KEYS[name]
+    if not isinstance(key, _Field):
+        kind = type(key)
+    elif value is None and key.nullable:
+        return None
+    else:
+        kind = int if key.owner.__dataclass_fields__[key.name].type in ("int", int) else float
+    if kind is str:
+        ok = isinstance(value, str)
+    else:  # a JSON number, not true/false; for int fields a whole one
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and (kind is float or isinstance(value, int) or value.is_integer())
+    if not ok:
+        raise ConfigError(f"config key {name} must be {_KINDS[kind]}, got {json.dumps(value)}")
+    return int(value) if kind is int else value
 
 
 def load_config(path: str | None) -> dict:
-    """Built-in defaults, overlaid with the JSON config file if given."""
-    cfg = dict(DEFAULT_CONFIG)
+    """The operating point, overlaid with the keys the JSON config file sets.
+
+    Keys the file leaves unset keep the defaults of the dataclasses they
+    set and are absent from the result.
+    """
+    cfg = {name: v for name, v in _CONFIG_KEYS.items() if not isinstance(v, _Field)}
     if path is None:
         path = os.environ.get("SKYLINK_CONFIG") or None
     if path is None:
@@ -85,55 +133,42 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(user) - set(DEFAULT_CONFIG))
+    unknown = sorted(set(user) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg.update(user)
+    cfg.update((name, _checked(name, value)) for name, value in user.items())
     return cfg
 
 
+def _fields(cfg: dict, owner: type) -> dict:
+    """Keyword arguments for owner: its fields that the config sets, in linear units."""
+    return {
+        key.name: from_db(cfg[name]) if key.db else cfg[name]
+        for name, key in _CONFIG_KEYS.items()
+        if isinstance(key, _Field) and key.owner is owner and name in cfg
+    }
+
+
 def build_path(cfg: dict) -> OpticalPath:
-    return OpticalPath(cfg["wavelength_m"], cfg["path_length_m"])
+    return OpticalPath(**_fields(cfg, OpticalPath))
 
 
 def build_chain(cfg: dict) -> ReceiverChain:
-    return ReceiverChain(
-        d_rx=cfg["d_rx_m"],
-        d_obs=cfg["d_obs_m"],
-        f_eff=cfg["f_eff_m"],
-        mfd=cfg["mfd_m"],
-        eta_tel=from_db(cfg["eta_tel_db"]),
-        eta_optics=from_db(cfg["eta_optics_db"]),
-        eta_fiber=from_db(cfg["eta_fiber_db"]),
-        ao_modes=int(cfg["ao_modes"]),
-        f_3db=cfg["f_3db_hz"],
-    )
+    return ReceiverChain(**_fields(cfg, ReceiverChain))
 
 
 def build_geometry(cfg: dict) -> LinkGeometry:
-    return LinkGeometry(build_path(cfg), build_chain(cfg), w0=cfg["w0_m"])
+    return LinkGeometry(build_path(cfg), build_chain(cfg), **_fields(cfg, LinkGeometry))
 
 
 def build_session(cfg: dict, detector_name: str | None = None) -> qkd.QkdSessionModel:
     name = (detector_name or cfg["detector"]).lower()
     if name not in _DETECTORS:
         raise ConfigError(f"unknown detector {name!r}; choose from {sorted(_DETECTORS)}")
-    detector, default_block = _DETECTORS[name]
-    block = cfg["n_z_bytes"] if cfg["n_z_bytes"] is not None else default_block
-    return qkd.QkdSessionModel(
-        detector=detector,
-        internal_loss=from_db(cfg["internal_loss_db"]),
-        r_ref=cfg["r_ref_hz"],
-        block_size=int(block),
-        mu1=cfg["mu1"],
-        mu2=cfg["mu2"],
-        p_mu1=cfg["p_mu1"],
-        p_z_alice=cfg["p_z_alice"],
-        p_z_bob=cfg["p_z_bob"],
-        f_ec=cfg["f_ec"],
-        eps_sec=cfg["eps_sec"],
-        eps_cor=cfg["eps_cor"],
-    )
+    kwargs = _fields(cfg, qkd.QkdSessionModel)
+    if kwargs.get("block_size") is None:
+        kwargs["block_size"] = qkd.BLOCK_SIZE[name]
+    return qkd.QkdSessionModel(_DETECTORS[name], **kwargs)
 
 
 def write_output(path: str, payload) -> None:
@@ -218,27 +253,35 @@ def cmd_fit_r0(args, cfg: dict) -> int:
             "per-mode variance law (closed-loop data?)"
         )
     if args.out:
-        write_output(
-            args.out,
-            {
-                "r0_hat_m": fit.r0_hat,
-                "r0_sigma_m": fit.r0_sigma,
-                "residual_rms": fit.residual_rms,
-                "fit_exponent_check": fit.fit_exponent_check,
-                "modes_used": list(fit.modes_used),
-            },
-        )
+        write_output(args.out, {
+            "r0_hat_m": fit.r0_hat, "r0_sigma_m": fit.r0_sigma, "residual_rms": fit.residual_rms,
+            "fit_exponent_check": fit.fit_exponent_check, "modes_used": list(fit.modes_used),
+        })
     return 0
 
 
+def _load_log_for(chain: ReceiverChain, path: OpticalPath, log_file: str):
+    """Load a WFS log, or ConfigError if its header disagrees with the config."""
+    series, d_rx = estimation.load_wfs_log(log_file)
+    for key, logged, configured in (
+        ("d_rx_m", d_rx, chain.d_rx),
+        ("wavelength_m", series.wavelength_tag, path.wavelength),
+    ):
+        if logged != configured:
+            raise ConfigError(
+                f"{log_file}: WFS log has {key}={logged!r} but the config has {configured!r}"
+            )
+    return series
+
+
 def cmd_predict_smf(args, cfg: dict) -> int:
-    chain = build_chain(cfg)
-    path = build_path(cfg)
-    ao_on, d_rx_file = estimation.load_wfs_log(args.ao_on)
     if (args.ao_off is None) == (args.r0 is None):
         raise ConfigError("provide exactly one of --ao-off or --r0")
+    chain = build_chain(cfg)
+    path = build_path(cfg)
+    ao_on = _load_log_for(chain, path, args.ao_on)
     if args.ao_off is not None:
-        off_series, _ = estimation.load_wfs_log(args.ao_off)
+        off_series = _load_log_for(chain, path, args.ao_off)
         fit = estimation.fit_fried(estimation.empirical_variances(off_series), chain.d_rx)
     else:
         fit = FriedFit(args.r0, 0.0, float("nan"), 0.0, ("manual",))
@@ -254,12 +297,10 @@ def cmd_predict_smf(args, cfg: dict) -> int:
 
 def cmd_qkd(args, cfg: dict) -> int:
     session = build_session(cfg, args.detector)
-    print(
-        f"protocol defaults: mu1={session.mu1} mu2={session.mu2} p_mu1={session.p_mu1} "
-        f"p_z_alice={session.p_z_alice} p_z_bob={session.p_z_bob} f_ec={session.f_ec} "
-        f"eps_sec={session.eps_sec} eps_cor={session.eps_cor} "
-        f"n_z={session.block_size} bytes detector={session.detector.label}"
-    )
+    names = ("mu1", "mu2", "p_mu1", "p_z_alice", "p_z_bob", "f_ec", "eps_sec", "eps_cor")
+    protocol = " ".join(f"{name}={getattr(session, name)}" for name in names)
+    tail = f"n_z={session.block_size} bytes detector={session.detector.label}"
+    print(f"protocol defaults: {protocol} {tail}")
     if (args.log is None) == (args.eta_ch is None):
         raise ConfigError("provide exactly one of --log or --eta-ch")
     if args.log is not None:
@@ -332,21 +373,14 @@ def cmd_sweep(args, cfg: dict) -> int:
 
 
 def cmd_synth(args, cfg: dict) -> int:
+    chain = build_chain(cfg)
     config = synth.SynthConfig(
-        r0=args.r0,
-        d_rx=cfg["d_rx_m"],
-        j_max=args.j_max,
-        n_samples=args.n,
-        sample_rate=args.rate,
-        wind_speed=args.wind,
-        ao_on=args.ao_on,
-        ao_modes=int(cfg["ao_modes"]),
-        f_3db=cfg["f_3db_hz"],
-        wavelength=cfg["wavelength_m"],
-        seed=args.seed,
+        r0=args.r0, d_rx=chain.d_rx, j_max=args.j_max, n_samples=args.n, sample_rate=args.rate,
+        wind_speed=args.wind, ao_on=args.ao_on, ao_modes=chain.ao_modes, f_3db=chain.f_3db,
+        wavelength=build_path(cfg).wavelength, seed=args.seed,
     )
     series = synth.generate_series(config)
-    estimation.write_wfs_log(series, cfg["d_rx_m"], args.out_file)
+    estimation.write_wfs_log(series, chain.d_rx, args.out_file)
     print(
         f"wrote {series.n_samples} samples x {series.j_max} modes to {args.out_file} "
         f"(r0 = {args.r0:.4g} m, ao_on = {args.ao_on}, seed = {args.seed})"
@@ -401,11 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic WFS log")
     p.add_argument("out_file")
     p.add_argument("--r0", type=float, required=True)
-    p.add_argument("--wind", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--rate", type=float, default=100.0)
-    p.add_argument("--j-max", type=int, default=35)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = synth.SynthConfig
+    p.add_argument("--wind", type=float, default=defaults.wind_speed)
+    p.add_argument("--n", type=int, default=defaults.n_samples)
+    p.add_argument("--rate", type=float, default=defaults.sample_rate)
+    p.add_argument("--j-max", type=int, default=defaults.j_max)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--ao-on", action="store_true")
     p.set_defaults(func=cmd_synth)
     return parser

@@ -245,18 +245,11 @@ def compose_smf(
     eta_tau: float,
 ) -> SmfCouplingBreakdown:
     """Compose the coupling terms; fixed left-to-right evaluation order."""
-    factors = {
-        "eta0": eta0,
-        "eta_s": eta_s,
-        "eta_phi_on": eta_phi_on,
-        "eta_phi_residual": eta_phi_residual,
-        "eta_tau": eta_tau,
-    }
-    for name, v in factors.items():
+    factors = (eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau)
+    for name, v in zip(("eta0", "eta_s", "eta_phi_on", "eta_phi_residual", "eta_tau"), factors):
         if not 0 < v <= 1:
             raise ValueError(f"{name} must be in (0, 1], got {v}")
-    eta_ao, eta_smf = _smf_products(eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau)
-    return SmfCouplingBreakdown(eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau, eta_ao, eta_smf)
+    return SmfCouplingBreakdown(*factors, *_smf_products(*factors))
 
 
 def _smf_products(eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau):

@@ -38,8 +38,8 @@ class FriedFit:
     modes_used: tuple
 
     def __post_init__(self) -> None:
-        if self.r0_hat <= 0:
-            raise ValueError("r0_hat must be positive")
+        if not 0 < self.r0_hat < math.inf:
+            raise ValueError(f"r0_hat must be finite and positive, got {self.r0_hat}")
         if not self.modes_used:
             raise ValueError("modes_used must be non-empty")
 
@@ -51,8 +51,8 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
     least-squares solution is closed form; non-positive variances are
     excluded with a warning.
     """
-    if d_rx <= 0:
-        raise ValueError("d_rx must be positive")
+    if not 0 < d_rx < math.inf:
+        raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
     if modes is None:
         modes = variances.modes
     usable = []
@@ -118,8 +118,8 @@ def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:
     one flag per row, so a row whose mask is valid for some modes only
     raises ValueError instead of losing its valid cells.
     """
-    if d_rx <= 0:
-        raise ValueError("d_rx must be positive")
+    if not 0 < d_rx < math.inf:
+        raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
     row_valid = series.valid_mask.all(axis=1)
     partial = np.flatnonzero(series.valid_mask.any(axis=1) & ~row_valid)
     if partial.size:

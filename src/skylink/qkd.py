@@ -21,6 +21,7 @@ __all__ = [
     "DetectorModel",
     "SNSPD",
     "SPAD",
+    "BLOCK_SIZE",
     "QkdSessionModel",
     "RateObservation",
     "expected_signal_rate",
@@ -60,6 +61,9 @@ class DetectorModel:
 SNSPD = DetectorModel(efficiency=0.80, label="snspd")
 SPAD = DetectorModel(efficiency=0.15, label="spad")
 
+# Bytes of sifted key per processing block in the field trial, by detector label.
+BLOCK_SIZE = {"snspd": 250000, "spad": 50000}
+
 # Reference detected rate at unit channel efficiency, unit detector
 # efficiency and no internal loss, calibrated on the SNSPD run
 # (20.4 kHz at eta_ch = -29 dB, internal loss -1.2 dB, efficiency 0.80).
@@ -78,7 +82,7 @@ class QkdSessionModel:
     detector: DetectorModel
     internal_loss: float = 10 ** (-0.12)  # -1.2 dB receiver internal optics
     r_ref: float = R_REF_DEFAULT  # Hz
-    block_size: int = 250000  # bytes of sifted key per processing block
+    block_size: int = BLOCK_SIZE["snspd"]  # bytes of sifted key per processing block
     mu1: float = 0.4
     mu2: float = 0.1
     p_mu1: float = 0.5
@@ -376,12 +380,10 @@ def analyze_session_log(records: list[RateObservation]) -> dict[str, dict[str, f
     if not records:
         raise ValueError("empty session log")
     fields = {
-        "signal_rate": [r.signal_rate for r in records],
-        "noise_rate": [r.noise_rate for r in records],
-        "qber_z": [r.qber_z for r in records],
-        "qber_x": [r.qber_x for r in records],
-        "skr": [r.skr for r in records if r.skr is not None],
+        name: [getattr(r, name) for r in records]
+        for name in ("signal_rate", "noise_rate", "qber_z", "qber_x")
     }
+    fields["skr"] = [r.skr for r in records if r.skr is not None]
     out: dict[str, dict[str, float]] = {}
     for name, values in fields.items():
         if not values:
@@ -413,16 +415,7 @@ def load_session_log(path) -> list[RateObservation]:
                 raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
             try:
                 skr = float(row[5]) if row[5].strip() else None
-                records.append(
-                    RateObservation(
-                        timestamp=float(row[0]),
-                        signal_rate=float(row[1]),
-                        noise_rate=float(row[2]),
-                        qber_z=float(row[3]),
-                        qber_x=float(row[4]),
-                        skr=skr,
-                    )
-                )
+                records.append(RateObservation(*(float(v) for v in row[:5]), skr))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not records:
@@ -436,13 +429,5 @@ def write_session_log(records: list[RateObservation], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_SESSION_LOG_HEADER)
         for r in records:
-            writer.writerow(
-                [
-                    repr(r.timestamp),
-                    repr(r.signal_rate),
-                    repr(r.noise_rate),
-                    repr(r.qber_z),
-                    repr(r.qber_x),
-                    "" if r.skr is None else repr(r.skr),
-                ]
-            )
+            rates = (r.timestamp, r.signal_rate, r.noise_rate, r.qber_z, r.qber_x)
+            writer.writerow([*map(repr, rates), "" if r.skr is None else repr(r.skr)])

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atmosphere import _greenwood
+from .atmosphere import OpticalPath, _greenwood
+from .coupling import ReceiverChain
 from .zernike import ZernikeSeries, turbulence_variance
 
 __all__ = ["SynthConfig", "generate_series"]
@@ -22,16 +23,18 @@ __all__ = ["SynthConfig", "generate_series"]
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Series shape, turbulence and AO loop; hardware defaults are the field trial's."""
+
     r0: float  # m
-    d_rx: float = 0.41  # m
+    d_rx: float = ReceiverChain.d_rx  # m
     j_max: int = 35
     n_samples: int = 10000
     sample_rate: float = 100.0  # Hz
     wind_speed: float = 0.0  # m/s
     ao_on: bool = False
-    ao_modes: int = 35
-    f_3db: float = 10.0  # Hz
-    wavelength: float = 1.555e-6  # m
+    ao_modes: int = ReceiverChain.ao_modes
+    f_3db: float = ReceiverChain.f_3db  # Hz
+    wavelength: float = OpticalPath.wavelength  # m
     seed: int = 0
 
     def __post_init__(self) -> None:

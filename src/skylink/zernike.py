@@ -107,8 +107,10 @@ class ZernikeSeries:
             raise ValueError("inconsistent series shapes")
         if t.size >= 2 and not np.all(np.diff(t) > 0):
             raise ValueError("timestamps must be strictly increasing")
-        if self.wavelength_tag <= 0:
-            raise ValueError("wavelength_tag must be positive")
+        if not 0 < self.wavelength_tag < math.inf:
+            raise ValueError(
+                f"wavelength_tag must be finite and positive, got {self.wavelength_tag}"
+            )
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "valid_mask", m)

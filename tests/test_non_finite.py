@@ -1,21 +1,27 @@
 """Every public entry point named here rejects nan and ±inf, naming the input."""
 
+import os
+
+import numpy as np
 import pytest
 
 from skylink import qkd, synth
 from skylink.atmosphere import OpticalPath, TurbulenceState, scale_r0_to_wavelength
 from skylink.atmosphere import scintillation_report
 from skylink.coupling import ReceiverChain, coupling_from_power, eta0, eta_tau, mode_match_beta
+from skylink.estimation import FriedFit, fit_fried, write_wfs_log
 from skylink.linkbudget import LinkGeometry, beam_divergence, collection_efficiency
 from skylink.linkbudget import received_waist
 from skylink.units import to_db
-from skylink.zernike import residual_variance
+from skylink.zernike import ModeVarianceSet, ZernikeSeries, residual_variance, turbulence_variance
 
 _PATH = OpticalPath(1.555e-6, 18e3)
 _CHAIN = ReceiverChain()
 _GEOM = LinkGeometry(_PATH, _CHAIN)
 _TURB = TurbulenceState.from_r0(0.0875, _PATH, 0.556)
 _SESSION = qkd.QkdSessionModel(qkd.SNSPD)
+_VARIANCES = ModeVarianceSet({j: turbulence_variance(j, 0.41, 0.1) for j in range(1, 8)})
+_SERIES = ZernikeSeries(np.arange(3.0), np.zeros((3, 4)), np.ones((3, 4), dtype=bool), 1.555e-6)
 _OBSERVATION = dict(timestamp=0.0, signal_rate=1e4, noise_rate=1e2, qber_z=0.01, qber_x=0.01)
 
 # (input name, call with the bad value in that input's place)
@@ -60,6 +66,11 @@ _ENTRY_POINTS = [
         (name, lambda v, name=name: synth.SynthConfig(**{"r0": 0.08, name: v}))
         for name in ("r0", "d_rx", "sample_rate", "wind_speed", "f_3db", "wavelength")
     ],
+    ("d_rx", lambda v: fit_fried(_VARIANCES, v)),
+    ("r0_hat", lambda v: FriedFit(v, 0.0, 1.0, 0.0, (1, 2, 3))),
+    ("d_rx", lambda v: write_wfs_log(_SERIES, v, os.devnull)),
+    ("wavelength_tag", lambda v: ZernikeSeries(_SERIES.timestamps, _SERIES.coefficients,
+                                               _SERIES.valid_mask, v)),
 ]
 
 
