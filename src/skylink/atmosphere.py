@@ -123,13 +123,20 @@ class TurbulenceState:
         return scale_r0_to_wavelength(self.fried_r0, self.path.wavelength, wavelength)
 
 
+def _check_same_path(ts: TurbulenceState, path: OpticalPath, name: str = "path") -> None:
+    """ValueError unless the path given beside a turbulence state is the state's own."""
+    if ts.path != path:
+        raise ValueError(f"ts.path {ts.path} differs from {name} {path}")
+
+
 def _rytov(cn2, path: OpticalPath):
     k = path.wavenumber
     return 1.23 * cn2 * k ** (7.0 / 6.0) * path.path_length ** (11.0 / 6.0)
 
 
 def rytov_variance(ts: TurbulenceState, path: OpticalPath) -> float:
-    """sigma_R^2 = 1.23 * Cn2 * k^(7/6) * L^(11/6)."""
+    """sigma_R^2 = 1.23 * Cn2 * k^(7/6) * L^(11/6); path must be ts.path."""
+    _check_same_path(ts, path)
     return _rytov(ts.cn2, path)
 
 
@@ -171,7 +178,9 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     beta0 = 0.4065*sigma_R^2 is the spherical-wave Rytov variance; T1/T2 are
     the aperture-averaging terms; both weak- and strong-regime correlation
     widths are reported (the caller picks the branch via sigma_R^2 <= 1).
+    path must be ts.path.
     """
+    _check_same_path(ts, path)
     if not 0 < d_rx < math.inf:
         raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
     terms = _aperture_averaged(math, ts.cn2, path, d_rx)

@@ -40,7 +40,6 @@ class _Field(NamedTuple):
     owner: type  # the dataclass whose field a config key sets
     name: str
     db: bool = False  # the key is in dB, the field a linear ratio
-    nullable: bool = False  # null or unset: the detector's qkd.BLOCK_SIZE
 
 
 # Each config key sets a dataclass field or, if no dataclass holds it, is an
@@ -66,7 +65,7 @@ _CONFIG_KEYS = {
     "pulse_rate_hz": 1e8,
     "internal_loss_db": _Field(qkd.QkdSessionModel, "internal_loss", db=True),
     "r_ref_hz": _Field(qkd.QkdSessionModel, "r_ref"),
-    "n_z_bytes": _Field(qkd.QkdSessionModel, "block_size", nullable=True),
+    "n_z_bytes": _Field(qkd.QkdSessionModel, "block_size"),  # null: per detector
     "mu1": _Field(qkd.QkdSessionModel, "mu1"),
     "mu2": _Field(qkd.QkdSessionModel, "mu2"),
     "p_mu1": _Field(qkd.QkdSessionModel, "p_mu1"),
@@ -82,8 +81,6 @@ _KINDS = {str: "a string", float: "a number", int: "a whole number"}
 def _default(key):
     if not isinstance(key, _Field):
         return key
-    if key.nullable:
-        return None
     value = key.owner.__dataclass_fields__[key.name].default
     return round(to_db(value), 10) if key.db else value  # -1.4, not -1.3999999999999995
 
@@ -99,10 +96,11 @@ def _checked(name: str, value):
     key = _CONFIG_KEYS[name]
     if not isinstance(key, _Field):
         kind = type(key)
-    elif value is None and key.nullable:
-        return None
     else:
-        kind = int if key.owner.__dataclass_fields__[key.name].type in ("int", int) else float
+        field = key.owner.__dataclass_fields__[key.name]
+        if value is None and field.default is None:  # the class resolves null
+            return None
+        kind = int if field.type in ("int", "int | None") else float
     if kind is str:
         ok = isinstance(value, str)
     else:  # a JSON number, not true/false; for int fields a whole one
@@ -165,10 +163,7 @@ def build_session(cfg: dict, detector_name: str | None = None) -> qkd.QkdSession
     name = (detector_name or cfg["detector"]).lower()
     if name not in _DETECTORS:
         raise ConfigError(f"unknown detector {name!r}; choose from {sorted(_DETECTORS)}")
-    kwargs = _fields(cfg, qkd.QkdSessionModel)
-    if kwargs.get("block_size") is None:
-        kwargs["block_size"] = qkd.BLOCK_SIZE[name]
-    return qkd.QkdSessionModel(_DETECTORS[name], **kwargs)
+    return qkd.QkdSessionModel(_DETECTORS[name], **_fields(cfg, qkd.QkdSessionModel))
 
 
 def write_output(path: str, payload) -> None:

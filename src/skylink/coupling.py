@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .units import from_db
+from .units import _check_integer, from_db
 from .zernike import ModeVarianceSet, _check_residual_args, _residual_variance
 
 __all__ = [
@@ -62,8 +62,7 @@ class ReceiverChain:
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if self.ao_modes < 2:
-            raise ValueError("ao_modes must be >= 2")
+        _check_integer("ao_modes", self.ao_modes, 2)
 
 
 def obscuration_ratio(chain: ReceiverChain) -> float:
@@ -191,10 +190,9 @@ def eta_phi_on(variances: ModeVarianceSet, J: int) -> float:
     Product over j = 1..J of (1 + 2*sigma_j^2)^(-1/2) using the measured
     AO-ON variances.
     """
-    if J < 1:
-        raise ValueError("J must be >= 1")
+    _check_integer("J", J, 1)
     log_sum = 0.0
-    for j in range(1, J + 1):
+    for j in range(1, int(J) + 1):
         if j not in variances:
             raise ValueError(f"variance for mode {j} is missing")
         log_sum += math.log1p(2.0 * variances[j])

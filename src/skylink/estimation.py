@@ -116,10 +116,18 @@ def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:
     Format: `# wavelength_m=<float> d_rx_m=<float>` then
     `t_s,valid,b1,...,bJ`; per-sample valid flag in {0,1}.  The format has
     one flag per row, so a row whose mask is valid for some modes only
-    raises ValueError instead of losing its valid cells.
+    raises ValueError instead of losing its valid cells, and so does a nan
+    or inf cell, which :func:`load_wfs_log` would reject.
     """
     if not 0 < d_rx < math.inf:
         raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
+    cells = np.column_stack((series.timestamps, series.coefficients))
+    bad = np.argwhere(~np.isfinite(cells))
+    if bad.size:
+        row, col = (int(k) for k in bad[0])
+        cell = "t_s" if col == 0 else f"mode {col}"
+        value = float(cells[row, col])
+        raise ValueError(f"row {row} {cell} is {value}; the WFS log holds finite values only")
     row_valid = series.valid_mask.all(axis=1)
     partial = np.flatnonzero(series.valid_mask.any(axis=1) & ~row_valid)
     if partial.size:

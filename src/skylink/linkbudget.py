@@ -18,6 +18,7 @@ from .atmosphere import (
     OpticalPath,
     TurbulenceState,
     _aperture_averaged,
+    _check_same_path,
     _cn2_from_r0,
     _greenwood,
 )
@@ -150,8 +151,10 @@ def model_smf_breakdown(
     """Design-model coupling breakdown (ideal correction of the first J modes).
 
     The closed-loop term eta_phi_on is 1 for the design model; the estimation
-    pipeline passes the value measured from AO-ON variances.
+    pipeline passes the value measured from AO-ON variances.  path must be
+    ts.path.
     """
+    _check_same_path(ts, path)
     J = chain.ao_modes if J is None else J
     _check_residual_args(J, chain.d_rx, ts.fried_r0)
     factors = _smf_factors(math, chain, path, ts.fried_r0, ts.cn2, ts.wind_speed, J, eta_phi_on)
@@ -202,8 +205,9 @@ def full_budget(
     """Compose the channel budget from geometry, turbulence and coupling.
 
     eta_smf is injected rather than recomputed so measured and modeled terms
-    can be mixed.
+    can be mixed.  geom.path must be ts.path.
     """
+    _check_same_path(ts, geom.path, "geom.path")
     _check_absorption(a_coeff_db_km)
     return BudgetReport(*_budget_terms(math, geom, ts.fried_r0, a_coeff_db_km, smf.eta_smf))
 

@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+from .units import _check_integer
+
 __all__ = [
     "DetectorModel",
     "SNSPD",
@@ -74,7 +76,8 @@ R_REF_DEFAULT = 20.4e3 / (10 ** (-2.9) * 10 ** (-0.12) * 0.80)
 class QkdSessionModel:
     """Detector, receiver loss and protocol configuration for one session.
 
-    block_size is in bytes of sifted key, matching how the platform logs it.
+    block_size is in bytes of sifted key, matching how the platform logs it;
+    left at None it becomes the detector's field-trial ``BLOCK_SIZE``.
     The protocol defaults (mu, basis and intensity probabilities, epsilons)
     reproduce the field-trial throughput and are all overridable.
     """
@@ -82,7 +85,7 @@ class QkdSessionModel:
     detector: DetectorModel
     internal_loss: float = 10 ** (-0.12)  # -1.2 dB receiver internal optics
     r_ref: float = R_REF_DEFAULT  # Hz
-    block_size: int = BLOCK_SIZE["snspd"]  # bytes of sifted key per processing block
+    block_size: int | None = None  # bytes of sifted key per processing block
     mu1: float = 0.4
     mu2: float = 0.1
     p_mu1: float = 0.5
@@ -95,8 +98,11 @@ class QkdSessionModel:
     def __post_init__(self) -> None:
         if not 0 < self.internal_loss <= 1:
             raise ValueError("internal_loss must be in (0, 1]")
-        if not 0 < self.block_size < math.inf:
-            raise ValueError(f"block_size must be positive and finite, got {self.block_size}")
+        if self.block_size is None:
+            if self.detector.label not in BLOCK_SIZE:
+                raise ValueError(f"no default block_size for detector {self.detector.label!r}")
+            object.__setattr__(self, "block_size", BLOCK_SIZE[self.detector.label])
+        _check_integer("block_size", self.block_size, 1)
         if not math.inf > self.mu1 > self.mu2 > 0:
             raise ValueError(f"need finite mu1 > mu2 > 0, got mu1={self.mu1}, mu2={self.mu2}")
         for name in ("p_mu1", "p_z_alice", "p_z_bob", "eps_sec", "eps_cor"):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .atmosphere import OpticalPath, _greenwood
 from .coupling import ReceiverChain
+from .units import _check_integer
 from .zernike import ZernikeSeries, turbulence_variance
 
 __all__ = ["SynthConfig", "generate_series"]
@@ -44,10 +45,8 @@ class SynthConfig:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         if not 0 <= self.wind_speed < math.inf:
             raise ValueError(f"wind_speed must be finite and >= 0, got {self.wind_speed}")
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
-        if self.j_max < 2:
-            raise ValueError("j_max must be >= 2")
+        for name, minimum in (("n_samples", 2), ("j_max", 2), ("ao_modes", 0), ("seed", 0)):
+            _check_integer(name, getattr(self, name), minimum)
 
 
 def generate_series(cfg: SynthConfig) -> ZernikeSeries:
@@ -62,23 +61,27 @@ def generate_series(cfg: SynthConfig) -> ZernikeSeries:
     phi = math.exp(-2.0 * math.pi * f_g / cfg.sample_rate) if f_g > 0 else 0.0
     rejection = min(1.0, (f_g / cfg.f_3db) ** (5.0 / 3.0)) if cfg.ao_on else 1.0
 
-    n = cfg.n_samples
-    coeffs = np.empty((n, cfg.j_max))
-    for j in range(1, cfg.j_max + 1):
+    n, j_max, seed = int(cfg.n_samples), int(cfg.j_max), int(cfg.seed)
+    sigma = np.empty(j_max)
+    eps = np.empty((n, j_max))
+    for j in range(1, j_max + 1):
         var = turbulence_variance(j, cfg.d_rx, cfg.r0)
         if cfg.ao_on and j <= cfg.ao_modes:
             var *= rejection
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(j,))))
-        eps = rng.standard_normal(n)
-        if phi == 0.0:
-            x = eps
-        else:
-            from scipy.signal import lfilter  # deferred: SciPy loads on first AR(1) use only
-
-            u = math.sqrt(1.0 - phi * phi) * eps
-            u[0] = eps[0]  # stationary start at unit marginal variance
-            x = lfilter([1.0], [1.0, -phi], u)
-        coeffs[:, j - 1] = math.sqrt(var) * x
+        sigma[j - 1] = math.sqrt(var)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,))))
+        eps[:, j - 1] = rng.standard_normal(n)
+    # x[i] = phi*x[i-1] + sqrt(1-phi^2)*eps[i], from x[0] = eps[0] (stationary
+    # start), by prefix doubling: after the pass at lag, x[i] holds the sum
+    # over the last 2*lag inputs.  Terms weighted below phi^lag < 2^-53 fall
+    # under the rounding of a unit-variance sample, so the passes stop there;
+    # at phi = 0 none runs and x is eps.
+    x = math.sqrt(1.0 - phi * phi) * eps
+    x[0] = eps[0]
+    lag, weight = 1, phi
+    while lag < n and weight >= 2.0**-53:
+        x[lag:] += weight * x[:-lag]
+        lag, weight = 2 * lag, weight * weight
     timestamps = np.arange(n) / cfg.sample_rate
-    mask = np.ones((n, cfg.j_max), dtype=bool)
-    return ZernikeSeries(timestamps, coeffs, mask, cfg.wavelength)
+    mask = np.ones(x.shape, dtype=bool)
+    return ZernikeSeries(timestamps, x * sigma, mask, cfg.wavelength)

@@ -1,4 +1,4 @@
-"""Linear-ratio / decibel conversions.
+"""Linear-ratio / decibel conversions, and the check shared by count fields.
 
 All efficiencies inside the library are linear ratios in (0, 1]; decibels
 are a presentation format only.
@@ -22,3 +22,9 @@ def from_db(db: float) -> float:
 def format_db(ratio: float) -> str:
     """Signed, one-decimal dB string used in human-readable reports."""
     return f"{to_db(ratio):+.1f} dB"
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """ValueError naming the input unless value is a whole number >= minimum."""
+    if not (value >= minimum and value % 1 == 0):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")

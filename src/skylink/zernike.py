@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .units import _check_integer
+
 __all__ = [
     "radial_order",
     "noll_weight",
@@ -70,8 +72,7 @@ def turbulence_variance(j: int, d_rx: float, r0: float) -> float:
 
 
 def _check_residual_args(J: int, d_rx: float, r0: float) -> None:
-    if not (J >= 1 and J % 1 == 0):
-        raise ValueError(f"J must be an integer >= 1, got {J}")
+    _check_integer("J", J, 1)
     _check_aperture(d_rx, r0)
 
 

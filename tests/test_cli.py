@@ -450,3 +450,10 @@ def test_fit_rejects_non_finite_diameter(tmp_path, capsys, value):
     assert code == 3
     assert "error: d_rx must be finite" in err
     assert "r0_hat" not in out
+
+
+def test_library_spad_session_is_the_clis(monkeypatch):
+    from skylink import qkd
+
+    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
+    assert cli.build_session(cli.load_config(None), "spad") == qkd.QkdSessionModel(qkd.SPAD)

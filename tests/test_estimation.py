@@ -162,3 +162,24 @@ def test_wfs_log_rejects_partial_row_mask(tmp_path):
     with pytest.raises(ValueError, match="row 5"):
         estimation.write_wfs_log(partial, 0.41, p)
     assert not p.exists()
+
+
+@pytest.mark.parametrize(
+    "row, col, value, cell",
+    [(3, 1, np.nan, "row 3 mode 2 is nan"), (9, -1, np.inf, "row 9 t_s is inf")],
+)
+def test_wfs_log_rejects_non_finite_cells_before_writing(tmp_path, row, col, value, cell):
+    """The writer refuses what load_wfs_log would reject, and leaves no file."""
+    from skylink.zernike import ZernikeSeries
+
+    series = series_with_exact_variances({1: 0.1, 2: 0.05}, n=10, seed=1)
+    t, b = series.timestamps.copy(), series.coefficients.copy()
+    if col < 0:
+        t[row] = value  # the last timestamp, so the times still increase
+    else:
+        b[row, col] = value
+    bad = ZernikeSeries(t, b, series.valid_mask, series.wavelength_tag)
+    p = tmp_path / "wfs.csv"
+    with pytest.raises(ValueError, match=cell):
+        estimation.write_wfs_log(bad, 0.41, p)
+    assert not p.exists()

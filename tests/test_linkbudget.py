@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skylink.atmosphere import OpticalPath, TurbulenceState
+from skylink.atmosphere import OpticalPath, TurbulenceState, rytov_variance, scintillation_report
 from skylink.coupling import ReceiverChain
 from skylink.linkbudget import (
     LinkGeometry,
@@ -235,3 +235,26 @@ def test_non_finite_inputs_name_the_input(path, chain, bad):
         TurbulenceState.from_r0(0.09, path, bad)
     with pytest.raises(ValueError, match="r0 must be finite"):
         TurbulenceState.from_r0(bad, path, 0.5)
+
+
+_OTHER_PATH = OpticalPath(path_length=1000.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ts, chain, path: rytov_variance(ts, path),
+        lambda ts, chain, path: scintillation_report(ts, path, chain.d_rx),
+        lambda ts, chain, path: model_smf_breakdown(chain, ts, path),
+        lambda ts, chain, path: full_budget(
+            LinkGeometry(path, chain), ts, 0.2, model_smf_breakdown(chain, ts, ts.path)
+        ),
+    ],
+    ids=["rytov_variance", "scintillation_report", "model_smf_breakdown", "full_budget"],
+)
+def test_a_second_path_must_match_the_turbulence_state(call, chain):
+    """The path given beside a TurbulenceState is checked against its own, not mixed in."""
+    ts = TurbulenceState.from_r0(0.0875, OpticalPath(), 0.556)
+    call(ts, chain, OpticalPath())  # an equal path is accepted
+    with pytest.raises(ValueError, match=r"ts\.path OpticalPath\(.*18000\.0\) differs .*1000\.0\)"):
+        call(ts, chain, _OTHER_PATH)

@@ -416,3 +416,13 @@ def test_session_constants_leave_the_dataclass_alone():
     )
     assert qkd.secret_key_rate(replaced, 20.4e3, 0.01, 0.01) != rate
     assert qkd.secret_key_rate(a, 20.4e3, 0.01, 0.01) == rate
+
+
+def test_block_size_defaults_to_the_detectors():
+    assert qkd.QkdSessionModel(qkd.SPAD).block_size == 50000
+    assert qkd.QkdSessionModel(qkd.SNSPD) == qkd.QkdSessionModel(qkd.SNSPD, block_size=250000)
+    assert qkd.QkdSessionModel(qkd.SPAD) == qkd.QkdSessionModel(qkd.SPAD, block_size=50000)
+    custom = qkd.DetectorModel(0.5, label="ingaas")
+    assert qkd.QkdSessionModel(custom, block_size=1000).block_size == 1000
+    with pytest.raises(ValueError, match="'ingaas'"):
+        qkd.QkdSessionModel(custom)

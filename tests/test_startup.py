@@ -1,4 +1,4 @@
-"""Start-up cost: importing the package and the CLI must not load SciPy."""
+"""Start-up cost and run-time dependencies: numpy is the only one, SciPy is for tests."""
 
 import json
 import os
@@ -36,3 +36,30 @@ def test_non_synth_commands_do_not_load_scipy(tmp_path):
         "optimize_beta(0.41)"
     )
     assert _scipy_modules_after(code) == []
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """With scipy unimportable, each CLI command still returns 0."""
+    off, on = tmp_path / "off.csv", tmp_path / "on.csv"
+    commands = [
+        ["synth", str(off), "--r0", "0.08", "--wind", "0.5", "--n", "500", "--seed", "1"],
+        ["synth", str(on), "--r0", "0.08", "--wind", "0.5", "--n", "500", "--seed", "2",
+         "--ao-on"],
+        ["fit-r0", str(off)],
+        ["predict-smf", "--ao-on", str(on), "--ao-off", str(off)],
+        ["budget"],
+        ["qkd", "--eta-ch", "-29"],
+        ["sweep", "--steps", "5"],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "from skylink import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("SKYLINK_CONFIG", None)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -100,3 +101,51 @@ def test_config_validation():
         synth.SynthConfig(r0=0.06, wind_speed=-1.0)
     with pytest.raises(ValueError):
         synth.SynthConfig(r0=0.06, j_max=1)
+
+
+def _lfilter_reference(cfg):
+    """The per-mode scipy.signal.lfilter AR(1) that generate_series replaced.
+
+    Returns the coefficients and each mode's standard deviation sigma_j.
+    """
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+    f_g = 0.43 * cfg.wind_speed / cfg.r0
+    phi = math.exp(-2.0 * math.pi * f_g / cfg.sample_rate) if f_g > 0 else 0.0
+    rejection = min(1.0, (f_g / cfg.f_3db) ** (5.0 / 3.0)) if cfg.ao_on else 1.0
+    n = cfg.n_samples
+    coeffs = np.empty((n, cfg.j_max))
+    sigma = np.empty(cfg.j_max)
+    for j in range(1, cfg.j_max + 1):
+        var = turbulence_variance(j, cfg.d_rx, cfg.r0)
+        if cfg.ao_on and j <= cfg.ao_modes:
+            var *= rejection
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(j,))))
+        eps = rng.standard_normal(n)
+        if phi == 0.0:
+            x = eps
+        else:
+            u = math.sqrt(1.0 - phi * phi) * eps
+            u[0] = eps[0]
+            x = lfilter([1.0], [1.0, -phi], u)
+        sigma[j - 1] = math.sqrt(var)
+        coeffs[:, j - 1] = sigma[j - 1] * x
+    return coeffs, sigma
+
+
+_AR1_GRID = [
+    dict(wind_speed=w, r0=r0, n_samples=n, ao_on=ao)
+    for w, r0, n, ao in itertools.product(
+        (0.0, 0.05, 0.556, 5.0), (0.03, 0.2), (2, 1000, 10000), (False, True)
+    )
+] + [dict(wind_speed=0.001, r0=0.2, n_samples=10000, ao_on=False)]  # phi = 0.99986
+
+
+@pytest.mark.parametrize("params", _AR1_GRID, ids=lambda p: "-".join(map(str, p.values())))
+def test_ar1_matches_the_lfilter_reference(params):
+    cfg = synth.SynthConfig(seed=7, **params)
+    got = synth.generate_series(cfg).coefficients
+    want, sigma = _lfilter_reference(cfg)
+    if cfg.wind_speed == 0.0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= 1e-12 * sigma)
