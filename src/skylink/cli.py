@@ -20,8 +20,6 @@ import os
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from . import estimation, qkd, synth
 from .atmosphere import OpticalPath, TurbulenceState
 from .coupling import ReceiverChain
@@ -187,15 +185,27 @@ def _print_db_line(name: str, ratio: float) -> None:
 
 
 def parse_modes(text: str) -> tuple:
-    """Parse a mode list like '1-35' or '3,5,7-10'."""
+    """Parse a mode list like '1-35' or '3,5,7-10'.
+
+    Each chunk is a mode >= 1 or an ascending range lo-hi of them; any other
+    chunk raises ConfigError naming it.
+    """
     modes: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if "-" in chunk:
-            lo, _, hi = chunk.partition("-")
-            modes.extend(range(int(lo), int(hi) + 1))
-        elif chunk:
-            modes.append(int(chunk))
+        if not chunk:
+            continue
+        lo, dash, hi = chunk.partition("-")
+        try:
+            first = int(lo)
+            last = int(hi) if dash else first
+        except ValueError:
+            raise ConfigError(f"mode chunk {chunk!r} is not a mode or a range lo-hi") from None
+        if first < 1:
+            raise ConfigError(f"mode chunk {chunk!r} has a mode < 1")
+        if last < first:
+            raise ConfigError(f"mode range {chunk!r} is reversed")
+        modes.extend(range(first, last + 1))
     if not modes:
         raise ConfigError(f"empty mode list {text!r}")
     return tuple(modes)
@@ -345,6 +355,8 @@ def cmd_qkd(args, cfg: dict) -> int:
 
 
 def cmd_sweep(args, cfg: dict) -> int:
+    import numpy as np
+
     geom = build_geometry(cfg)
     if args.steps < 1:
         raise ConfigError("steps must be >= 1")

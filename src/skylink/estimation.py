@@ -11,8 +11,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .atmosphere import OpticalPath, TurbulenceState
 from .coupling import ReceiverChain, SmfCouplingBreakdown, eta_phi_on
 from .linkbudget import model_smf_breakdown
@@ -49,14 +47,20 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
 
     Model: log sigma_j^2 = (5/3) log(d_rx/r0) + log g(j).  The single-offset
     least-squares solution is closed form; non-positive variances are
-    excluded with a warning.
+    excluded with a warning.  A mode listed twice raises ValueError, since
+    it would count twice in the mean.
     """
+    import numpy as np
+
     if not 0 < d_rx < math.inf:
         raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
     if modes is None:
         modes = variances.modes
-    usable = []
+    usable, seen = [], set()
     for j in modes:
+        if j in seen:
+            raise ValueError(f"mode {j} is listed twice")
+        seen.add(j)
         if j not in variances:
             raise ValueError(f"variance for mode {j} is missing")
         if variances[j] <= 0:
@@ -119,6 +123,8 @@ def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:
     raises ValueError instead of losing its valid cells, and so does a nan
     or inf cell, which :func:`load_wfs_log` would reject.
     """
+    import numpy as np
+
     if not 0 < d_rx < math.inf:
         raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
     cells = np.column_stack((series.timestamps, series.coefficients))
@@ -151,6 +157,8 @@ def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
     content, including nan or inf cells, raises ValueError with the
     offending line number.
     """
+    import numpy as np
+
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:

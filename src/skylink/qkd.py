@@ -114,7 +114,14 @@ class QkdSessionModel:
             raise ValueError(f"f_ec must be >= 1 and finite, got {self.f_ec}")
 
     def with_detector(self, detector: DetectorModel) -> "QkdSessionModel":
-        return replace(self, detector=detector)
+        """The same session with another detector.
+
+        A block_size equal to the old detector's ``BLOCK_SIZE`` entry becomes
+        the new detector's entry (ValueError if it has none, as in the
+        constructor); any other block_size is kept.
+        """
+        default = self.block_size == BLOCK_SIZE.get(self.detector.label)
+        return replace(self, detector=detector, block_size=None if default else self.block_size)
 
     @cached_property
     def _finite_key(self) -> "_FiniteKeyConstants":

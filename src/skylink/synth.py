@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .atmosphere import OpticalPath, _greenwood
 from .coupling import ReceiverChain
 from .units import _check_integer
@@ -57,6 +55,8 @@ def generate_series(cfg: SynthConfig) -> ZernikeSeries:
     zero.  AO-ON multiplies corrected-mode variances by
     min(1, (f_G/f_3dB)^(5/3)).
     """
+    import numpy as np
+
     f_g = _greenwood(cfg.wind_speed, cfg.r0)
     phi = math.exp(-2.0 * math.pi * f_g / cfg.sample_rate) if f_g > 0 else 0.0
     rejection = min(1.0, (f_g / cfg.f_3db) ** (5.0 / 3.0)) if cfg.ao_on else 1.0

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .units import _check_integer
 
 __all__ = [
@@ -101,6 +99,8 @@ class ZernikeSeries:
     wavelength_tag: float  # m
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         t = np.asarray(self.timestamps, dtype=float)
         c = np.asarray(self.coefficients, dtype=float)
         m = np.asarray(self.valid_mask, dtype=bool)
@@ -126,8 +126,8 @@ class ZernikeSeries:
 
     def to_wavelength(self, wavelength: float) -> "ZernikeSeries":
         """Re-express phase coefficients at another wavelength."""
-        if wavelength <= 0:
-            raise ValueError("wavelength must be positive")
+        if not 0 < wavelength < math.inf:
+            raise ValueError(f"wavelength must be finite and positive, got {wavelength}")
         scale = self.wavelength_tag / wavelength
         return ZernikeSeries(self.timestamps, self.coefficients * scale, self.valid_mask, wavelength)
 
@@ -154,7 +154,11 @@ def empirical_variances(series: ZernikeSeries) -> ModeVarianceSet:
     """Unbiased per-mode sample variance over valid samples.
 
     Modes with fewer than 2 valid samples are omitted, not reported as zero.
+    A variance that is not finite (a nan or inf among the mode's valid
+    samples) raises ValueError naming the mode.
     """
+    import numpy as np
+
     variances: dict = {}
     counts: dict = {}
     for col in range(series.j_max):
@@ -163,6 +167,10 @@ def empirical_variances(series: ZernikeSeries) -> ModeVarianceSet:
         if n < 2:
             continue
         j = col + 1
-        variances[j] = float(np.var(series.coefficients[mask, col], ddof=1))
+        with np.errstate(invalid="ignore"):  # inf - inf: the ValueError below says it
+            var = float(np.var(series.coefficients[mask, col], ddof=1))
+        if not math.isfinite(var):
+            raise ValueError(f"mode {j} variance is {var}; its valid samples must be finite")
+        variances[j] = var
         counts[j] = n
     return ModeVarianceSet(variances, counts)

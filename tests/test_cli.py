@@ -326,6 +326,24 @@ def test_parse_modes():
     assert cli.parse_modes("5, 7, 9-11") == (5, 7, 9, 10, 11)
     with pytest.raises(cli.ConfigError):
         cli.parse_modes(" , ")
+    assert cli.parse_modes("3,3,4") == (3, 3, 4)  # fit_fried names the duplicate
+    for text, chunk in [("3-35,10-5", "'10-5'"), ("3-x", "'3-x'"), ("0-4", "'0-4'"),
+                        ("2,-3", "'-3'"), ("3-", "'3-'"), ("1.5", "'1.5'")]:
+        with pytest.raises(cli.ConfigError, match=chunk):
+            cli.parse_modes(text)
+
+
+@pytest.mark.parametrize(
+    "modes, code, message",
+    [("3-35,10-5", 2, "'10-5' is reversed"), ("3-x", 2, "'3-x'"), ("3,3,4", 3, "mode 3")],
+)
+def test_fit_rejects_a_bad_mode_list(tmp_path, capsys, modes, code, message):
+    wfs = tmp_path / "wfs.csv"
+    run(capsys, "synth", str(wfs), "--r0", "0.08", "--n", "50", "--seed", "3")
+    got, out, err = run(capsys, "fit-r0", str(wfs), "--modes", modes)
+    assert got == code
+    assert message in err
+    assert "r0_hat" not in out
 
 
 @pytest.mark.parametrize(

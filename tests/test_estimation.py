@@ -58,6 +58,8 @@ def test_fit_errors():
         estimation.fit_fried(variances, 0.41, modes=(1, 2, 6))
     with pytest.raises(ValueError, match="at least 3"):
         estimation.fit_fried(variances, 0.41, modes=(1, 2))
+    with pytest.raises(ValueError, match="mode 3 is listed twice"):
+        estimation.fit_fried(variances, 0.41, modes=(3, 3, 4))
     with pytest.raises(ValueError):
         estimation.fit_fried(variances, -0.41)
 

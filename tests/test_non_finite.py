@@ -71,6 +71,7 @@ _ENTRY_POINTS = [
     ("d_rx", lambda v: write_wfs_log(_SERIES, v, os.devnull)),
     ("wavelength_tag", lambda v: ZernikeSeries(_SERIES.timestamps, _SERIES.coefficients,
                                                _SERIES.valid_mask, v)),
+    ("wavelength", _SERIES.to_wavelength),
 ]
 
 

@@ -1,10 +1,16 @@
-"""Start-up cost and run-time dependencies: numpy is the only one, SciPy is for tests."""
+"""Start-up cost and run-time dependencies.
+
+numpy is the only run-time dependency, and the scalar path loads none of it;
+SciPy is for tests.
+"""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from skylink.units import from_db
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,3 +69,39 @@ def test_every_command_runs_without_scipy(tmp_path):
     env.pop("SKYLINK_CONFIG", None)
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_scalar_path_does_not_load_numpy(tmp_path):
+    """Importing skylink and running budget and qkd load no numpy module."""
+    out = tmp_path / "budget.json"
+    log = tmp_path / "session.csv"
+    log.write_text(
+        "t_s,signal_hz,noise_hz,qber_z,qber_x,skr_bps\n"
+        "0.0,20400.0,2000.0,0.008,0.011,1012.5\n"
+        "1.0,20100.0,2100.0,0.009,0.012,\n"
+    )
+    steps = [
+        "import skylink",
+        "import skylink.cli",
+        "assert skylink.cli.main(['budget']) == 0",
+        f"assert skylink.cli.main(['--out', {str(out)!r}, 'budget', '--eta-smf', '-9.2']) == 0",
+        "assert skylink.cli.main(['qkd', '--eta-ch', '-29']) == 0",
+        "assert skylink.cli.main(['qkd', '--eta-ch', '-29', '--detector', 'spad']) == 0",
+        f"assert skylink.cli.main(['qkd', '--log', {str(log)!r}]) == 0",
+    ]
+    code = (
+        "import json, sys\n"
+        "loaded = []\n"
+        f"for step in {steps!r}:\n"
+        "    exec(step)\n"
+        "    loaded.append([step, [m for m in sys.modules if m.split('.')[0] == 'numpy']])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("SKYLINK_CONFIG", None)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    for step, numpy_modules in json.loads(run.stdout.splitlines()[-1]):
+        assert numpy_modules == [], step
+    assert json.loads(out.read_text())["eta_smf"] == from_db(-9.2)

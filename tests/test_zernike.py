@@ -166,6 +166,16 @@ def test_empirical_variances_respects_mask():
     assert out.sample_counts[2] == 2
 
 
+def test_empirical_variances_rejects_a_non_finite_valid_sample():
+    for bad in (np.nan, np.inf):
+        data = np.array([[1.0, 5.0], [bad, 6.0], [3.0, 8.0]])
+        with pytest.raises(ValueError, match=r"\bmode 1\b"):
+            empirical_variances(make_series(data))
+    # a masked-out cell is not a sample
+    mask = np.array([[True, True], [False, True], [True, True]])
+    assert empirical_variances(make_series(data, mask)).modes == (1, 2)
+
+
 def test_modes_with_too_few_samples_are_absent():
     data = np.array([[1.0, 5.0], [2.0, 6.0]])
     mask = np.array([[True, True], [True, False]])
