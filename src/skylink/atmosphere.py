@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .units import _check_non_negative, _check_positive
+
 __all__ = [
     "OpticalPath",
     "TurbulenceState",
@@ -39,9 +41,7 @@ class OpticalPath:
 
     def __post_init__(self) -> None:
         for name in ("wavelength", "path_length"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+            _check_positive(name, getattr(self, name))
 
     @property
     def wavenumber(self) -> float:
@@ -64,15 +64,13 @@ def r0_from_cn2(cn2: float, path: OpticalPath) -> float:
 
     r0 = (0.16 * Cn2 * k^2 * L)^(-3/5)
     """
-    if not (math.isfinite(cn2) and cn2 > 0):
-        raise ValueError(f"cn2 must be finite and positive, got {cn2}")
+    _check_positive("cn2", cn2)
     return _r0_from_cn2(cn2, path)
 
 
 def cn2_from_r0(r0: float, path: OpticalPath) -> float:
     """Exact algebraic inverse of :func:`r0_from_cn2`."""
-    if not (math.isfinite(r0) and r0 > 0):
-        raise ValueError(f"r0 must be finite and positive, got {r0}")
+    _check_positive("r0", r0)
     return _cn2_from_r0(r0, path)
 
 
@@ -80,8 +78,7 @@ def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: flo
     """Rescale r0 between wavelengths at fixed Cn2 (lambda^(6/5) law)."""
     args = (("r0", r0), ("wavelength_from", wavelength_from), ("wavelength_to", wavelength_to))
     for name, v in args:
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {v}")
+        _check_positive(name, v)
     return r0 * (wavelength_to / wavelength_from) ** (6.0 / 5.0)
 
 
@@ -97,13 +94,9 @@ class TurbulenceState:
     path: OpticalPath
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.fried_r0) and self.fried_r0 > 0):
-            raise ValueError(f"r0 must be finite and positive, got {self.fried_r0}")
-        cn2 = self.cn2
-        if not (math.isfinite(cn2) and cn2 > 0):
-            raise ValueError(f"cn2 must be finite and positive, got {cn2} (r0={self.fried_r0})")
-        if not (math.isfinite(self.wind_speed) and self.wind_speed >= 0):
-            raise ValueError(f"wind_speed must be finite and >= 0, got {self.wind_speed}")
+        _check_positive("r0", self.fried_r0)
+        _check_positive("cn2", self.cn2)
+        _check_non_negative("wind_speed", self.wind_speed)
 
     @classmethod
     def from_r0(cls, r0: float, path: OpticalPath, wind_speed: float = 0.0) -> "TurbulenceState":
@@ -181,8 +174,7 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     path must be ts.path.
     """
     _check_same_path(ts, path)
-    if not 0 < d_rx < math.inf:
-        raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
+    _check_positive("d_rx", d_rx)
     terms = _aperture_averaged(math, ts.cn2, path, d_rx)
     sqrt_ll = math.sqrt(path.wavelength * path.path_length)
     rho_strong = 0.36 * terms[0] ** (-3.0 / 10.0) * sqrt_ll  # sigma_R^(-3/5) on the amplitude

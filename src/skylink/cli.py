@@ -15,7 +15,6 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from typing import NamedTuple
@@ -25,7 +24,7 @@ from .atmosphere import OpticalPath, TurbulenceState
 from .coupling import ReceiverChain
 from .estimation import FriedFit
 from .linkbudget import LinkGeometry, full_budget, model_smf_breakdown, sweep_budget
-from .units import from_db, to_db
+from .units import _is_ratio, from_db, to_db
 
 __all__ = ["main"]
 
@@ -184,11 +183,13 @@ def _print_db_line(name: str, ratio: float) -> None:
     print(f"  {name:<18} {to_db(ratio):+8.1f} dB")
 
 
-def parse_modes(text: str) -> tuple:
+def parse_modes(text: str, j_max: int | None = None) -> tuple:
     """Parse a mode list like '1-35' or '3,5,7-10'.
 
     Each chunk is a mode >= 1 or an ascending range lo-hi of them; any other
-    chunk raises ConfigError naming it.
+    chunk raises ConfigError naming it.  Given a log's last mode j_max, a
+    range ends at mode j_max + 1 (or at lo, if later): fit_fried stops at the
+    first mode the log lacks, so the modes past it would go unread.
     """
     modes: list[int] = []
     for chunk in text.split(","):
@@ -205,6 +206,8 @@ def parse_modes(text: str) -> tuple:
             raise ConfigError(f"mode chunk {chunk!r} has a mode < 1")
         if last < first:
             raise ConfigError(f"mode range {chunk!r} is reversed")
+        if j_max is not None:
+            last = min(last, max(first, j_max + 1))
         modes.extend(range(first, last + 1))
     if not modes:
         raise ConfigError(f"empty mode list {text!r}")
@@ -220,7 +223,7 @@ def cmd_budget(args, cfg: dict) -> int:
     smf = model_smf_breakdown(geom.chain, ts, geom.path)
     if args.eta_smf is not None:
         # replace the modeled coupling with the supplied (measured) value
-        if not (-math.inf < args.eta_smf <= 0 and from_db(args.eta_smf) > 0):
+        if not (args.eta_smf <= 0 and _is_ratio(from_db(args.eta_smf))):
             raise ValueError(
                 f"eta_smf must be in (0, 1], a finite dB value <= 0, got {args.eta_smf} dB"
             )
@@ -245,7 +248,7 @@ def cmd_fit_r0(args, cfg: dict) -> int:
     series, d_rx_file = estimation.load_wfs_log(args.wfs_csv)
     d_rx = args.d_rx if args.d_rx is not None else d_rx_file
     variances = estimation.empirical_variances(series)
-    modes = parse_modes(args.modes) if args.modes else None
+    modes = parse_modes(args.modes, series.j_max) if args.modes else None
     fit = estimation.fit_fried(variances, d_rx, modes)
     print(f"Fried parameter fit over {len(fit.modes_used)} modes (D_Rx = {d_rx:.3g} m)")
     print(f"  r0_hat             {fit.r0_hat * 100:8.2f} cm")

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .units import _check_integer, from_db
+from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio, from_db
 from .zernike import ModeVarianceSet, _check_residual_args, _residual_variance
 
 __all__ = [
@@ -53,15 +53,11 @@ class ReceiverChain:
 
     def __post_init__(self) -> None:
         for name in ("d_rx", "d_obs", "f_eff", "mfd", "f_3db"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+            _check_positive(name, getattr(self, name))
         if not self.d_obs < self.d_rx:
-            raise ValueError("need 0 < d_obs < d_rx")
+            raise ValueError(f"need d_obs < d_rx, got d_obs={self.d_obs}, d_rx={self.d_rx}")
         for name in ("eta_tel", "eta_optics", "eta_fiber"):
-            v = getattr(self, name)
-            if not 0 < v <= 1:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
+            _check_ratio(name, getattr(self, name))
         _check_integer("ao_modes", self.ao_modes, 2)
 
 
@@ -72,8 +68,7 @@ def obscuration_ratio(chain: ReceiverChain) -> float:
 
 def mode_match_beta(chain: ReceiverChain, wavelength: float) -> float:
     """Mode-matching factor beta = (pi*D_rx / 4*lambda) * (MFD / f_eff)."""
-    if not 0 < wavelength < math.inf:
-        raise ValueError(f"wavelength must be finite and positive, got {wavelength}")
+    _check_positive("wavelength", wavelength)
     return (math.pi * chain.d_rx / (4.0 * wavelength)) * (chain.mfd / chain.f_eff)
 
 
@@ -84,10 +79,13 @@ def eta0(beta: float, alpha: float) -> float:
 
     Below beta = 1e-3 a second-order series replaces the 0/0-prone bracket.
     """
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and positive, got {beta}")
+    _check_positive("beta", beta)
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    return _eta0(beta, alpha)
+
+
+def _eta0(beta: float, alpha: float) -> float:
     a2 = alpha * alpha
     if beta < _SMALL_BETA:
         b2 = beta * beta
@@ -101,8 +99,8 @@ def optimize_beta(alpha: float) -> tuple[float, float]:
     """Maximize eta0 over beta in [1e-3, 10]; returns (beta_opt, eta0_max)."""
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    beta_opt = _fminbound(lambda b: -eta0(b, alpha), _SMALL_BETA, 10.0, xatol=1e-6)
-    return beta_opt, eta0(beta_opt, alpha)
+    beta_opt = _fminbound(lambda b: -_eta0(b, alpha), _SMALL_BETA, 10.0, xatol=1e-6)
+    return beta_opt, _eta0(beta_opt, alpha)
 
 
 def _fminbound(func, a: float, b: float, xatol: float, maxiter: int = 500) -> float:
@@ -215,10 +213,8 @@ def _eta_tau(xp, f_g, f_3db: float):
 
 def eta_tau(f_g: float, f_3db: float) -> float:
     """Temporal AO efficiency exp(-(f_G/f_3dB)^(5/3))."""
-    if not 0 < f_3db < math.inf:
-        raise ValueError(f"f_3db must be finite and positive, got {f_3db}")
-    if not 0 <= f_g < math.inf:
-        raise ValueError(f"f_g must be finite and >= 0, got {f_g}")
+    _check_positive("f_3db", f_3db)
+    _check_non_negative("f_g", f_g)
     return _eta_tau(math, f_g, f_3db)
 
 
@@ -245,8 +241,7 @@ def compose_smf(
     """Compose the coupling terms; fixed left-to-right evaluation order."""
     factors = (eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau)
     for name, v in zip(("eta0", "eta_s", "eta_phi_on", "eta_phi_residual", "eta_tau"), factors):
-        if not 0 < v <= 1:
-            raise ValueError(f"{name} must be in (0, 1], got {v}")
+        _check_ratio(name, v)
     return SmfCouplingBreakdown(*factors, *_smf_products(*factors))
 
 
@@ -263,12 +258,9 @@ def coupling_from_power(p_in: float, p_focus: float, eta_focus_to_fiber: float) 
     measurement and the fixed focus-to-fiber losses.  A measured efficiency
     above unity is reported with a warning rather than rejected.
     """
-    if not 0 < p_focus < math.inf:
-        raise ValueError(f"p_focus must be finite and positive, got {p_focus}")
-    if not 0 < eta_focus_to_fiber <= 1:
-        raise ValueError(f"eta_focus_to_fiber must be in (0, 1], got {eta_focus_to_fiber}")
-    if not 0 <= p_in < math.inf:
-        raise ValueError(f"p_in must be finite and >= 0, got {p_in}")
+    _check_positive("p_focus", p_focus)
+    _check_ratio("eta_focus_to_fiber", eta_focus_to_fiber)
+    _check_non_negative("p_in", p_in)
     p_front = p_focus * eta_focus_to_fiber
     if p_in > p_front:
         warnings.warn(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .atmosphere import OpticalPath, TurbulenceState
 from .coupling import ReceiverChain, SmfCouplingBreakdown, eta_phi_on
 from .linkbudget import model_smf_breakdown
+from .units import _check_positive
 from .zernike import ModeVarianceSet, ZernikeSeries, empirical_variances, noll_weight
 
 __all__ = [
@@ -36,8 +37,7 @@ class FriedFit:
     modes_used: tuple
 
     def __post_init__(self) -> None:
-        if not 0 < self.r0_hat < math.inf:
-            raise ValueError(f"r0_hat must be finite and positive, got {self.r0_hat}")
+        _check_positive("r0_hat", self.r0_hat)
         if not self.modes_used:
             raise ValueError("modes_used must be non-empty")
 
@@ -52,8 +52,7 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
     """
     import numpy as np
 
-    if not 0 < d_rx < math.inf:
-        raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
+    _check_positive("d_rx", d_rx)
     if modes is None:
         modes = variances.modes
     usable, seen = [], set()
@@ -125,8 +124,7 @@ def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:
     """
     import numpy as np
 
-    if not 0 < d_rx < math.inf:
-        raise ValueError(f"d_rx must be finite and positive, got {d_rx}")
+    _check_positive("d_rx", d_rx)
     cells = np.column_stack((series.timestamps, series.coefficients))
     bad = np.argwhere(~np.isfinite(cells))
     if bad.size:

@@ -33,7 +33,8 @@ from .coupling import (
     mode_match_beta,
     obscuration_ratio,
 )
-from .units import to_db
+from .units import _check_non_negative, _check_positive, _is_integer, _is_non_negative
+from .units import _is_positive, _is_ratio, to_db
 from .zernike import _check_residual_args
 
 __all__ = [
@@ -61,8 +62,7 @@ class LinkGeometry:
     w0: float = 0.025  # m, collimated transmit waist
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.w0) and self.w0 > 0):
-            raise ValueError(f"w0 must be finite and positive, got {self.w0}")
+        _check_positive("w0", self.w0)
 
     @property
     def rayleigh_range(self) -> float:
@@ -84,8 +84,7 @@ def beam_divergence(geom: LinkGeometry, r0: float) -> tuple[float, float, float]
     theta0 = lambda/(pi*w0), theta_turb = lambda/(pi*rho0) with rho0 = r0/2.1,
     combined in quadrature.
     """
-    if not 0 < r0 < math.inf:
-        raise ValueError(f"r0 must be finite and positive, got {r0}")
+    _check_positive("r0", r0)
     return _divergence(math, geom, r0)
 
 
@@ -95,14 +94,8 @@ def _received_waist(theta, path: OpticalPath):
 
 def received_waist(theta: float, path: OpticalPath) -> float:
     """Beam radius at the receiver, W_L = theta * L."""
-    if not 0 < theta < math.inf:
-        raise ValueError(f"theta must be finite and positive, got {theta}")
+    _check_positive("theta", theta)
     return _received_waist(theta, path)
-
-
-def _check_absorption(a_coeff_db_km: float) -> None:
-    if not (math.isfinite(a_coeff_db_km) and a_coeff_db_km >= 0):
-        raise ValueError(f"a_coeff_db_km must be finite and >= 0, got {a_coeff_db_km}")
 
 
 def _absorption(xp, a_coeff_db_km, path: OpticalPath):
@@ -116,7 +109,7 @@ def absorption_efficiency(a_coeff_db_km: float, path: OpticalPath) -> float:
     The coefficient is taken in dB/km (engineering convention); internally
     this is the same as exp(-A*L) with A converted to nat/m.
     """
-    _check_absorption(a_coeff_db_km)
+    _check_non_negative("a_coeff_db_km", a_coeff_db_km)
     return _absorption(math, a_coeff_db_km, path)
 
 
@@ -127,8 +120,7 @@ def _collection(xp, w_l, chain: ReceiverChain):
 
 def collection_efficiency(w_l: float, chain: ReceiverChain) -> float:
     """Obstructed-aperture collection of a Gaussian beam of radius w_l."""
-    if not 0 < w_l < math.inf:
-        raise ValueError(f"w_l must be finite and positive, got {w_l}")
+    _check_positive("w_l", w_l)
     return _collection(math, w_l, chain)
 
 
@@ -208,7 +200,7 @@ def full_budget(
     can be mixed.  geom.path must be ts.path.
     """
     _check_same_path(ts, geom.path, "geom.path")
-    _check_absorption(a_coeff_db_km)
+    _check_non_negative("a_coeff_db_km", a_coeff_db_km)
     return BudgetReport(*_budget_terms(math, geom, ts.fried_r0, a_coeff_db_km, smf.eta_smf))
 
 
@@ -244,11 +236,10 @@ def sweep_budget(geom: LinkGeometry, r0_values, wind_speed, a_coeff_db_km, J=Non
         _, _, _, w_l, eta_a, eta_coll, eta_focus, _, _, _, eta_ch = _budget_terms(
             np, geom, r0, a_coeff, eta_smf
         )
-        ok = np.isfinite(r0) & (r0 > 0) & np.isfinite(cn2) & (cn2 > 0)
-        ok &= np.isfinite(wind) & (wind >= 0) & (modes >= 1) & (modes % 1 == 0)
-        ok &= np.isfinite(a_coeff) & (a_coeff >= 0)
+        ok = _is_positive(r0) & _is_positive(cn2) & _is_non_negative(wind) & _is_integer(modes, 1)
+        ok &= _is_non_negative(a_coeff)
         for factor in factors:  # compose_smf's (0, 1] check
-            ok &= (factor > 0) & (factor <= 1)
+            ok &= _is_ratio(factor)
     if not ok.all():
         i = int(np.argmin(ok))
         r0_i, wind_i, a_i, J_i = (x[i].item() for x in raw)

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .units import _check_integer
+from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio
 
 __all__ = [
     "DetectorModel",
@@ -52,12 +52,9 @@ class DetectorModel:
     label: str = "detector"
 
     def __post_init__(self) -> None:
-        if not 0 < self.efficiency <= 1:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if not 0 <= self.noise_rate < math.inf:
-            raise ValueError(f"noise_rate must be finite and >= 0, got {self.noise_rate}")
-        if not 0 < self.window < math.inf:
-            raise ValueError(f"window must be finite and positive, got {self.window}")
+        _check_ratio("efficiency", self.efficiency)
+        _check_non_negative("noise_rate", self.noise_rate)
+        _check_positive("window", self.window)
 
 
 SNSPD = DetectorModel(efficiency=0.80, label="snspd")
@@ -96,8 +93,7 @@ class QkdSessionModel:
     eps_cor: float = 1e-15
 
     def __post_init__(self) -> None:
-        if not 0 < self.internal_loss <= 1:
-            raise ValueError("internal_loss must be in (0, 1]")
+        _check_ratio("internal_loss", self.internal_loss)
         if self.block_size is None:
             if self.detector.label not in BLOCK_SIZE:
                 raise ValueError(f"no default block_size for detector {self.detector.label!r}")
@@ -106,12 +102,12 @@ class QkdSessionModel:
         if not math.inf > self.mu1 > self.mu2 > 0:
             raise ValueError(f"need finite mu1 > mu2 > 0, got mu1={self.mu1}, mu2={self.mu2}")
         for name in ("p_mu1", "p_z_alice", "p_z_bob", "eps_sec", "eps_cor"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in (0, 1)")
-        if not 0 < self.r_ref < math.inf:
-            raise ValueError(f"r_ref must be positive and finite, got {self.r_ref}")
+            v = getattr(self, name)
+            if not 0 < v < 1:
+                raise ValueError(f"{name} must be in (0, 1), got {v}")
+        _check_positive("r_ref", self.r_ref)
         if not 1 <= self.f_ec < math.inf:
-            raise ValueError(f"f_ec must be >= 1 and finite, got {self.f_ec}")
+            raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
     def with_detector(self, detector: DetectorModel) -> "QkdSessionModel":
         """The same session with another detector.
@@ -218,6 +214,11 @@ class _FiniteKeyConstants:
         )
 
 
+def _check_qber(name: str, value: float) -> None:
+    if not 0 <= value <= 0.5:
+        raise ValueError(f"{name} must be in [0, 0.5], got {value}")
+
+
 @dataclass(frozen=True)
 class RateObservation:
     """One reporting interval of the platform log."""
@@ -233,26 +234,22 @@ class RateObservation:
         if not -math.inf < self.timestamp < math.inf:
             raise ValueError(f"timestamp must be finite, got {self.timestamp}")
         for name in ("signal_rate", "noise_rate"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            _check_non_negative(name, getattr(self, name))
         for name in ("qber_z", "qber_x"):
-            if not 0 <= getattr(self, name) <= 0.5:
-                raise ValueError(f"{name} must be in [0, 0.5], got {getattr(self, name)}")
-        if self.skr is not None and not 0 <= self.skr < math.inf:
-            raise ValueError(f"skr must be finite and >= 0, got {self.skr}")
+            _check_qber(name, getattr(self, name))
+        if self.skr is not None:
+            _check_non_negative("skr", self.skr)
 
 
 def expected_signal_rate(session: QkdSessionModel, eta_ch: float) -> float:
     """Detected signal rate for a given channel efficiency."""
-    if not 0 < eta_ch <= 1:
-        raise ValueError(f"eta_ch must be in (0, 1], got {eta_ch}")
+    _check_ratio("eta_ch", eta_ch)
     return session.r_ref * eta_ch * session.internal_loss * session.detector.efficiency
 
 
 def channel_efficiency_from_rate(session: QkdSessionModel, measured_rate: float) -> float:
     """Invert :func:`expected_signal_rate` for a measured detection rate."""
-    if not 0 < measured_rate < math.inf:
-        raise ValueError(f"measured_rate must be finite and positive, got {measured_rate}")
+    _check_positive("measured_rate", measured_rate)
     eta = measured_rate / (session.r_ref * session.internal_loss * session.detector.efficiency)
     if eta > 1:
         warnings.warn(
@@ -267,22 +264,17 @@ def calibrate_r_ref(
     session: QkdSessionModel, measured_rate: float, eta_ch: float
 ) -> QkdSessionModel:
     """Return a session whose r_ref maps eta_ch onto the measured rate."""
-    if not 0 < measured_rate < math.inf:
-        raise ValueError(f"measured_rate must be finite and positive, got {measured_rate}")
-    if not 0 < eta_ch <= 1:
-        raise ValueError(f"eta_ch must be in (0, 1], got {eta_ch}")
+    _check_positive("measured_rate", measured_rate)
+    _check_ratio("eta_ch", eta_ch)
     r_ref = measured_rate / (eta_ch * session.internal_loss * session.detector.efficiency)
     return replace(session, r_ref=r_ref)
 
 
 def windowed_noise_rate(raw_rate: float, window: float, pulse_rate: float) -> float:
     """Background rate accepted inside the gating window (duty-factor model)."""
-    if not 0 <= raw_rate < math.inf:
-        raise ValueError(f"raw_rate must be finite and >= 0, got {raw_rate}")
-    if not 0 < window < math.inf:
-        raise ValueError(f"window must be finite and positive, got {window}")
-    if not 0 < pulse_rate < math.inf:
-        raise ValueError(f"pulse_rate must be finite and positive, got {pulse_rate}")
+    _check_non_negative("raw_rate", raw_rate)
+    _check_positive("window", window)
+    _check_positive("pulse_rate", pulse_rate)
     duty = min(window * pulse_rate, 1.0)
     return raw_rate * duty
 
@@ -292,12 +284,9 @@ def expected_qber(signal_rate: float, noise_rate: float, intrinsic_qber: float =
     noise_rate is the accepted in-window noise; use
     :func:`windowed_noise_rate` first if the log carries the raw rate.
     """
-    if not 0 <= signal_rate < math.inf:
-        raise ValueError(f"signal_rate must be finite and >= 0, got {signal_rate}")
-    if not 0 <= noise_rate < math.inf:
-        raise ValueError(f"noise_rate must be finite and >= 0, got {noise_rate}")
-    if not 0 <= intrinsic_qber <= 0.5:
-        raise ValueError(f"intrinsic_qber must be in [0, 0.5], got {intrinsic_qber}")
+    _check_non_negative("signal_rate", signal_rate)
+    _check_non_negative("noise_rate", noise_rate)
+    _check_qber("intrinsic_qber", intrinsic_qber)
     total = signal_rate + noise_rate
     if total == 0:
         raise ValueError("signal and noise rates are both zero; QBER undefined")
@@ -352,12 +341,9 @@ def secret_key_rate(
     The factors that depend on the session alone are computed once per
     session (see :class:`_FiniteKeyConstants`).
     """
-    if not 0 < signal_rate < math.inf:
-        raise ValueError(f"signal_rate must be positive and finite, got {signal_rate}")
-    if not 0 <= qber_z <= 0.5:
-        raise ValueError(f"qber_z must be in [0, 0.5], got {qber_z}")
-    if not 0 <= qber_x <= 0.5:
-        raise ValueError(f"qber_x must be in [0, 0.5], got {qber_x}")
+    _check_positive("signal_rate", signal_rate)
+    _check_qber("qber_z", qber_z)
+    _check_qber("qber_x", qber_x)
     c = session._finite_key
 
     n_z = c.n_z  # sifted Z bits per block

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .atmosphere import OpticalPath, _greenwood
 from .coupling import ReceiverChain
-from .units import _check_integer
+from .units import _check_integer, _check_non_negative, _check_positive
 from .zernike import ZernikeSeries, turbulence_variance
 
 __all__ = ["SynthConfig", "generate_series"]
@@ -38,11 +38,8 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         for name in ("r0", "d_rx", "sample_rate", "f_3db", "wavelength"):
-            v = getattr(self, name)
-            if not 0 < v < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {v}")
-        if not 0 <= self.wind_speed < math.inf:
-            raise ValueError(f"wind_speed must be finite and >= 0, got {self.wind_speed}")
+            _check_positive(name, getattr(self, name))
+        _check_non_negative("wind_speed", self.wind_speed)
         for name, minimum in (("n_samples", 2), ("j_max", 2), ("ao_modes", 0), ("seed", 0)):
             _check_integer(name, getattr(self, name), minimum)
 

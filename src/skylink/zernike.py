@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .units import _check_integer
+from .units import _check_integer, _check_non_negative, _check_positive
 
 __all__ = [
     "radial_order",
@@ -31,8 +31,8 @@ def radial_order(j: int) -> int:
     Exact integer arithmetic: n is the smallest integer with
     n*(n+3)/2 >= j (there are n+1 modes of radial order n).
     """
-    if j < 1:
-        raise ValueError(f"mode index must be >= 1, got {j}")
+    _check_integer("j", j, 1)
+    j = int(j)
     n = max(1, (math.isqrt(9 + 8 * j) - 3) // 2)
     while n * (n + 3) // 2 < j:
         n += 1
@@ -57,21 +57,17 @@ def noll_weight(j: int) -> float:
     return _weight_for_order(radial_order(j))
 
 
-def _check_aperture(d_rx: float, r0: float) -> None:
-    for name, v in (("d_rx", d_rx), ("r0", r0)):
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {v}")
-
-
 def turbulence_variance(j: int, d_rx: float, r0: float) -> float:
     """Open-loop variance of mode j: (D/r0)^(5/3) * g(j), in rad^2."""
-    _check_aperture(d_rx, r0)
+    _check_positive("d_rx", d_rx)
+    _check_positive("r0", r0)
     return (d_rx / r0) ** (5.0 / 3.0) * noll_weight(j)
 
 
 def _check_residual_args(J: int, d_rx: float, r0: float) -> None:
     _check_integer("J", J, 1)
-    _check_aperture(d_rx, r0)
+    _check_positive("d_rx", d_rx)
+    _check_positive("r0", r0)
 
 
 def _residual_variance(J, d_rx, r0):
@@ -108,10 +104,7 @@ class ZernikeSeries:
             raise ValueError("inconsistent series shapes")
         if t.size >= 2 and not np.all(np.diff(t) > 0):
             raise ValueError("timestamps must be strictly increasing")
-        if not 0 < self.wavelength_tag < math.inf:
-            raise ValueError(
-                f"wavelength_tag must be finite and positive, got {self.wavelength_tag}"
-            )
+        _check_positive("wavelength_tag", self.wavelength_tag)
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "valid_mask", m)
@@ -126,18 +119,25 @@ class ZernikeSeries:
 
     def to_wavelength(self, wavelength: float) -> "ZernikeSeries":
         """Re-express phase coefficients at another wavelength."""
-        if not 0 < wavelength < math.inf:
-            raise ValueError(f"wavelength must be finite and positive, got {wavelength}")
+        _check_positive("wavelength", wavelength)
         scale = self.wavelength_tag / wavelength
         return ZernikeSeries(self.timestamps, self.coefficients * scale, self.valid_mask, wavelength)
 
 
 @dataclass(frozen=True)
 class ModeVarianceSet:
-    """Per-mode sample variances (rad^2); modes without enough data are absent."""
+    """Per-mode sample variances (rad^2); modes without enough data are absent.
+
+    A variance that is not finite or is below 0 raises ValueError naming
+    its mode.
+    """
 
     variances: dict = field(default_factory=dict)  # j -> rad^2
     sample_counts: dict = field(default_factory=dict)  # j -> N used
+
+    def __post_init__(self) -> None:
+        for j, v in self.variances.items():
+            _check_non_negative(f"variance of mode {j}", v)
 
     def __contains__(self, j: int) -> bool:
         return j in self.variances
@@ -154,8 +154,8 @@ def empirical_variances(series: ZernikeSeries) -> ModeVarianceSet:
     """Unbiased per-mode sample variance over valid samples.
 
     Modes with fewer than 2 valid samples are omitted, not reported as zero.
-    A variance that is not finite (a nan or inf among the mode's valid
-    samples) raises ValueError naming the mode.
+    A nan or inf among a mode's valid samples gives a variance that
+    :class:`ModeVarianceSet` rejects, naming the mode.
     """
     import numpy as np
 
@@ -167,10 +167,7 @@ def empirical_variances(series: ZernikeSeries) -> ModeVarianceSet:
         if n < 2:
             continue
         j = col + 1
-        with np.errstate(invalid="ignore"):  # inf - inf: the ValueError below says it
-            var = float(np.var(series.coefficients[mask, col], ddof=1))
-        if not math.isfinite(var):
-            raise ValueError(f"mode {j} variance is {var}; its valid samples must be finite")
-        variances[j] = var
+        with np.errstate(invalid="ignore"):  # inf - inf: ModeVarianceSet's ValueError says it
+            variances[j] = float(np.var(series.coefficients[mask, col], ddof=1))
         counts[j] = n
     return ModeVarianceSet(variances, counts)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -344,6 +345,21 @@ def test_fit_rejects_a_bad_mode_list(tmp_path, capsys, modes, code, message):
     assert got == code
     assert message in err
     assert "r0_hat" not in out
+
+
+def test_fit_expands_a_mode_range_no_further_than_the_log_needs(tmp_path, capsys):
+    wfs = tmp_path / "wfs.csv"
+    run(capsys, "synth", str(wfs), "--r0", "0.08", "--n", "50", "--seed", "3")
+    tracemalloc.start()
+    try:
+        got, _, err = run(capsys, "fit-r0", str(wfs), "--modes", "1-2000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 3
+    assert peak < 1e6, f"peak {peak} B"
+    assert "variance for mode 36 is missing" in err
+    assert cli.parse_modes("2,40-50,1-9", 35) == (2, 40, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
 
 @pytest.mark.parametrize(

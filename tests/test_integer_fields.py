@@ -4,7 +4,7 @@ import pytest
 
 from skylink import qkd, synth
 from skylink.coupling import ReceiverChain, eta_phi_on
-from skylink.zernike import ModeVarianceSet
+from skylink.zernike import ModeVarianceSet, noll_weight, radial_order, turbulence_variance
 
 _VARIANCES = ModeVarianceSet({j: 0.01 for j in range(1, 4)})
 
@@ -17,6 +17,9 @@ _COUNT_FIELDS = [
     ("ao_modes", lambda v: synth.SynthConfig(r0=0.08, ao_modes=v)),
     ("seed", lambda v: synth.SynthConfig(r0=0.08, seed=v)),
     ("J", lambda v: eta_phi_on(_VARIANCES, v)),
+    ("j", radial_order),
+    ("j", noll_weight),
+    ("j", lambda v: turbulence_variance(v, 0.41, 0.1)),
 ]
 
 

@@ -13,7 +13,8 @@ from skylink.estimation import FriedFit, fit_fried, write_wfs_log
 from skylink.linkbudget import LinkGeometry, beam_divergence, collection_efficiency
 from skylink.linkbudget import received_waist
 from skylink.units import to_db
-from skylink.zernike import ModeVarianceSet, ZernikeSeries, residual_variance, turbulence_variance
+from skylink.zernike import ModeVarianceSet, ZernikeSeries, noll_weight, radial_order
+from skylink.zernike import residual_variance, turbulence_variance
 
 _PATH = OpticalPath(1.555e-6, 18e3)
 _CHAIN = ReceiverChain()
@@ -72,6 +73,10 @@ _ENTRY_POINTS = [
     ("wavelength_tag", lambda v: ZernikeSeries(_SERIES.timestamps, _SERIES.coefficients,
                                                _SERIES.valid_mask, v)),
     ("wavelength", _SERIES.to_wavelength),
+    ("mode 2", lambda v: ModeVarianceSet({1: 0.1, 2: v, 3: 0.1})),
+    ("j", radial_order),
+    ("j", noll_weight),
+    ("j", lambda v: turbulence_variance(v, 0.41, 0.1)),
 ]
 
 

@@ -192,3 +192,5 @@ def test_mode_variance_set_container():
     assert s.modes == (1, 2)
     assert 1 in s and 3 not in s
     assert s[2] == 0.5
+    with pytest.raises(ValueError, match=r"^variance of mode 1 must be finite and >= 0, got -0.25$"):
+        ModeVarianceSet({2: 0.5, 1: -0.25})
