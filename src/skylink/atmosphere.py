@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import _check_non_negative, _check_positive
+from .units import _check_non_negative, _check_positive, _is_positive
 
 __all__ = [
     "OpticalPath",
@@ -69,9 +69,19 @@ def r0_from_cn2(cn2: float, path: OpticalPath) -> float:
 
 
 def cn2_from_r0(r0: float, path: OpticalPath) -> float:
-    """Exact algebraic inverse of :func:`r0_from_cn2`."""
+    """Exact algebraic inverse of :func:`r0_from_cn2`.
+
+    An r0 whose Cn2 leaves the float range (r0 = 1e-300 m overflows it)
+    raises ValueError naming r0.
+    """
     _check_positive("r0", r0)
-    return _cn2_from_r0(r0, path)
+    try:
+        cn2 = _cn2_from_r0(r0, path)
+    except OverflowError:  # Python float pow raises where numpy's gives inf
+        cn2 = math.inf
+    if not _is_positive(cn2):
+        raise ValueError(f"r0 must give a finite, positive Cn2, got {r0} (Cn2 = {cn2})")
+    return cn2
 
 
 def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: float) -> float:
@@ -94,8 +104,7 @@ class TurbulenceState:
     path: OpticalPath
 
     def __post_init__(self) -> None:
-        _check_positive("r0", self.fried_r0)
-        _check_positive("cn2", self.cn2)
+        cn2_from_r0(self.fried_r0, self.path)
         _check_non_negative("wind_speed", self.wind_speed)
 
     @classmethod

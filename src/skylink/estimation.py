@@ -139,13 +139,14 @@ def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:
             f"row {int(partial[0])} is valid for some modes only; "
             "the WFS log holds one valid flag per row"
         )
+    # Python floats and ints: repr is the shortest round-trip text, where a
+    # numpy scalar's repr is "np.float64(...)" under numpy 2.
+    times, flags = series.timestamps.tolist(), row_valid.astype(int).tolist()
+    rows = zip(times, flags, series.coefficients.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# wavelength_m={series.wavelength_tag!r} d_rx_m={d_rx!r}\n")
+        fh.write(f"# wavelength_m={float(series.wavelength_tag)!r} d_rx_m={float(d_rx)!r}\n")
         fh.write("t_s,valid," + ",".join(f"b{j}" for j in range(1, series.j_max + 1)) + "\n")
-        for i in range(series.n_samples):
-            valid = 1 if row_valid[i] else 0
-            coeffs = ",".join(repr(float(v)) for v in series.coefficients[i])
-            fh.write(f"{float(series.timestamps[i])!r},{valid},{coeffs}\n")
+        fh.writelines(",".join(map(repr, (t, valid, *coeffs))) + "\n" for t, valid, coeffs in rows)
 
 
 def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
@@ -187,6 +188,47 @@ def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
     if columns[2:] != [f"b{j}" for j in range(1, j_max + 1)]:
         raise ValueError(f"{path}:2: bad coefficient columns")
 
+    rows = [line for line in lines[2:] if line.strip()]
+    parsed = _parse_rows(rows, j_max) if rows else None
+    t, b, valid = parsed if parsed is not None else _parse_lines(path, lines, j_max)
+    mask = np.repeat(valid[:, None], j_max, axis=1)
+    series = ZernikeSeries(t, b, mask, meta["wavelength_m"])
+    return series, meta["d_rx_m"]
+
+
+def _parse_rows(rows: list, j_max: int):
+    """Data rows through numpy's C parser: (t, coefficients, valid), or None.
+
+    None means a row holds something the fast path does not decide: a
+    parse error, a wrong field count, a flag token other than exactly 0 or 1
+    (numpy would read "1.0" as 1), a non-finite cell, a time that does not
+    increase, or a \x1f (numpy strips it around a number, float() does not).
+    :func:`_parse_lines` then accepts the row or names its line.  numpy
+    converts each cell with the same correctly rounded routine as float(),
+    so the values are bit-identical to the per-line path's.
+    """
+    import numpy as np
+
+    if any("\x1f" in row for row in rows):
+        return None
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[1] != j_max + 2 or not {row.split(",", 2)[1] for row in rows} <= {"0", "1"}:
+        return None
+    if not np.isfinite(data).all():
+        return None
+    t = data[:, 0]
+    if not np.all(np.diff(t) > 0):
+        return None
+    return t, data[:, 2:], data[:, 1] == 1
+
+
+def _parse_lines(path, lines: list, j_max: int):
+    """Data rows one line at a time: (t, coefficients, valid) or ValueError naming the line."""
+    import numpy as np
+
     times = []
     valid = []
     coeffs = []
@@ -216,6 +258,4 @@ def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
         raise ValueError(f"{path}:{lineno}: non-finite value (nan or inf)")
     if t.size >= 2 and not np.all(np.diff(t) > 0):
         raise ValueError(f"{path}: timestamps not strictly increasing")
-    mask = np.repeat(np.array(valid)[:, None], j_max, axis=1)
-    series = ZernikeSeries(t, b, mask, meta["wavelength_m"])
-    return series, meta["d_rx_m"]
+    return t, b, np.array(valid)

@@ -167,7 +167,8 @@ def empirical_variances(series: ZernikeSeries) -> ModeVarianceSet:
         if n < 2:
             continue
         j = col + 1
-        with np.errstate(invalid="ignore"):  # inf - inf: ModeVarianceSet's ValueError says it
+        # inf - inf, or a square past 1e308: ModeVarianceSet's ValueError says it
+        with np.errstate(invalid="ignore", over="ignore"):
             variances[j] = float(np.var(series.coefficients[mask, col], ddof=1))
         counts[j] = n
     return ModeVarianceSet(variances, counts)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import pytest
@@ -89,6 +90,15 @@ def test_turbulence_state_consistency(path):
     assert ts.cn2 == cn2_from_r0(0.0875, path)
     with pytest.raises(ValueError):
         TurbulenceState.from_r0(0.0875, path, wind_speed=-1.0)
+
+
+@pytest.mark.parametrize("r0", [1e-300, 1e300])
+def test_r0_whose_cn2_leaves_the_float_range_names_r0(path, r0):
+    """r0 ** (-5/3) overflows (1e-300) or underflows to 0 (1e300)."""
+    want = rf"^r0 must give a finite, positive Cn2, got {re.escape(str(r0))} "
+    for build in (cn2_from_r0, TurbulenceState.from_r0):
+        with pytest.raises(ValueError, match=want):
+            build(r0, path)
 
 
 def test_r0_at_other_wavelength(path):

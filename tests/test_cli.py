@@ -38,6 +38,14 @@ def test_budget_domain_error(capsys):
     assert "error" in err
 
 
+def test_budget_r0_past_the_float_range_exits_3_without_output(tmp_path, capsys):
+    out_file = tmp_path / "budget.json"
+    code, _, err = run(capsys, "--out", str(out_file), "budget", "--r0", "1e-300")
+    assert code == 3
+    assert "r0 must give a finite, positive Cn2" in err
+    assert not out_file.exists()
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"no_such_key": 1}')

@@ -1,10 +1,16 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skylink import estimation, synth
 from skylink.atmosphere import TurbulenceState, greenwood_frequency, scintillation_report
 from skylink.coupling import eta_phi_on, eta_phi_residual, eta_tau
-from skylink.zernike import empirical_variances
+from skylink.zernike import ZernikeSeries, empirical_variances
 
 from conftest import analytic_variances, series_with_exact_variances
 
@@ -185,3 +191,209 @@ def test_wfs_log_rejects_non_finite_cells_before_writing(tmp_path, row, col, val
     with pytest.raises(ValueError, match=cell):
         estimation.write_wfs_log(bad, 0.41, p)
     assert not p.exists()
+
+
+def test_wfs_log_header_takes_numpy_scalars(tmp_path):
+    wavelength = np.float64(1.5e-6)
+    series = series_with_exact_variances({1: 0.1, 2: 0.05}, n=10, seed=1, wavelength=wavelength)
+    p = tmp_path / "wfs.csv"
+    estimation.write_wfs_log(series, np.float64(0.4), p)
+    assert p.read_text().startswith("# wavelength_m=1.5e-06 d_rx_m=0.4\n")
+    loaded, d_rx = estimation.load_wfs_log(p)
+    assert (d_rx, loaded.wavelength_tag) == (0.4, 1.5e-6)
+
+
+# --- load_wfs_log and write_wfs_log against their per-line references ---
+
+
+def _reference_write_wfs_log(series, d_rx, path):
+    """The per-cell writer whose bytes write_wfs_log must reproduce."""
+    row_valid = series.valid_mask.all(axis=1)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# wavelength_m={series.wavelength_tag!r} d_rx_m={d_rx!r}\n")
+        fh.write("t_s,valid," + ",".join(f"b{j}" for j in range(1, series.j_max + 1)) + "\n")
+        for i in range(series.n_samples):
+            valid = 1 if row_valid[i] else 0
+            coeffs = ",".join(repr(float(v)) for v in series.coefficients[i])
+            fh.write(f"{float(series.timestamps[i])!r},{valid},{coeffs}\n")
+
+
+def _reference_load_wfs_log(path):
+    """The per-line loader whose arrays and error messages load_wfs_log must reproduce."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty WFS log")
+    header = lines[0]
+    if not header.startswith("# "):
+        raise ValueError(f"{path}:1: expected '# wavelength_m=... d_rx_m=...' header")
+    meta = {}
+    for token in header[2:].split():
+        if "=" not in token:
+            raise ValueError(f"{path}:1: bad header token {token!r}")
+        key, _, value = token.partition("=")
+        try:
+            meta[key] = float(value)
+        except ValueError:
+            raise ValueError(f"{path}:1: bad header value {token!r}") from None
+        if not math.isfinite(meta[key]):
+            raise ValueError(f"{path}:1: non-finite header value {token!r}")
+    for key in ("wavelength_m", "d_rx_m"):
+        if key not in meta:
+            raise ValueError(f"{path}:1: missing header key {key}")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: missing column header")
+    columns = lines[1].split(",")
+    if columns[:2] != ["t_s", "valid"] or len(columns) < 3:
+        raise ValueError(f"{path}:2: bad column header {lines[1]!r}")
+    j_max = len(columns) - 2
+    if columns[2:] != [f"b{j}" for j in range(1, j_max + 1)]:
+        raise ValueError(f"{path}:2: bad coefficient columns")
+
+    times = []
+    valid = []
+    coeffs = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != j_max + 2:
+            raise ValueError(f"{path}:{lineno}: expected {j_max + 2} fields, got {len(parts)}")
+        try:
+            times.append(float(parts[0]))
+            flag = int(parts[1])
+            if flag not in (0, 1):
+                raise ValueError(f"valid flag must be 0 or 1, got {parts[1]}")
+            valid.append(bool(flag))
+            coeffs.append([float(v) for v in parts[2:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not times:
+        raise ValueError(f"{path}: no data rows")
+    t = np.array(times)
+    b = np.array(coeffs)
+    finite = np.isfinite(t) & np.isfinite(b).all(axis=1)
+    if not finite.all():
+        data_lines = [n for n, line in enumerate(lines[2:], start=3) if line.strip()]
+        lineno = data_lines[int(np.argmin(finite))]
+        raise ValueError(f"{path}:{lineno}: non-finite value (nan or inf)")
+    if t.size >= 2 and not np.all(np.diff(t) > 0):
+        raise ValueError(f"{path}: timestamps not strictly increasing")
+    mask = np.repeat(np.array(valid)[:, None], j_max, axis=1)
+    series = ZernikeSeries(t, b, mask, meta["wavelength_m"])
+    return series, meta["d_rx_m"]
+
+
+def _bits(array):
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _outcome(load, path):
+    """What a loader makes of a file: its arrays bit for bit, or its ValueError text."""
+    try:
+        series, d_rx = load(path)
+    except ValueError as exc:
+        return str(exc)
+    arrays = (series.timestamps, series.coefficients, series.valid_mask)
+    return [_bits(a) for a in arrays], series.wavelength_tag, d_rx
+
+
+def _assert_load_matches_the_reference(path):
+    assert _outcome(estimation.load_wfs_log, path) == _outcome(_reference_load_wfs_log, path)
+
+
+@st.composite
+def _series(draw):
+    """n 1-50 samples of J 1-8 finite modes, some rows masked."""
+    n, j_max = draw(st.integers(1, 50)), draw(st.integers(1, 8))
+    times = draw(st.lists(st.floats(-1e9, 1e9), min_size=n, max_size=n, unique=True))
+    cells = st.floats(allow_nan=False, allow_infinity=False)
+    coeffs = draw(st.lists(cells, min_size=n * j_max, max_size=n * j_max))
+    masked = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask = np.repeat(~masked[:, None], j_max, axis=1)
+    return ZernikeSeries(np.array(sorted(times)), np.reshape(coeffs, (n, j_max)), mask, 1.555e-6)
+
+
+# Cell text a data row may hold instead of the writer's; the loader's per-line
+# path must accept "1_0" and a non-ASCII digit (float() and int() do, numpy's
+# parser does not) and name the line of every other.
+_CELL_EDITS = {
+    "flag 1.0": (1, "1.0"),
+    "flag space": (1, " 1"),
+    "flag plus": (1, "+1"),
+    "flag 2": (1, "2"),
+    "hash": (None, "0.5#1"),
+    "nan": (None, "nan"),
+    "inf": (None, "inf"),
+    "underscore": (None, "1_0"),
+    "non-ASCII digit": (None, "\u0661"),  # ARABIC-INDIC DIGIT ONE
+    "no-break space": (None, "\xa00.5"),
+    "unit separator": (None, "\x1f0.5"),  # whitespace to numpy, not to float()
+}
+_LINE_EDITS = (
+    "none",
+    "blank line",
+    "whitespace line",
+    "CRLF",
+    "ragged",
+    "trailing comma",
+    "every row short",
+    "repeat time",
+    "decrease time",
+)
+
+
+def _mutate(text: str, edit: str, row: int, col: int) -> str:
+    lines = text.splitlines()
+    i = 2 + row
+    cells = lines[i].split(",")
+    prev = lines[i - 1].split(",")[0] if row else cells[0]
+    if edit in _CELL_EDITS:
+        where, token = _CELL_EDITS[edit]
+        cells[col if where is None else where] = token
+        lines[i] = ",".join(cells)
+    elif edit == "blank line":
+        lines.insert(i, "")
+    elif edit == "whitespace line":
+        lines.insert(i, " \t")
+    elif edit == "CRLF":
+        return "\r\n".join(lines) + "\r\n"
+    elif edit == "ragged":
+        lines[i] = ",".join(cells[:-1])
+    elif edit == "trailing comma":
+        lines[i] += ","
+    elif edit == "every row short":  # one field fewer than the column header
+        lines[2:] = [line.rpartition(",")[0] for line in lines[2:]]
+    elif edit == "repeat time":
+        lines[i] = ",".join([prev, *cells[1:]])
+    elif edit == "decrease time":
+        lines[i] = ",".join([repr(float(prev) - 1.0), *cells[1:]])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(series=_series(), edit=st.sampled_from([*_LINE_EDITS, *_CELL_EDITS]), data=st.data())
+def test_wfs_log_reader_matches_the_per_line_reference(series, edit, data):
+    row = data.draw(st.integers(0, series.n_samples - 1))
+    col = data.draw(st.integers(0, series.j_max + 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        written, reference = Path(tmp, "wfs.csv"), Path(tmp, "ref.csv")
+        estimation.write_wfs_log(series, 0.41, written)
+        _reference_write_wfs_log(series, 0.41, reference)
+        assert written.read_bytes() == reference.read_bytes()
+        _assert_load_matches_the_reference(written)
+        mutated = Path(tmp, "mutated.csv")
+        mutated.write_bytes(_mutate(written.read_text(), edit, row, col).encode())
+        _assert_load_matches_the_reference(mutated)
+
+
+def test_wfs_log_field_size_matches_the_reference(tmp_path):
+    cfg = synth.SynthConfig(r0=0.08, j_max=35, n_samples=10000, seed=5, wind_speed=0.5)
+    series = synth.generate_series(cfg)
+    ours, reference = tmp_path / "wfs.csv", tmp_path / "ref.csv"
+    estimation.write_wfs_log(series, 0.41, ours)
+    _reference_write_wfs_log(series, 0.41, reference)
+    assert ours.read_bytes() == reference.read_bytes()
+    _assert_load_matches_the_reference(ours)
+    arrays = _outcome(estimation.load_wfs_log, ours)[0]
+    assert arrays[:2] == [_bits(series.timestamps), _bits(series.coefficients)]

@@ -189,7 +189,9 @@ def test_sweep_mixed_scalar_and_array_arguments(points, which):
 @given(
     points=_points,
     at=st.integers(0, 19),
-    bad=st.sampled_from([("r0", float("nan")), ("J", 0), ("wind", -0.5), ("a", float("inf"))]),
+    bad=st.sampled_from(
+        [("r0", float("nan")), ("r0", 1e-300), ("J", 0), ("wind", -0.5), ("a", float("inf"))]
+    ),
 )
 def test_sweep_bad_point_raises_the_scalar_error(points, at, bad):
     at %= len(points)
@@ -214,6 +216,8 @@ def test_sweep_budget_shapes(geom):
         sweep_budget(geom, [[0.05, 0.09]], 0.5, 0.2)
     with pytest.raises(ValueError, match=r"J must be an integer >= 1, got 12.5 \(sweep point 1\)"):
         sweep_budget(geom, 0.09, 0.5, 0.2, [12.0, 12.5])
+    with pytest.raises(ValueError, match=r"^r0 must give a finite, positive Cn2, got 1e-300 .*\(sweep point 1\)$"):
+        sweep_budget(geom, [0.1, 1e-300], 0.5, 0.2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -167,7 +167,7 @@ def test_empirical_variances_respects_mask():
 
 
 def test_empirical_variances_rejects_a_non_finite_valid_sample():
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, 1e200):  # 1e200: its square overflows
         data = np.array([[1.0, 5.0], [bad, 6.0], [3.0, 8.0]])
         with pytest.raises(ValueError, match=r"\bmode 1\b"):
             empirical_variances(make_series(data))
