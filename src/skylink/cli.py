@@ -304,13 +304,13 @@ def cmd_predict_smf(args, cfg: dict) -> int:
 
 
 def cmd_qkd(args, cfg: dict) -> int:
+    if (args.log is None) == (args.eta_ch is None):
+        raise ConfigError("provide exactly one of --log or --eta-ch")
     session = build_session(cfg, args.detector)
     names = ("mu1", "mu2", "p_mu1", "p_z_alice", "p_z_bob", "f_ec", "eps_sec", "eps_cor")
     protocol = " ".join(f"{name}={getattr(session, name)}" for name in names)
     tail = f"n_z={session.block_size} bytes detector={session.detector.label}"
     print(f"protocol defaults: {protocol} {tail}")
-    if (args.log is None) == (args.eta_ch is None):
-        raise ConfigError("provide exactly one of --log or --eta-ch")
     if args.log is not None:
         records = qkd.load_session_log(args.log)
         summary = qkd.analyze_session_log(records)
@@ -383,6 +383,8 @@ def cmd_sweep(args, cfg: dict) -> int:
 
 
 def cmd_synth(args, cfg: dict) -> int:
+    if args.out:
+        raise ConfigError("synth writes its log to OUT_FILE; --out does not apply")
     chain = build_chain(cfg)
     config = synth.SynthConfig(
         r0=args.r0, d_rx=chain.d_rx, j_max=args.j_max, n_samples=args.n, sample_rate=args.rate,

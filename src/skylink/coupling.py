@@ -96,90 +96,27 @@ def _eta0(beta: float, alpha: float) -> float:
 
 
 def optimize_beta(alpha: float) -> tuple[float, float]:
-    """Maximize eta0 over beta in [1e-3, 10]; returns (beta_opt, eta0_max)."""
+    """Maximize eta0 over beta > 0; returns (beta_opt, eta0_max).
+
+    With u = beta^2 and k = 1 - alpha^2, d ln(eta0)/du = 0 reduces to
+    F(u) = (2u + 1) * expm1(-k*u) / k + 2u = 0.  F is concave on (0, 1.5]
+    with its one root in [0.5, 1.26], so Newton's method from u = 1.5
+    decreases monotonically to it.  The slowest case, alpha -> 1 (root 0.5),
+    is within 3e-12 after six steps and at rounding after seven, so every
+    alpha takes seven steps and costs the same.  expm1 keeps F accurate as
+    alpha -> 1.
+    """
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    beta_opt = _fminbound(lambda b: -_eta0(b, alpha), _SMALL_BETA, 10.0, xatol=1e-6)
+    k = 1.0 - alpha * alpha
+    u = 1.5
+    for _ in range(7):
+        e = math.expm1(-k * u) / k
+        f = (2.0 * u + 1.0) * e + 2.0 * u
+        df = 2.0 * e - (2.0 * u + 1.0) * (1.0 + k * e) + 2.0
+        u -= f / df
+    beta_opt = math.sqrt(u)
     return beta_opt, _eta0(beta_opt, alpha)
-
-
-def _fminbound(func, a: float, b: float, xatol: float, maxiter: int = 500) -> float:
-    """Minimize func on [a, b] by Brent's bounded golden-section/parabolic search.
-
-    A step-for-step port of ``_minimize_scalar_bounded`` from SciPy 1.17
-    (scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
-    Enthought, Inc. 2003, SciPy Developers) with scalar ``math`` in place of
-    numpy.  For finite func it returns the same minimizer bit for bit as
-    ``minimize_scalar(func, bounds=(a, b), method="bounded",
-    options={"xatol": xatol})`` without importing SciPy.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        # numpy's sign(rat) + (rat == 0): +1 for rat >= 0, else -1
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            break
-    return xf
-
 
 
 def eta_phi_on(variances: ModeVarianceSet, J: int) -> float:
@@ -207,8 +144,13 @@ def eta_phi_residual(J: int, d_rx: float, r0: float) -> float:
     return _eta_phi_residual(math, J, d_rx, r0)
 
 
+def _servo_lag_variance(f_g, f_3db: float):
+    """Temporal-error phase variance (f_G/f_3dB)^(5/3), in rad^2; f_g may be an array."""
+    return (f_g / f_3db) ** (5.0 / 3.0)
+
+
 def _eta_tau(xp, f_g, f_3db: float):
-    return xp.exp(-((f_g / f_3db) ** (5.0 / 3.0)))
+    return xp.exp(-_servo_lag_variance(f_g, f_3db))
 
 
 def eta_tau(f_g: float, f_3db: float) -> float:

@@ -220,7 +220,7 @@ def _parse_rows(rows: list, j_max: int):
     if not np.isfinite(data).all():
         return None
     t = data[:, 0]
-    if not np.all(np.diff(t) > 0):
+    if not np.all(t[1:] > t[:-1]):
         return None
     return t, data[:, 2:], data[:, 1] == 1
 
@@ -256,6 +256,6 @@ def _parse_lines(path, lines: list, j_max: int):
         data_lines = [n for n, line in enumerate(lines[2:], start=3) if line.strip()]
         lineno = data_lines[int(np.argmin(finite))]
         raise ValueError(f"{path}:{lineno}: non-finite value (nan or inf)")
-    if t.size >= 2 and not np.all(np.diff(t) > 0):
+    if not np.all(t[1:] > t[:-1]):
         raise ValueError(f"{path}: timestamps not strictly increasing")
     return t, b, np.array(valid)

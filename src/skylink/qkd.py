@@ -63,10 +63,12 @@ SPAD = DetectorModel(efficiency=0.15, label="spad")
 # Bytes of sifted key per processing block in the field trial, by detector label.
 BLOCK_SIZE = {"snspd": 250000, "spad": 50000}
 
+_INTERNAL_LOSS = 10 ** (-0.12)  # -1.2 dB receiver internal optics
+
 # Reference detected rate at unit channel efficiency, unit detector
 # efficiency and no internal loss, calibrated on the SNSPD run
-# (20.4 kHz at eta_ch = -29 dB, internal loss -1.2 dB, efficiency 0.80).
-R_REF_DEFAULT = 20.4e3 / (10 ** (-2.9) * 10 ** (-0.12) * 0.80)
+# (20.4 kHz at eta_ch = -29 dB).
+R_REF_DEFAULT = 20.4e3 / (10 ** (-2.9) * _INTERNAL_LOSS * SNSPD.efficiency)
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class QkdSessionModel:
     """
 
     detector: DetectorModel
-    internal_loss: float = 10 ** (-0.12)  # -1.2 dB receiver internal optics
+    internal_loss: float = _INTERNAL_LOSS
     r_ref: float = R_REF_DEFAULT  # Hz
     block_size: int | None = None  # bytes of sifted key per processing block
     mu1: float = 0.4

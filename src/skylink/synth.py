@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .atmosphere import OpticalPath, _greenwood
-from .coupling import ReceiverChain
+from .coupling import ReceiverChain, _servo_lag_variance
 from .units import _check_integer, _check_non_negative, _check_positive
 from .zernike import ZernikeSeries, turbulence_variance
 
@@ -56,7 +56,7 @@ def generate_series(cfg: SynthConfig) -> ZernikeSeries:
 
     f_g = _greenwood(cfg.wind_speed, cfg.r0)
     phi = math.exp(-2.0 * math.pi * f_g / cfg.sample_rate) if f_g > 0 else 0.0
-    rejection = min(1.0, (f_g / cfg.f_3db) ** (5.0 / 3.0)) if cfg.ao_on else 1.0
+    rejection = min(1.0, _servo_lag_variance(f_g, cfg.f_3db)) if cfg.ao_on else 1.0
 
     n, j_max, seed = int(cfg.n_samples), int(cfg.j_max), int(cfg.seed)
     sigma = np.empty(j_max)

@@ -102,7 +102,7 @@ class ZernikeSeries:
         m = np.asarray(self.valid_mask, dtype=bool)
         if t.ndim != 1 or c.ndim != 2 or c.shape[0] != t.shape[0] or m.shape != c.shape:
             raise ValueError("inconsistent series shapes")
-        if t.size >= 2 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("timestamps must be strictly increasing")
         _check_positive("wavelength_tag", self.wavelength_tag)
         object.__setattr__(self, "timestamps", t)

@@ -94,6 +94,15 @@ def test_synth_then_fit_round_trip(tmp_path, capsys):
     assert "r0_hat" in out
 
 
+def test_synth_rejects_the_global_out(tmp_path, capsys):
+    wfs, out_file = tmp_path / "wfs.csv", tmp_path / "x.json"
+    code, _, err = run(capsys, "--out", str(out_file), "synth", str(wfs), "--r0", "0.08")
+    assert code == 2
+    assert "OUT_FILE" in err
+    assert not out_file.exists()
+    assert not wfs.exists()
+
+
 def test_synth_deterministic(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -172,6 +181,19 @@ def test_predict_smf_from_logs(tmp_path, capsys):
     assert "eta_smf" in out
 
 
+def test_predict_smf_from_r0_matches_the_ao_off_fit(tmp_path, capsys):
+    on, off = tmp_path / "on.csv", tmp_path / "off.csv"
+    run(capsys, "synth", str(on), "--r0", "0.08", "--n", "500", "--seed", "1", "--ao-on")
+    run(capsys, "synth", str(off), "--r0", "0.08", "--n", "500", "--seed", "2")
+    fit_file, from_off, from_r0 = (tmp_path / name for name in ("fit.json", "a.json", "b.json"))
+    assert run(capsys, "--out", str(fit_file), "fit-r0", str(off))[0] == 0
+    r0 = repr(json.loads(fit_file.read_text())["r0_hat_m"])
+    argv = ["predict-smf", "--ao-on", str(on)]
+    assert run(capsys, "--out", str(from_off), *argv, "--ao-off", str(off))[0] == 0
+    assert run(capsys, "--out", str(from_r0), *argv, "--r0", r0)[0] == 0
+    assert json.loads(from_r0.read_text()) == json.loads(from_off.read_text())
+
+
 def test_qkd_from_eta(tmp_path, capsys):
     out_file = tmp_path / "qkd.json"
     code, out, _ = run(capsys, "--out", str(out_file), "qkd", "--eta-ch", "-29")
@@ -183,8 +205,11 @@ def test_qkd_from_eta(tmp_path, capsys):
     assert 500 <= payload["skr_bps"] <= 2000
 
 
-def test_qkd_requires_one_source(capsys):
-    assert run(capsys, "qkd")[0] == 2
+def test_qkd_requires_one_source(tmp_path, capsys):
+    for argv in (["qkd"], ["qkd", "--log", str(tmp_path / "s.csv"), "--eta-ch", "-29"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "exactly one of --log or --eta-ch" in err
 
 
 def test_qkd_from_log(tmp_path, capsys):

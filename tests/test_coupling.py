@@ -78,20 +78,45 @@ def test_eta0_validation():
         eta0(1.0, 1.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(alpha=st.floats(0.0, 0.99, exclude_max=True))
-def test_optimize_beta_matches_scipy_bounded_bit_for_bit(alpha):
-    # SciPy is the reference only; optimize_beta itself must not import it.
-    from scipy.optimize import minimize_scalar
+def _stationary_beta(alpha):
+    """50-digit root of F(u) = (2u + 1) expm1(-k u) / k + 2u, u = beta^2, k = 1 - alpha^2."""
+    import mpmath
 
-    ref = minimize_scalar(
-        lambda b: -eta0(b, alpha),
-        bounds=(1e-3, 10.0),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    beta_ref = float(ref.x)
-    assert optimize_beta(alpha) == (beta_ref, eta0(beta_ref, alpha))
+    with mpmath.workdps(50):
+        k = 1 - mpmath.mpf(alpha) ** 2
+        u = mpmath.findroot(
+            lambda u: (2 * u + 1) * mpmath.expm1(-k * u) / k + 2 * u,
+            (mpmath.mpf("0.4"), mpmath.mpf("1.3")),
+            solver="anderson",
+        )
+        return float(mpmath.sqrt(u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_max=True))
+def test_optimize_beta_solves_the_stationarity_condition(alpha):
+    beta_opt, best = optimize_beta(alpha)
+    assert beta_opt == pytest.approx(_stationary_beta(alpha), rel=1e-14, abs=0)
+    assert best == eta0(beta_opt, alpha)
+    if alpha < 0.99:
+        # SciPy is a cross-check only; optimize_beta itself must not import it.
+        from scipy.optimize import minimize_scalar
+
+        ref = minimize_scalar(
+            lambda b: -eta0(b, alpha),
+            bounds=(1e-3, 10.0),
+            method="bounded",
+            options={"xatol": 1e-6},
+        )
+        beta_ref = float(ref.x)
+        assert abs(beta_opt - beta_ref) <= 1e-6
+        assert best >= eta0(beta_ref, alpha) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, -0.1, math.nan])
+def test_optimize_beta_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha must be in"):
+        optimize_beta(alpha)
 
 
 def test_optimize_beta_reference_point():

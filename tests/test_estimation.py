@@ -203,6 +203,19 @@ def test_wfs_log_header_takes_numpy_scalars(tmp_path):
     assert (d_rx, loaded.wavelength_tag) == (0.4, 1.5e-6)
 
 
+@pytest.mark.parametrize("flag", ["1", "+1"])  # "+1" takes the per-line path
+def test_wfs_log_loads_times_a_float_range_apart(tmp_path, flag):
+    """Increasing times whose difference overflows a float still load."""
+    p = tmp_path / "wfs.csv"
+    p.write_text(
+        "# wavelength_m=1.5e-06 d_rx_m=0.41\nt_s,valid,b1,b2,b3\n"
+        f"-1e308,{flag},0.1,0.2,0.3\n1e308,1,0.4,0.5,0.6\n"
+    )
+    loaded, _ = estimation.load_wfs_log(p)
+    assert loaded.timestamps.tolist() == [-1e308, 1e308]
+    assert loaded.coefficients.shape == (2, 3)
+
+
 # --- load_wfs_log and write_wfs_log against their per-line references ---
 
 

@@ -140,6 +140,9 @@ def test_series_validation():
         ZernikeSeries(np.array([0.0, 1.0]), np.zeros((3, 3)), np.ones((3, 3), bool), 1.5e-6)
     with pytest.raises(ValueError):
         make_series(np.zeros((2, 2)), mask=np.ones((2, 3), bool))
+    # increasing times whose difference overflows a float
+    wide = ZernikeSeries(np.array([-1e308, 1e308]), np.zeros((2, 3)), np.ones((2, 3), bool), 1.5e-6)
+    assert wide.n_samples == 2
 
 
 def test_to_wavelength_scales_phase():
