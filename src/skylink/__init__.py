@@ -40,6 +40,7 @@ from .linkbudget import (
     model_smf_breakdown,
     received_waist,
     sweep_budget,
+    sweep_columns,
 )
 from .qkd import (
     SNSPD,

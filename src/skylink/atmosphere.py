@@ -4,7 +4,7 @@ Covers the Fried parameter / structure-constant conversion, Rytov variance,
 aperture-averaged scintillation, irradiance correlation widths and the
 Greenwood frequency.  Everything here is a pure function of its inputs.
 
-Terms shared with the array evaluation in ``linkbudget.sweep_budget`` are
+Terms shared with the array evaluation in ``linkbudget.sweep_columns`` are
 private functions of their numbers; those that call exp/log take the array
 module ``xp`` (``math`` for scalars, numpy for arrays).
 """

@@ -23,7 +23,7 @@ from . import estimation, qkd, synth
 from .atmosphere import OpticalPath, TurbulenceState
 from .coupling import ReceiverChain
 from .estimation import FriedFit
-from .linkbudget import LinkGeometry, full_budget, model_smf_breakdown, sweep_budget
+from .linkbudget import LinkGeometry, full_budget, model_smf_breakdown, sweep_columns
 from .units import _is_ratio, from_db, to_db
 
 __all__ = ["main"]
@@ -163,20 +163,25 @@ def build_session(cfg: dict, detector_name: str | None = None) -> qkd.QkdSession
     return qkd.QkdSessionModel(_DETECTORS[name], **_fields(cfg, qkd.QkdSessionModel))
 
 
+def _check_output_path(path: str) -> None:
+    """ConfigError unless the file extension names an output format."""
+    if not path.endswith((".json", ".csv")):
+        raise ConfigError(f"cannot infer output format from {path!r} (use .json or .csv)")
+
+
 def write_output(path: str, payload) -> None:
     """Write machine output; format picked from the file extension."""
+    _check_output_path(path)
     if path.endswith(".json"):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    elif path.endswith(".csv"):
+    else:
         rows = payload if isinstance(payload, list) else [payload]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-    else:
-        raise ConfigError(f"cannot infer output format from {path!r} (use .json or .csv)")
 
 
 def _print_db_line(name: str, ratio: float) -> None:
@@ -310,7 +315,7 @@ def cmd_qkd(args, cfg: dict) -> int:
     names = ("mu1", "mu2", "p_mu1", "p_z_alice", "p_z_bob", "f_ec", "eps_sec", "eps_cor")
     protocol = " ".join(f"{name}={getattr(session, name)}" for name in names)
     tail = f"n_z={session.block_size} bytes detector={session.detector.label}"
-    print(f"protocol defaults: {protocol} {tail}")
+    lines = [f"protocol defaults: {protocol} {tail}"]  # printed once every check has passed
     if args.log is not None:
         records = qkd.load_session_log(args.log)
         summary = qkd.analyze_session_log(records)
@@ -319,14 +324,16 @@ def cmd_qkd(args, cfg: dict) -> int:
         qber_x = summary["qber_x"]["mean"]
         eta_ch = qkd.channel_efficiency_from_rate(session, signal)
         skr = qkd.secret_key_rate(session, signal, qber_z, qber_x)
-        print(f"session log: {len(records)} records")
-        for name, stats in summary.items():
-            print(
-                f"  {name:<12} mean {stats['mean']:12.4g}   min {stats['min']:12.4g}"
-                f"   max {stats['max']:12.4g}   std {stats['std']:12.4g}"
-            )
-        print(f"  inferred eta_ch    {to_db(eta_ch):+8.1f} dB")
-        print(f"  secret key rate    {skr:10.1f} bit/s (from mean rate/QBER)")
+        lines.append(f"session log: {len(records)} records")
+        lines.extend(
+            f"  {name:<12} mean {stats['mean']:12.4g}   min {stats['min']:12.4g}"
+            f"   max {stats['max']:12.4g}   std {stats['std']:12.4g}"
+            for name, stats in summary.items()
+        )
+        lines += [
+            f"  inferred eta_ch    {to_db(eta_ch):+8.1f} dB",
+            f"  secret key rate    {skr:10.1f} bit/s (from mean rate/QBER)",
+        ]
         payload = {
             "eta_ch": eta_ch,
             "skr_bps": skr,
@@ -341,10 +348,12 @@ def cmd_qkd(args, cfg: dict) -> int:
         qber_z = qkd.expected_qber(signal, noise, args.intrinsic_qber)
         qber_x = qber_z
         skr = qkd.secret_key_rate(session, signal, qber_z, qber_x)
-        print(f"  expected signal    {signal:10.1f} Hz")
-        print(f"  noise (in window)  {noise:10.1f} Hz")
-        print(f"  expected QBER      {qber_z:10.4f}")
-        print(f"  secret key rate    {skr:10.1f} bit/s")
+        lines += [
+            f"  expected signal    {signal:10.1f} Hz",
+            f"  noise (in window)  {noise:10.1f} Hz",
+            f"  expected QBER      {qber_z:10.4f}",
+            f"  secret key rate    {skr:10.1f} bit/s",
+        ]
         payload = {
             "eta_ch": eta_ch,
             "signal_hz": signal,
@@ -352,6 +361,7 @@ def cmd_qkd(args, cfg: dict) -> int:
             "qber": qber_z,
             "skr_bps": skr,
         }
+    print("\n".join(lines))
     if args.out:
         write_output(args.out, payload)
     return 0
@@ -368,13 +378,11 @@ def cmd_sweep(args, cfg: dict) -> int:
         values = [round(v) for v in values]  # label each row with the J it evaluates
     point = {"r0": cfg["r0_m"], "wind": cfg["wind_mps"], "a_coeff": cfg["a_coeff_db_per_km"]}
     point[args.var] = values
-    rows = sweep_budget(geom, point["r0"], point["wind"], point["a_coeff"], point.get("J"))
-    column = "r0_m" if args.var == "r0" else args.var  # the swept column replaces r0_m
-    rows = [
-        {column: v, **{k: x for k, x in row.items() if k != "r0_m"}}
-        for v, row in zip(values, rows)
-    ]
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
+    cols = sweep_columns(geom, point["r0"], point["wind"], point["a_coeff"], point.get("J"))
+    del cols["r0_m"]  # the swept column takes its place, first
+    names = ["r0_m" if args.var == "r0" else args.var, *cols]
+    rows = [dict(zip(names, row)) for row in zip(values, *(c.tolist() for c in cols.values()))]
+    writer = csv.DictWriter(sys.stdout, fieldnames=names)
     writer.writeheader()
     writer.writerows(rows)
     if args.out:
@@ -463,6 +471,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
+        if args.out:  # before any work or output
+            _check_output_path(args.out)
         cfg = load_config(args.config)
         return args.func(args, cfg)
     except ConfigError as exc:

@@ -5,8 +5,10 @@ collection with central obstruction, and the full channel efficiency
 eta_ch = eta_focus * eta_optics * eta_smf * eta_fiber.
 
 Each term is written once, as a function of the array module ``xp``: the
-scalar entry points pass ``math`` and :func:`sweep_budget` passes numpy, so
-a sweep evaluates all of its points in one pass with the same formulas.
+scalar entry points pass ``math`` and :func:`sweep_columns` passes numpy, so
+a sweep evaluates all of its points in one pass with the same formulas and
+returns one array per term; :func:`sweep_budget` gives the same sweep as
+one row per point.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "collection_efficiency",
     "model_smf_breakdown",
     "full_budget",
+    "sweep_columns",
     "sweep_budget",
 ]
 
@@ -204,22 +207,21 @@ def full_budget(
     return BudgetReport(*_budget_terms(math, geom, ts.fried_r0, a_coeff_db_km, smf.eta_smf))
 
 
-_SWEEP_KEYS = ("r0_m", "w_l_m", "eta_a", "eta_coll", "eta_focus", "eta0", "eta_s",
-               "eta_phi_residual", "eta_tau", "eta_smf", "eta_ch")
-
-
-def sweep_budget(geom: LinkGeometry, r0_values, wind_speed, a_coeff_db_km, J=None) -> list[dict]:
+def sweep_columns(
+    geom: LinkGeometry, r0_values, wind_speed, a_coeff_db_km, J=None
+) -> dict[str, np.ndarray]:
     """Evaluate the modeled budget at many points in one vectorised pass.
 
     Each of r0_values, wind_speed, a_coeff_db_km and J (None: the chain's
     ao_modes) may be a scalar or a 1-D sequence; they broadcast together by
     numpy rules, so one array sweeps that quantity and equal-length arrays
-    give one point per index.  Returns one row of Python floats per point,
-    in index order (no points: []).  Each point must pass the checks of the
-    scalar path (``model_smf_breakdown`` then ``full_budget``): the first
-    point that fails raises that path's ValueError, naming the point.
-    numpy's exp, log, pow and hypot round differently from ``math``, so
-    values may differ from the scalar path by a few ulp.
+    give one point per index.  Returns the budget terms as a dict of 1-D
+    float64 arrays, one entry per point in index order (no points: arrays of
+    length 0).  Each point must pass the checks of the scalar path
+    (``model_smf_breakdown`` then ``full_budget``): the first point that
+    fails raises that path's ValueError, naming the point.  numpy's exp, log,
+    pow and hypot round differently from ``math``, so values may differ from
+    the scalar path by a few ulp.
     """
     import numpy as np
 
@@ -250,6 +252,21 @@ def sweep_budget(geom: LinkGeometry, r0_values, wind_speed, a_coeff_db_km, J=Non
             raise ValueError(f"{exc} (sweep point {i})") from None
         raise ValueError(f"sweep point {i} is outside the model's domain")
     e0, e_s, _, e_phi_j, e_tau = factors
-    columns = (r0, w_l, eta_a, eta_coll, eta_focus, e0, e_s, e_phi_j, e_tau, eta_smf, eta_ch)
-    values = [np.broadcast_to(c, r0.shape).tolist() for c in columns]
-    return [dict(zip(_SWEEP_KEYS, row)) for row in zip(*values)]
+    return {"r0_m": r0, "w_l_m": w_l, "eta_a": eta_a, "eta_coll": eta_coll, "eta_focus": eta_focus,
+            "eta0": np.full(r0.shape, e0), "eta_s": e_s, "eta_phi_residual": e_phi_j,
+            "eta_tau": e_tau, "eta_smf": eta_smf, "eta_ch": eta_ch}
+
+
+def sweep_budget(geom: LinkGeometry, r0_values, wind_speed, a_coeff_db_km, J=None) -> list[dict]:
+    """:func:`sweep_columns` as rows: one dict of Python floats per point (no points: []).
+
+    The row keys are the column names, in the same order.
+    """
+    cols = sweep_columns(geom, r0_values, wind_speed, a_coeff_db_km, J)
+    return [
+        {"r0_m": r0, "w_l_m": w_l, "eta_a": a, "eta_coll": coll, "eta_focus": focus, "eta0": e0,
+         "eta_s": e_s, "eta_phi_residual": phi, "eta_tau": tau, "eta_smf": smf, "eta_ch": ch}
+        for r0, w_l, a, coll, focus, e0, e_s, phi, tau, smf, ch in zip(
+            *(c.tolist() for c in cols.values())
+        )
+    ]

@@ -11,7 +11,7 @@ Each input domain is decided here, once, by a predicate and a checker:
 - ``_is_integer`` / ``_check_integer``: a whole number >= a minimum
 
 The predicates combine comparisons with ``&``, so the same one takes a float
-or a numpy array (elementwise; ``linkbudget.sweep_budget`` builds its
+or a numpy array (elementwise; ``linkbudget.sweep_columns`` builds its
 validity mask from them).  NaN and ±inf fail all four.  A checker raises
 ``ValueError(f"{name} must be <domain>, got {value}")``.
 """

@@ -212,6 +212,30 @@ def test_qkd_requires_one_source(tmp_path, capsys):
         assert "exactly one of --log or --eta-ch" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--eta-ch", "5"], "eta_ch must be in (0, 1]"),
+        (["--eta-ch", "-29", "--intrinsic-qber", "0.6"], "intrinsic_qber must be in [0, 0.5]"),
+        (["--log", "zero_rate.csv"], "measured_rate must be finite and positive"),
+    ],
+    ids=["eta-ch-above-1", "qber-above-half", "zero-rate-log"],
+)
+def test_qkd_checks_its_operating_point_before_printing(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    from skylink import qkd as qkd_mod
+
+    monkeypatch.chdir(tmp_path)
+    zero_rate = qkd_mod.RateObservation(0.0, 0.0, 2000.0, 0.008, 0.011)
+    qkd_mod.write_session_log([zero_rate], "zero_rate.csv")
+    out_file = tmp_path / "q.json"
+    code, out, err = run(capsys, "--out", str(out_file), "qkd", *argv)
+    assert (code, out) == (3, "")
+    assert message in err
+    assert not out_file.exists()
+
+
 def test_qkd_from_log(tmp_path, capsys):
     from skylink import qkd as qkd_mod
 
@@ -225,6 +249,57 @@ def test_qkd_from_log(tmp_path, capsys):
     assert code == 0
     assert "inferred eta_ch" in out
     assert "-29.0 dB" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["budget"], ["sweep", "--steps", "3"], ["fit-r0", "absent.csv"]],
+    ids=["budget", "sweep", "fit-r0"],
+)
+def test_bad_out_extension_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--out", "o.txt", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot infer output format from 'o.txt' (use .json or .csv)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+_SWEEP_GRIDS = {
+    "r0": ("0.03", "0.15"), "wind": ("0", "12"), "a_coeff": ("0", "0.6"), "J": ("1", "66"),
+}
+
+
+@pytest.mark.parametrize("var", list(_SWEEP_GRIDS))
+def test_sweep_output_is_built_from_the_columns(tmp_path, capsys, monkeypatch, var):
+    import numpy as np
+
+    from skylink.linkbudget import sweep_columns
+
+    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
+    lo, hi = _SWEEP_GRIDS[var]
+    values = np.linspace(float(lo), float(hi), 7).tolist()
+    if var == "J":
+        values = [round(v) for v in values]
+    d = cli.DEFAULT_CONFIG
+    point = {"r0": d["r0_m"], "wind": d["wind_mps"], "a_coeff": d["a_coeff_db_per_km"], "J": None}
+    point[var] = values
+    cols = sweep_columns(cli.build_geometry(cli.load_config(None)), *point.values())
+    del cols["r0_m"]
+    names = ["r0_m" if var == "r0" else var, *cols]
+    table = list(zip(values, *(c.tolist() for c in cols.values())))
+    lines = [",".join(names), *(",".join(map(repr, row)) for row in table)]
+    want_csv = "".join(line + "\r\n" for line in lines)
+    want_json = json.dumps([dict(zip(names, row)) for row in table], indent=2, sort_keys=True)
+    want_json += "\n"
+    for suffix, want in ((".csv", want_csv), (".json", want_json)):
+        out_file = tmp_path / f"sweep{suffix}"
+        code, out, _ = run(
+            capsys, "--out", str(out_file), "sweep", "--var", var, "--min", lo, "--max", hi,
+            "--steps", "7",
+        )
+        assert code == 0
+        assert out == want_csv
+        assert out_file.read_bytes() == want.encode()
 
 
 def test_sweep_stdout_csv(capsys):

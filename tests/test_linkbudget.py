@@ -16,6 +16,7 @@ from skylink.linkbudget import (
     model_smf_breakdown,
     received_waist,
     sweep_budget,
+    sweep_columns,
 )
 from skylink.units import to_db
 
@@ -199,9 +200,79 @@ def test_sweep_bad_point_raises_the_scalar_error(points, at, bad):
     cols[bad[0]][at] = bad[1]
     with pytest.raises(ValueError) as scalar:
         _scalar_row(GEOM, *(col[at] for col in cols.values()))
-    with pytest.raises(ValueError) as array:
-        sweep_budget(GEOM, *(np.array(col) for col in cols.values()))
-    assert str(array.value) == f"{scalar.value} (sweep point {at})"
+    for sweep in (sweep_budget, sweep_columns):
+        with pytest.raises(ValueError) as array:
+            sweep(GEOM, *(np.array(col) for col in cols.values()))
+        assert str(array.value) == f"{scalar.value} (sweep point {at})"
+
+
+_REFERENCE_KEYS = ("r0_m", "w_l_m", "eta_a", "eta_coll", "eta_focus", "eta0", "eta_s",
+                   "eta_phi_residual", "eta_tau", "eta_smf", "eta_ch")
+
+
+def _reference_sweep_budget(geom, r0_values, wind_speed, a_coeff_db_km, J=None):
+    """sweep_budget as it was before the columnar split: rows by dict(zip(...))."""
+    from skylink.atmosphere import _cn2_from_r0
+    from skylink.coupling import _smf_products
+    from skylink.linkbudget import _budget_terms, _smf_factors
+
+    chain, path = geom.chain, geom.path
+    inputs = (r0_values, wind_speed, a_coeff_db_km, chain.ao_modes if J is None else J)
+    raw = np.broadcast_arrays(*(np.atleast_1d(x) for x in inputs))
+    r0, wind, a_coeff, modes = (x.astype(float) for x in raw)
+    cn2 = _cn2_from_r0(r0, path)
+    factors = _smf_factors(np, chain, path, r0, cn2, wind, modes, 1.0)
+    eta_smf = _smf_products(*factors)[1]
+    _, _, _, w_l, eta_a, eta_coll, eta_focus, _, _, _, eta_ch = _budget_terms(
+        np, geom, r0, a_coeff, eta_smf
+    )
+    e0, e_s, _, e_phi_j, e_tau = factors
+    columns = (r0, w_l, eta_a, eta_coll, eta_focus, e0, e_s, e_phi_j, e_tau, eta_smf, eta_ch)
+    values = [np.broadcast_to(c, r0.shape).tolist() for c in columns]
+    return [dict(zip(_REFERENCE_KEYS, row)) for row in zip(*values)]
+
+
+def _bits(rows):
+    """Rows as (key, float.hex) pairs: equal only if keys, order, types and bits all match."""
+    return [[(k, v.hex()) for k, v in row.items()] for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=_points, kinds=st.tuples(*[st.sampled_from(["scalar", "list", "array"])] * 4))
+def test_sweep_rows_match_the_reference_row_builder_bit_for_bit(points, kinds):
+    cols = [[p[k] for p in points] for k in range(4)]
+    args = [
+        col[0] if kind == "scalar" else col if kind == "list" else np.array(col)
+        for col, kind in zip(cols, kinds)
+    ]
+    assert _bits(sweep_budget(GEOM, *args)) == _bits(_reference_sweep_budget(GEOM, *args))
+
+
+def test_sweep_rows_and_columns_share_their_keys_in_order(geom):
+    cols = sweep_columns(geom, [0.03, 0.09], 0.556, 0.2)
+    rows = sweep_budget(geom, [0.03, 0.09], 0.556, 0.2)
+    assert list(cols) == list(_REFERENCE_KEYS)
+    assert all(list(row) == list(_REFERENCE_KEYS) for row in rows)
+    assert rows == [{k: c[i] for k, c in cols.items()} for i in range(2)]
+
+
+def test_sweep_columns_shapes(geom):
+    for args, n in (
+        (([0.03, 0.09, 0.15], 0.556, 0.2), 3),
+        ((0.09, [0.0, 1.0], [0.1, 0.2], np.array([10, 35])), 2),
+        (([], 0.5, 0.2), 0),
+        ((np.array([]), [], 0.2, []), 0),
+        ((0.09, 0.556, 0.2, 35), 1),
+        ((0.09, 0.556, 0.2), 1),
+    ):
+        for key, col in sweep_columns(geom, *args).items():
+            assert isinstance(col, np.ndarray), key
+            assert (col.dtype, col.shape) == (np.float64, (n,)), key
+    one = sweep_columns(geom, 0.09, 0.556, 0.2, 35)
+    want = [_scalar_row(geom, 0.09, 0.556, 0.2, 35)]
+    _assert_rows_close([{k: c[0] for k, c in one.items()}], want)
+    with pytest.raises(ValueError, match="1-D"):
+        sweep_columns(geom, [[0.05, 0.09]], 0.5, 0.2)
 
 
 def test_sweep_budget_shapes(geom):
