@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .atmosphere import OpticalPath, TurbulenceState
 from .coupling import ReceiverChain, SmfCouplingBreakdown, eta_phi_on
 from .linkbudget import model_smf_breakdown
-from .units import _check_positive
-from .zernike import ModeVarianceSet, ZernikeSeries, empirical_variances, noll_weight
+from .units import _check_positive, _is_positive
+from .zernike import ModeVarianceSet, ZernikeSeries, empirical_variances, noll_weight, radial_order
 
 __all__ = [
     "FriedFit",
@@ -48,7 +48,8 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
     Model: log sigma_j^2 = (5/3) log(d_rx/r0) + log g(j).  The single-offset
     least-squares solution is closed form; non-positive variances are
     excluded with a warning.  A mode listed twice raises ValueError, since
-    it would count twice in the mean.
+    it would count twice in the mean, and so do usable modes of one radial
+    order, which leave the exponent check without a slope.
     """
     import numpy as np
 
@@ -69,7 +70,14 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
     if len(usable) < 3:
         raise ValueError(f"need at least 3 usable modes, got {len(usable)}")
 
-    log_resid = np.array([math.log(variances[j]) - math.log(noll_weight(j)) for j in usable])
+    log_g = np.array([math.log(noll_weight(j)) for j in usable])
+    if np.ptp(log_g) == 0:  # g(j) depends on j only through its radial order
+        raise ValueError(
+            f"every usable mode has radial order {radial_order(usable[0])}; "
+            "the exponent check needs modes of two radial orders or more"
+        )
+    log_s = np.array([math.log(variances[j]) for j in usable])
+    log_resid = log_s - log_g
     # offset c = (5/3) log(d_rx/r0)
     c = float(np.mean(log_resid))
     r0_hat = d_rx * math.exp(-0.6 * c)
@@ -79,17 +87,10 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
     mad = float(np.median(np.abs(per_mode_r0 - np.median(per_mode_r0))))
     r0_sigma = 1.4826 * mad
 
-    log_g = np.array([math.log(noll_weight(j)) for j in usable])
-    log_s = np.array([math.log(variances[j]) for j in usable])
-    if float(np.ptp(log_g)) > 0:
-        slope = float(np.polyfit(log_g, log_s, 1)[0])
-    else:
-        slope = float("nan")
-
     return FriedFit(
         r0_hat=r0_hat,
         r0_sigma=r0_sigma,
-        fit_exponent_check=slope,
+        fit_exponent_check=float(np.polyfit(log_g, log_s, 1)[0]),
         residual_rms=residual_rms,
         modes_used=tuple(usable),
     )
@@ -149,12 +150,16 @@ def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:
         fh.writelines(",".join(map(repr, (t, valid, *coeffs))) + "\n" for t, valid, coeffs in rows)
 
 
+_HEADER_KEYS = ("wavelength_m", "d_rx_m")
+
+
 def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
     """Read a WFS log CSV; returns the series and the receiver diameter.
 
     Rows with valid=0 are kept but masked out for all modes.  Malformed
-    content, including nan or inf cells, raises ValueError with the
-    offending line number.
+    content, including nan or inf cells and header values not > 0, raises
+    ValueError naming its line; times that do not strictly increase raise
+    ValueError naming the file only.
     """
     import numpy as np
 
@@ -176,7 +181,9 @@ def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
             raise ValueError(f"{path}:1: bad header value {token!r}") from None
         if not math.isfinite(meta[key]):
             raise ValueError(f"{path}:1: non-finite header value {token!r}")
-    for key in ("wavelength_m", "d_rx_m"):
+        if key in _HEADER_KEYS and not _is_positive(meta[key]):
+            raise ValueError(f"{path}:1: non-positive header value {token!r}")
+    for key in _HEADER_KEYS:
         if key not in meta:
             raise ValueError(f"{path}:1: missing header key {key}")
     if len(lines) < 2:
@@ -189,8 +196,17 @@ def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
         raise ValueError(f"{path}:2: bad coefficient columns")
 
     rows = [line for line in lines[2:] if line.strip()]
-    parsed = _parse_rows(rows, j_max) if rows else None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    parsed = _parse_rows(rows, j_max)
     t, b, valid = parsed if parsed is not None else _parse_lines(path, lines, j_max)
+    finite = np.isfinite(t) & np.isfinite(b).all(axis=1)
+    if not finite.all():
+        data_lines = [n for n, line in enumerate(lines[2:], start=3) if line.strip()]
+        lineno = data_lines[int(np.argmin(finite))]
+        raise ValueError(f"{path}:{lineno}: non-finite value (nan or inf)")
+    if not np.all(t[1:] > t[:-1]):
+        raise ValueError(f"{path}: timestamps not strictly increasing")
     mask = np.repeat(valid[:, None], j_max, axis=1)
     series = ZernikeSeries(t, b, mask, meta["wavelength_m"])
     return series, meta["d_rx_m"]
@@ -199,13 +215,13 @@ def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
 def _parse_rows(rows: list, j_max: int):
     """Data rows through numpy's C parser: (t, coefficients, valid), or None.
 
-    None means a row holds something the fast path does not decide: a
-    parse error, a wrong field count, a flag token other than exactly 0 or 1
-    (numpy would read "1.0" as 1), a non-finite cell, a time that does not
-    increase, or a \x1f (numpy strips it around a number, float() does not).
-    :func:`_parse_lines` then accepts the row or names its line.  numpy
-    converts each cell with the same correctly rounded routine as float(),
-    so the values are bit-identical to the per-line path's.
+    None means numpy does not read a row as float() and int() would: a parse
+    error, a wrong field count, a flag token other than exactly 0 or 1
+    (numpy would read "1.0" as 1), or a \x1f (numpy strips it around a
+    number, float() does not).  :func:`_parse_lines` then reads the rows or
+    names the bad line.  numpy converts each cell with the same correctly
+    rounded routine as float(), so the values are bit-identical to the
+    per-line path's.
     """
     import numpy as np
 
@@ -217,21 +233,14 @@ def _parse_rows(rows: list, j_max: int):
         return None
     if data.shape[1] != j_max + 2 or not {row.split(",", 2)[1] for row in rows} <= {"0", "1"}:
         return None
-    if not np.isfinite(data).all():
-        return None
-    t = data[:, 0]
-    if not np.all(t[1:] > t[:-1]):
-        return None
-    return t, data[:, 2:], data[:, 1] == 1
+    return data[:, 0], data[:, 2:], data[:, 1] == 1
 
 
 def _parse_lines(path, lines: list, j_max: int):
     """Data rows one line at a time: (t, coefficients, valid) or ValueError naming the line."""
     import numpy as np
 
-    times = []
-    valid = []
-    coeffs = []
+    times, valid, coeffs = [], [], []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -247,15 +256,4 @@ def _parse_lines(path, lines: list, j_max: int):
             coeffs.append([float(v) for v in parts[2:]])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not times:
-        raise ValueError(f"{path}: no data rows")
-    t = np.array(times)
-    b = np.array(coeffs)
-    finite = np.isfinite(t) & np.isfinite(b).all(axis=1)
-    if not finite.all():
-        data_lines = [n for n, line in enumerate(lines[2:], start=3) if line.strip()]
-        lineno = data_lines[int(np.argmin(finite))]
-        raise ValueError(f"{path}:{lineno}: non-finite value (nan or inf)")
-    if not np.all(t[1:] > t[:-1]):
-        raise ValueError(f"{path}: timestamps not strictly increasing")
-    return t, b, np.array(valid)
+    return np.array(times), np.array(coeffs), np.array(valid)

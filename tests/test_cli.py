@@ -136,6 +136,17 @@ def test_fit_mode_selection(tmp_path, capsys):
     assert fit["modes_used"] == list(range(3, 36))
 
 
+def test_fit_over_one_radial_order_exits_3_without_writing(tmp_path, capsys):
+    """Modes 3-5 share radial order 2, so the exponent check has no slope to give."""
+    wfs, out_file = tmp_path / "wfs.csv", tmp_path / "fit.json"
+    run(capsys, "synth", str(wfs), "--r0", "0.08", "--n", "200", "--seed", "3")
+    code, out, err = run(capsys, "--out", str(out_file), "fit-r0", str(wfs), "--modes", "3-5")
+    assert code == 3
+    assert "radial order 2" in err
+    assert "r0_hat" not in out
+    assert not out_file.exists()
+
+
 def test_fit_warns_on_closed_loop_data(tmp_path, capsys):
     wfs = tmp_path / "on.csv"
     run(

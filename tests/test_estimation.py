@@ -70,6 +70,16 @@ def test_fit_errors():
         estimation.fit_fried(variances, -0.41)
 
 
+@pytest.mark.parametrize(
+    "modes, order", [((3, 4, 5), 2), ((6, 7, 8, 9), 3)], ids=["order 2", "order 3"]
+)
+def test_fit_needs_two_radial_orders(modes, order):
+    """One radial order leaves the exponent check undefined: no nan slope, a ValueError."""
+    variances = analytic_variances(0.08, 0.41, 10)
+    with pytest.raises(ValueError, match=f"radial order {order}; the exponent check needs"):
+        estimation.fit_fried(variances, 0.41, modes=modes)
+
+
 def test_fit_flags_non_kolmogorov_spectrum():
     """Closed-loop (AO-ON) statistics break the open-loop variance law; the
     slope diagnostic and residuals must show it."""
@@ -157,6 +167,13 @@ def test_wfs_log_errors(tmp_path):
     p.write_text("# wavelength_m=1.5e-06 d_rx_m=inf\nt_s,valid,b1\n0.0,1,0.1\n")
     with pytest.raises(ValueError, match=":1: non-finite"):
         estimation.load_wfs_log(p)
+    for token in ("d_rx_m=0", "d_rx_m=-0.41"):
+        p.write_text(f"# wavelength_m=1.5e-06 {token}\nt_s,valid,b1\n0.0,1,0.1\n")
+        with pytest.raises(ValueError, match=f":1: non-positive header value '{token}'"):
+            estimation.load_wfs_log(p)
+    p.write_text("# wavelength_m=-1.5e-06 d_rx_m=0.41\nt_s,valid,b1\n0.0,1,0.1\n")
+    with pytest.raises(ValueError, match=":1: non-positive header value 'wavelength_m=-1.5e-06'"):
+        estimation.load_wfs_log(p)
 
 
 def test_wfs_log_rejects_partial_row_mask(tmp_path):
@@ -214,6 +231,28 @@ def test_wfs_log_loads_times_a_float_range_apart(tmp_path, flag):
     loaded, _ = estimation.load_wfs_log(p)
     assert loaded.timestamps.tolist() == [-1e308, 1e308]
     assert loaded.coefficients.shape == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0.0,1,0.1\n0.01,1,0.2\n\n0.02,0,nan\n", ":6: non-finite value (nan or inf)"),
+        ("0.0,1,0.1\n0.01,1,0.2\n0.01,1,0.3\n", ": timestamps not strictly increasing"),
+    ],
+    ids=["nan cell", "repeated time"],
+)
+def test_wfs_log_checks_numpy_read_rows_on_arrays(tmp_path, monkeypatch, rows, message):
+    """A nan cell or an out-of-order time in rows numpy reads is decided on its arrays."""
+
+    def per_line_pass(*args):
+        raise AssertionError("the per-line pass ran")
+
+    monkeypatch.setattr(estimation, "_parse_lines", per_line_pass)
+    p = tmp_path / "wfs.csv"
+    p.write_text("# wavelength_m=1.5e-06 d_rx_m=0.41\nt_s,valid,b1\n" + rows)
+    with pytest.raises(ValueError) as exc:
+        estimation.load_wfs_log(p)
+    assert str(exc.value) == f"{p}{message}"
 
 
 # --- load_wfs_log and write_wfs_log against their per-line references ---
