@@ -227,10 +227,13 @@ def sweep_columns(
 
     chain, path = geom.chain, geom.path
     inputs = (r0_values, wind_speed, a_coeff_db_km, chain.ao_modes if J is None else J)
-    raw = np.broadcast_arrays(*(np.atleast_1d(x) for x in inputs))
-    if raw[0].ndim != 1:
+    arrays = [np.array(x, dtype=float, ndmin=1) for x in inputs]
+    shape = np.broadcast(*arrays).shape
+    if len(shape) != 1:
         raise ValueError("r0_values, wind_speed, a_coeff_db_km and J must be scalars or 1-D")
-    r0, wind, a_coeff, modes = (x.astype(float) for x in raw)
+    # Each column a C-contiguous array of its own: numpy may round a
+    # transcendental function differently on a strided or broadcast view.
+    r0, wind, a_coeff, modes = (x if x.shape == shape else np.repeat(x, shape[0]) for x in arrays)
     with np.errstate(all="ignore"):
         cn2 = _cn2_from_r0(r0, path)
         factors = _smf_factors(np, chain, path, r0, cn2, wind, modes, 1.0)
@@ -244,6 +247,8 @@ def sweep_columns(
             ok &= _is_ratio(factor)
     if not ok.all():
         i = int(np.argmin(ok))
+        # The inputs' own dtypes, so that the scalar path sees (and names) J = 35, not 35.0.
+        raw = np.broadcast_arrays(*(np.atleast_1d(x) for x in inputs))
         r0_i, wind_i, a_i, J_i = (x[i].item() for x in raw)
         try:  # re-run the scalar path at the point for its error message
             ts = TurbulenceState.from_r0(r0_i, path, wind_i)

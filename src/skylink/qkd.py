@@ -138,8 +138,6 @@ class _FiniteKeyConstants:
     rate keeps its bits.
     """
 
-    mu1: float  # signal intensity
-    mu2: float  # decoy intensity
     p1: float  # p_mu1
     p2: float  # p_mu2 = 1 - p_mu1
     n_z: float  # n_Z: block_size bytes of sifted Z key, as bits
@@ -160,19 +158,27 @@ class _FiniteKeyConstants:
     tau1: float  # tau_1 = sum_k p_k e^-k k, single-photon probability
     exp_mu1: float  # e^mu1 of n^±_{mu1}, m^±_{mu1}
     exp_mu2: float  # e^mu2 of n^±_{mu2}, m^±_{mu2}
+    mu1_exp_mu2: float  # s_0^-: mu1 e^mu2, prefix of its n^-_{mu2} term
+    mu2_exp_mu1: float  # s_0^-: mu2 e^mu1, prefix of its n^+_{mu1} term
     s0m_pre: float  # s_0^-: tau_0/(mu1 - mu2)
     # Deviation: s_0^+ is the min of 2(tau_0 e^k/p_k m_k^+ + delta) over
     # both intensities k; these are its two prefixes tau_0 e^k/p_k.
     s0p_pre1: float
     s0p_pre2: float
     s1m_pre: float  # s_1^-: tau_1 mu1/(mu2 (mu1 - mu2))
-    mu_ratio_sq: float  # s_1^-: mu2^2/mu1^2
+    mu_ratio_sq_exp_mu1: float  # s_1^-: (mu2^2/mu1^2) e^mu1, prefix of its n^+_{mu1} term
     s0_weight: float  # s_1^-: (mu1^2 - mu2^2)/(mu1^2 tau_0), applied to s_0^+
     v1p_pre: float  # v_1^+: tau_1/(mu1 - mu2)
     gamma_eps_sq: float  # gamma: 21^2/a^2 at a = eps0
     ln2: float  # log 2 in gamma's denominator
     pa_cost: float  # 6 log2(19/eps_sec), privacy amplification
     ec_cost: float  # log2(2/eps_cor), error-verification hash
+    # The Z basis's n side, _n_terms at n = n_Z: the block size fixes it, so
+    # each rate pays only the Z basis's m side (_m_bounds).  nan until of()
+    # fills them from the record itself.
+    d_nz: float = math.nan  # Hoeffding deviation of n_Z
+    s1_nz: float = math.nan  # s_1^-: its n^-_{mu2} and n^+_{mu1} terms at n_Z
+    s0_z: float = math.nan  # s_0^- at n_Z, clipped to [0, n_Z]
 
     @classmethod
     def of(cls, session: QkdSessionModel) -> "_FiniteKeyConstants":
@@ -186,9 +192,7 @@ class _FiniteKeyConstants:
         )
         w1 = p1 * mu1 / (p1 * mu1 + p2 * mu2)
         exp_mu1, exp_mu2 = math.exp(mu1), math.exp(mu2)
-        return cls(
-            mu1=mu1,
-            mu2=mu2,
+        c = cls(
             p1=p1,
             p2=p2,
             n_z=float(session.block_size * 8),
@@ -202,11 +206,13 @@ class _FiniteKeyConstants:
             tau1=tau1,
             exp_mu1=exp_mu1,
             exp_mu2=exp_mu2,
+            mu1_exp_mu2=mu1 * exp_mu2,
+            mu2_exp_mu1=mu2 * exp_mu1,
             s0m_pre=tau0 / (mu1 - mu2),
             s0p_pre1=tau0 * exp_mu1 / p1,
             s0p_pre2=tau0 * exp_mu2 / p2,
             s1m_pre=tau1 * mu1 / (mu2 * (mu1 - mu2)),
-            mu_ratio_sq=mu2**2 / mu1**2,
+            mu_ratio_sq_exp_mu1=mu2**2 / mu1**2 * exp_mu1,
             s0_weight=(mu1**2 - mu2**2) / (mu1**2 * tau0),
             v1p_pre=tau1 / (mu1 - mu2),
             gamma_eps_sq=(21.0 / eps0) ** 2,
@@ -214,6 +220,8 @@ class _FiniteKeyConstants:
             pa_cost=6.0 * math.log2(19.0 / session.eps_sec),
             ec_cost=math.log2(2.0 / session.eps_cor),
         )
+        d_nz, s1_nz, s0_z = _n_terms(c, c.n_z)
+        return replace(c, d_nz=d_nz, s1_nz=s1_nz, s0_z=s0_z)
 
 
 def _check_qber(name: str, value: float) -> None:
@@ -280,6 +288,7 @@ def windowed_noise_rate(raw_rate: float, window: float, pulse_rate: float) -> fl
     duty = min(window * pulse_rate, 1.0)
     return raw_rate * duty
 
+
 def expected_qber(signal_rate: float, noise_rate: float, intrinsic_qber: float = 0.0) -> float:
     """QBER of a mixture of signal and in-window noise (noise errs at 1/2).
 
@@ -303,28 +312,52 @@ def _binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _decoy_bounds(
-    c: _FiniteKeyConstants, n_tot: float, m_tot: float
-) -> tuple[float, float, float]:
-    """(s0_minus, s1_minus, v1_plus) of one basis with n_tot detections, m_tot errors.
+# The bound's min/max clips are conditional expressions that pick what the
+# builtins pick, at a fraction of a call's cost: max(a, b) is a unless b > a,
+# min(a, b) is a unless b < a.  max(x, 0.0) and max(0.0, x) differ at -0.0
+# and nan, so each clip keeps the argument order of the call it replaces.
 
-    Each bound is clipped to [0, n_tot] ([0, m_tot] for v1_plus).
+
+def _n_terms(c: _FiniteKeyConstants, n: float) -> tuple[float, float, float]:
+    """(d_n, s1_n, s0_minus) of one basis with n detections.
+
+    d_n is the Hoeffding deviation of n, s1_n the part of s_1^- that depends
+    on n alone, and s0_minus is clipped to [0, n].
     """
-    d_n = math.sqrt(n_tot / 2.0 * c.log_inv_eps0)
-    d_m = math.sqrt(m_tot / 2.0 * c.log_inv_eps0) if m_tot > 0 else 0.0
-    n1p = n_tot * c.w1 + d_n
-    n2m = max(n_tot * c.w2 - d_n, 0.0)
-    m1p = m_tot * c.w1 + d_m
-    m2p = m_tot * c.w2 + d_m
-    m2m = max(m_tot * c.w2 - d_m, 0.0)
-    s0m = c.s0m_pre * (c.mu1 * c.exp_mu2 * n2m / c.p2 - c.mu2 * c.exp_mu1 * n1p / c.p1)
-    s0p = min(2.0 * (c.s0p_pre1 * m1p + d_n), 2.0 * (c.s0p_pre2 * m2p + d_n))
-    s0p = max(0.0, min(n_tot, s0p))
-    s1m = c.s1m_pre * (
-        c.exp_mu2 * n2m / c.p2 - c.mu_ratio_sq * c.exp_mu1 * n1p / c.p1 - c.s0_weight * s0p
-    )
+    d_n = math.sqrt(n / 2.0 * c.log_inv_eps0)
+    n1p = n * c.w1 + d_n
+    n2m = n * c.w2 - d_n
+    n2m = 0.0 if n2m < 0.0 else n2m  # max(n2m, 0.0)
+    s0m = c.s0m_pre * (c.mu1_exp_mu2 * n2m / c.p2 - c.mu2_exp_mu1 * n1p / c.p1)
+    s0m = s0m if s0m < n else n  # min(n, s0m)
+    s1_n = c.exp_mu2 * n2m / c.p2 - c.mu_ratio_sq_exp_mu1 * n1p / c.p1
+    return d_n, s1_n, s0m if s0m > 0.0 else 0.0  # max(0.0, s0m)
+
+
+def _m_bounds(
+    c: _FiniteKeyConstants, n: float, d_n: float, s1_n: float, m: float
+) -> tuple[float, float]:
+    """(s1_minus, v1_plus) of one basis with n detections and m errors.
+
+    d_n and s1_n are :func:`_n_terms` at n.  s1_minus is clipped to [0, n],
+    v1_plus to [0, m].
+    """
+    d_m = math.sqrt(m / 2.0 * c.log_inv_eps0) if m > 0 else 0.0
+    m1p = m * c.w1 + d_m
+    m2 = m * c.w2
+    m2p = m2 + d_m
+    m2m = m2 - d_m
+    m2m = 0.0 if m2m < 0.0 else m2m  # max(m2m, 0.0)
+    s0p1 = 2.0 * (c.s0p_pre1 * m1p + d_n)
+    s0p = 2.0 * (c.s0p_pre2 * m2p + d_n)
+    s0p = s0p if s0p < s0p1 else s0p1  # min(s0p1, s0p)
+    s0p = s0p if s0p < n else n  # min(n, s0p)
+    s0p = s0p if s0p > 0.0 else 0.0  # max(0.0, s0p)
+    s1m = c.s1m_pre * (s1_n - c.s0_weight * s0p)
+    s1m = s1m if s1m < n else n  # min(n, s1m)
     v1p = c.v1p_pre * (c.exp_mu1 * m1p / c.p1 - c.exp_mu2 * m2m / c.p2)
-    return max(0.0, min(n_tot, s0m)), max(0.0, min(n_tot, s1m)), max(0.0, min(m_tot, v1p))
+    v1p = v1p if v1p < m else m  # min(m, v1p)
+    return s1m if s1m > 0.0 else 0.0, v1p if v1p > 0.0 else 0.0  # max(0.0, .)
 
 
 def secret_key_rate(
@@ -340,8 +373,9 @@ def secret_key_rate(
     single-photon contributions are bounded with Hoeffding inequalities and
     the phase error is transferred from the X basis with the usual
     random-sampling correction.  Negative bounds clamp to zero (logged).
-    The factors that depend on the session alone are computed once per
-    session (see :class:`_FiniteKeyConstants`).
+    The factors that depend on the session alone, the Z basis's n side
+    among them, are computed once per session (see
+    :class:`_FiniteKeyConstants`).
     """
     _check_positive("signal_rate", signal_rate)
     _check_qber("qber_z", qber_z)
@@ -352,24 +386,31 @@ def secret_key_rate(
     block_time = n_z / (signal_rate * c.p_zz)
     n_x = block_time * (signal_rate * c.p_xx)
 
-    s_z0, s_z1, _ = _decoy_bounds(c, n_z, qber_z * n_z)
-    _, s_x1, v_x1 = _decoy_bounds(c, n_x, qber_x * n_x)
-
-    if s_z1 <= 0 or s_x1 <= 0:
+    s_z1, _ = _m_bounds(c, n_z, c.d_nz, c.s1_nz, qber_z * n_z)
+    if s_z1 <= 0:
+        log.info("secret_key_rate: single-photon bound vanished, clamping to 0")
+        return 0.0
+    # n_X can move in its last bit with the signal rate: no per-session terms.
+    d_nx, s1_nx, _ = _n_terms(c, n_x)
+    s_x1, v_x1 = _m_bounds(c, n_x, d_nx, s1_nx, qber_x * n_x)
+    if s_x1 <= 0:
         log.info("secret_key_rate: single-photon bound vanished, clamping to 0")
         return 0.0
 
-    phi_x = min(v_x1 / s_x1, 0.5)
-    b = min(max(phi_x, 1e-12), 1.0 - 1e-12)
+    phi_x = v_x1 / s_x1
+    phi_x = 0.5 if phi_x > 0.5 else phi_x  # min(phi_x, 0.5)
+    b = 1e-12 if phi_x < 1e-12 else phi_x  # max(phi_x, 1e-12)
+    b = 1.0 - 1e-12 if b > 1.0 - 1e-12 else b  # min(b, 1.0 - 1e-12)
     gamma = math.sqrt(
         ((s_z1 + s_x1) * (1.0 - b) * b)
         / (s_z1 * s_x1 * c.ln2)
         * math.log2((s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * c.gamma_eps_sq)
     )
-    phi_z = min(phi_x + gamma, 0.5)
+    phi_z = phi_x + gamma
+    phi_z = 0.5 if phi_z > 0.5 else phi_z  # min(phi_z, 0.5)
 
     leak_ec = n_z * session.f_ec * _binary_entropy(qber_z)
-    key_len = s_z0 + s_z1 * (1.0 - _binary_entropy(phi_z)) - leak_ec - c.pa_cost - c.ec_cost
+    key_len = c.s0_z + s_z1 * (1.0 - _binary_entropy(phi_z)) - leak_ec - c.pa_cost - c.ec_cost
     if key_len <= 0:
         log.info("secret_key_rate: bound non-positive (%.1f bits), clamping to 0", key_len)
         return 0.0

@@ -367,13 +367,31 @@ _qber = st.one_of(st.just(0.0), st.just(0.5), st.floats(1e-4, 0.5))
     p_mu1=_unit,
     p_z_alice=_unit,
     p_z_bob=_unit,
-    block_exp=st.floats(3.0, 6.0),
+    block_exp=st.floats(0.0, 6.0),
     f_ec=st.floats(1.0, 1.5),
     eps_sec_exp=st.floats(-15.0, -2.0),
     eps_cor_exp=st.floats(-20.0, -2.0),
     signal_exp=st.floats(0.0, 7.0),
     qber_z=_qber,
     qber_x=_qber,
+)
+# The field-trial protocol at blocks of 10^5 bytes and 10 kHz, varied to reach
+# each clamp and the error-free branch.
+@example(  # s_Z1 vanishes, s_X1 does not: few Z detections in a 10-byte block
+    mu1=0.4, mu2_share=0.25, p_mu1=0.5, p_z_alice=0.1, p_z_bob=0.1, block_exp=1.0, f_ec=1.16,
+    eps_sec_exp=-9.0, eps_cor_exp=-15.0, signal_exp=4.0, qber_z=0.01, qber_x=0.01,
+)
+@example(  # s_X1 vanishes, s_Z1 does not
+    mu1=0.4, mu2_share=0.25, p_mu1=0.5, p_z_alice=0.3, p_z_bob=0.5, block_exp=5.0, f_ec=1.16,
+    eps_sec_exp=-9.0, eps_cor_exp=-15.0, signal_exp=4.0, qber_z=0.01, qber_x=0.5,
+)
+@example(  # both vanish in a 1-byte block
+    mu1=0.4, mu2_share=0.25, p_mu1=0.5, p_z_alice=0.3, p_z_bob=0.5, block_exp=0.0, f_ec=1.16,
+    eps_sec_exp=-9.0, eps_cor_exp=-15.0, signal_exp=4.0, qber_z=0.01, qber_x=0.01,
+)
+@example(  # no errors: d_m = 0 in both bases
+    mu1=0.4, mu2_share=0.25, p_mu1=0.5, p_z_alice=0.3, p_z_bob=0.5, block_exp=5.0, f_ec=1.16,
+    eps_sec_exp=-9.0, eps_cor_exp=-15.0, signal_exp=4.0, qber_z=0.0, qber_x=0.0,
 )
 def test_skr_matches_reference_formula_bit_for_bit(
     mu1, mu2_share, p_mu1, p_z_alice, p_z_bob, block_exp, f_ec, eps_sec_exp, eps_cor_exp,
@@ -395,6 +413,51 @@ def test_skr_matches_reference_formula_bit_for_bit(
     assert qkd.secret_key_rate(session, signal, qber_z, qber_x) == _reference_skr(
         session, signal, qber_z, qber_x
     )
+
+
+def _single_photon_bounds(session, signal, qber_z, qber_x):
+    """(s_Z1, s_X1) from the bound's helpers, with both bases evaluated."""
+    c = session._finite_key
+    n_x = c.n_z / (signal * c.p_zz) * (signal * c.p_xx)
+    s_z1, _ = qkd._m_bounds(c, c.n_z, c.d_nz, c.s1_nz, qber_z * c.n_z)
+    s_x1, _ = qkd._m_bounds(c, n_x, *qkd._n_terms(c, n_x)[:2], qber_x * n_x)
+    return s_z1, s_x1
+
+
+_VANISHED = "secret_key_rate: single-photon bound vanished, clamping to 0"
+
+
+@pytest.mark.parametrize(
+    "session, signal, qber_z, qber_x, z_vanishes, x_vanishes, message",
+    [
+        (qkd.QkdSessionModel(qkd.SNSPD, block_size=10, p_z_alice=0.1, p_z_bob=0.1),
+         1e4, 0.01, 0.01, True, False, _VANISHED),
+        (_SNSPD, 1e4, 0.01, 0.5, False, True, _VANISHED),
+        (qkd.QkdSessionModel(qkd.SNSPD, block_size=1), 1e4, 0.01, 0.01, True, True, _VANISHED),
+        (_SPAD, 960.7965600524142, 0.05995946433907908, 0.05995946433907908, False, False,
+         "secret_key_rate: bound non-positive (-57223.4 bits), clamping to 0"),
+    ],
+    ids=["z-vanishes", "x-vanishes", "both-vanish", "key-non-positive"],
+)
+def test_skr_clamp_logs_one_record(
+    caplog, session, signal, qber_z, qber_x, z_vanishes, x_vanishes, message
+):
+    s_z1, s_x1 = _single_photon_bounds(session, signal, qber_z, qber_x)
+    assert (s_z1 <= 0, s_x1 <= 0) == (z_vanishes, x_vanishes)
+    with caplog.at_level("INFO", logger="skylink.qkd"):
+        assert qkd.secret_key_rate(session, signal, qber_z, qber_x) == 0.0
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("INFO", message)]
+
+
+@pytest.mark.parametrize(
+    "session",
+    [_SNSPD, _SPAD, _CUSTOM, qkd.QkdSessionModel(qkd.SNSPD, block_size=1)],
+    ids=["snspd", "spad", "custom", "one-byte"],
+)
+def test_stored_z_terms_are_the_per_point_formula(session):
+    c = session._finite_key
+    stored = (c.d_nz, c.s1_nz, c.s0_z)
+    assert [x.hex() for x in stored] == [x.hex() for x in qkd._n_terms(c, c.n_z)]
 
 
 def test_session_constants_leave_the_dataclass_alone():
