@@ -118,10 +118,8 @@ def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:
     """Write a WFS log CSV.
 
     Format: `# wavelength_m=<float> d_rx_m=<float>` then
-    `t_s,valid,b1,...,bJ`; per-sample valid flag in {0,1}.  The format has
-    one flag per row, so a row whose mask is valid for some modes only
-    raises ValueError instead of losing its valid cells, and so does a nan
-    or inf cell, which :func:`load_wfs_log` would reject.
+    `t_s,valid,b1,...,bJ`; per-sample valid flag in {0,1}.  A nan or inf
+    cell, which :func:`load_wfs_log` would reject, raises ValueError.
     """
     import numpy as np
 
@@ -133,16 +131,9 @@ def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:
         cell = "t_s" if col == 0 else f"mode {col}"
         value = float(cells[row, col])
         raise ValueError(f"row {row} {cell} is {value}; the WFS log holds finite values only")
-    row_valid = series.valid_mask.all(axis=1)
-    partial = np.flatnonzero(series.valid_mask.any(axis=1) & ~row_valid)
-    if partial.size:
-        raise ValueError(
-            f"row {int(partial[0])} is valid for some modes only; "
-            "the WFS log holds one valid flag per row"
-        )
     # Python floats and ints: repr is the shortest round-trip text, where a
     # numpy scalar's repr is "np.float64(...)" under numpy 2.
-    times, flags = series.timestamps.tolist(), row_valid.astype(int).tolist()
+    times, flags = series.timestamps.tolist(), series.valid_mask.astype(int).tolist()
     rows = zip(times, flags, series.coefficients.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# wavelength_m={float(series.wavelength_tag)!r} d_rx_m={float(d_rx)!r}\n")
@@ -156,10 +147,10 @@ _HEADER_KEYS = ("wavelength_m", "d_rx_m")
 def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
     """Read a WFS log CSV; returns the series and the receiver diameter.
 
-    Rows with valid=0 are kept but masked out for all modes.  Malformed
-    content, including nan or inf cells and header values not > 0, raises
-    ValueError naming its line; times that do not strictly increase raise
-    ValueError naming the file only.
+    Rows with valid=0 are kept but masked out.  Malformed content,
+    including nan or inf cells and header values not > 0, raises ValueError
+    naming its line; times that do not strictly increase raise ValueError
+    naming the file only.
     """
     import numpy as np
 
@@ -207,8 +198,7 @@ def load_wfs_log(path) -> tuple[ZernikeSeries, float]:
         raise ValueError(f"{path}:{lineno}: non-finite value (nan or inf)")
     if not np.all(t[1:] > t[:-1]):
         raise ValueError(f"{path}: timestamps not strictly increasing")
-    mask = np.repeat(valid[:, None], j_max, axis=1)
-    series = ZernikeSeries(t, b, mask, meta["wavelength_m"])
+    series = ZernikeSeries(t, b, valid, meta["wavelength_m"])
     return series, meta["d_rx_m"]
 
 

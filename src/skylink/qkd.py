@@ -147,6 +147,9 @@ class _FiniteKeyConstants:
     # and gamma's 21^2/a^2 are taken at eps0 = eps_sec/19, one share of the
     # 19 terms behind the 6 log2(19/eps_sec) cost.  Rusca et al. write gamma
     # at a = eps_sec; the smaller a gives the larger gamma, the safe side.
+    # Deviation: gamma is 0 where its log2 argument is <= 1 (a large eps_sec):
+    # the sampling bound's failure probability falls as gamma grows and is
+    # already within its share at gamma = 0.
     eps0: float
     log_inv_eps0: float  # ln(1/eps0)
     # Deviation: no per-intensity counts are modeled, so detections (and
@@ -401,10 +404,11 @@ def secret_key_rate(
     phi_x = 0.5 if phi_x > 0.5 else phi_x  # min(phi_x, 0.5)
     b = 1e-12 if phi_x < 1e-12 else phi_x  # max(phi_x, 1e-12)
     b = 1.0 - 1e-12 if b > 1.0 - 1e-12 else b  # min(b, 1.0 - 1e-12)
-    gamma = math.sqrt(
-        ((s_z1 + s_x1) * (1.0 - b) * b)
-        / (s_z1 * s_x1 * c.ln2)
-        * math.log2((s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * c.gamma_eps_sq)
+    gamma_arg = (s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * c.gamma_eps_sq
+    gamma = (
+        math.sqrt(((s_z1 + s_x1) * (1.0 - b) * b) / (s_z1 * s_x1 * c.ln2) * math.log2(gamma_arg))
+        if gamma_arg > 1.0
+        else 0.0  # see _FiniteKeyConstants
     )
     phi_z = phi_x + gamma
     phi_z = 0.5 if phi_z > 0.5 else phi_z  # min(phi_z, 0.5)

@@ -80,5 +80,4 @@ def generate_series(cfg: SynthConfig) -> ZernikeSeries:
         x[lag:] += weight * x[:-lag]
         lag, weight = 2 * lag, weight * weight
     timestamps = np.arange(n) / cfg.sample_rate
-    mask = np.ones(x.shape, dtype=bool)
-    return ZernikeSeries(timestamps, x * sigma, mask, cfg.wavelength)
+    return ZernikeSeries(timestamps, x * sigma, np.ones(n, dtype=bool), cfg.wavelength)

@@ -86,12 +86,13 @@ class ZernikeSeries:
     """Time-stamped Zernike coefficient vectors from a wavefront sensor.
 
     coefficients[i, j-1] is mode j at timestamps[i], in radians of phase at
-    wavelength_tag.  valid_mask marks usable entries per sample and mode.
+    wavelength_tag.  valid_mask marks the usable samples: a WFS frame is
+    usable for all of its modes or for none.
     """
 
     timestamps: np.ndarray  # (N,) seconds, strictly increasing
     coefficients: np.ndarray  # (N, J_max) radians
-    valid_mask: np.ndarray  # (N, J_max) bool
+    valid_mask: np.ndarray  # (N,) bool
     wavelength_tag: float  # m
 
     def __post_init__(self) -> None:
@@ -100,7 +101,7 @@ class ZernikeSeries:
         t = np.asarray(self.timestamps, dtype=float)
         c = np.asarray(self.coefficients, dtype=float)
         m = np.asarray(self.valid_mask, dtype=bool)
-        if t.ndim != 1 or c.ndim != 2 or c.shape[0] != t.shape[0] or m.shape != c.shape:
+        if t.ndim != 1 or c.ndim != 2 or c.shape[0] != t.shape[0] or m.shape != t.shape:
             raise ValueError("inconsistent series shapes")
         if not np.all(t[1:] > t[:-1]):
             raise ValueError("timestamps must be strictly increasing")
@@ -151,24 +152,22 @@ class ModeVarianceSet:
 
 
 def empirical_variances(series: ZernikeSeries) -> ModeVarianceSet:
-    """Unbiased per-mode sample variance over valid samples.
+    """Unbiased per-mode sample variance over the valid samples.
 
-    Modes with fewer than 2 valid samples are omitted, not reported as zero.
-    A nan or inf among a mode's valid samples gives a variance that
-    :class:`ModeVarianceSet` rejects, naming the mode.
+    Every mode is reported, each with the count of valid samples, or none
+    is when fewer than 2 samples are valid.  A nan or inf among the valid
+    samples gives a variance that :class:`ModeVarianceSet` rejects, naming
+    the mode.
     """
     import numpy as np
 
-    variances: dict = {}
-    counts: dict = {}
-    for col in range(series.j_max):
-        mask = series.valid_mask[:, col]
-        n = int(mask.sum())
-        if n < 2:
-            continue
-        j = col + 1
-        # inf - inf, or a square past 1e308: ModeVarianceSet's ValueError says it
-        with np.errstate(invalid="ignore", over="ignore"):
-            variances[j] = float(np.var(series.coefficients[mask, col], ddof=1))
-        counts[j] = n
-    return ModeVarianceSet(variances, counts)
+    rows = series.coefficients[series.valid_mask]
+    n = rows.shape[0]
+    if n < 2:
+        return ModeVarianceSet()
+    # inf - inf, or a square past 1e308: ModeVarianceSet's ValueError says it
+    with np.errstate(invalid="ignore", over="ignore"):
+        # one contiguous row per mode: numpy sums it pairwise, as it does a lone column
+        var = np.var(np.ascontiguousarray(rows.T), axis=1, ddof=1)
+    modes = range(1, series.j_max + 1)
+    return ModeVarianceSet(dict(zip(modes, var.tolist())), dict.fromkeys(modes, n))

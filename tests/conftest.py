@@ -50,5 +50,5 @@ def series_with_exact_variances(targets, n=512, seed=123, sample_rate=100.0, wav
         x = x / x.std(ddof=1)
         coeffs[:, j - 1] = math.sqrt(var) * x
     timestamps = np.arange(n) / sample_rate
-    mask = np.ones((n, j_max), dtype=bool)
+    mask = np.ones(n, dtype=bool)
     return ZernikeSeries(timestamps, coeffs, mask, wavelength)

@@ -133,14 +133,14 @@ def test_wfs_log_round_trip_bit_identical(tmp_path):
 def test_wfs_log_invalid_rows_masked(tmp_path):
     series = series_with_exact_variances({1: 0.1, 2: 0.05}, n=10, seed=1)
     mask = series.valid_mask.copy()
-    mask[3, :] = False
+    mask[3] = False
     from skylink.zernike import ZernikeSeries
 
     masked = ZernikeSeries(series.timestamps, series.coefficients, mask, series.wavelength_tag)
     p = tmp_path / "wfs.csv"
     estimation.write_wfs_log(masked, 0.41, p)
     loaded, _ = estimation.load_wfs_log(p)
-    assert not loaded.valid_mask[3].any()
+    assert not loaded.valid_mask[3]
     assert loaded.valid_mask.sum() == mask.sum()
 
 
@@ -174,19 +174,6 @@ def test_wfs_log_errors(tmp_path):
     p.write_text("# wavelength_m=-1.5e-06 d_rx_m=0.41\nt_s,valid,b1\n0.0,1,0.1\n")
     with pytest.raises(ValueError, match=":1: non-positive header value 'wavelength_m=-1.5e-06'"):
         estimation.load_wfs_log(p)
-
-
-def test_wfs_log_rejects_partial_row_mask(tmp_path):
-    series = series_with_exact_variances({1: 0.1, 2: 0.05}, n=10, seed=1)
-    mask = series.valid_mask.copy()
-    mask[5, 1] = False
-    from skylink.zernike import ZernikeSeries
-
-    partial = ZernikeSeries(series.timestamps, series.coefficients, mask, series.wavelength_tag)
-    p = tmp_path / "wfs.csv"
-    with pytest.raises(ValueError, match="row 5"):
-        estimation.write_wfs_log(partial, 0.41, p)
-    assert not p.exists()
 
 
 @pytest.mark.parametrize(
@@ -260,12 +247,11 @@ def test_wfs_log_checks_numpy_read_rows_on_arrays(tmp_path, monkeypatch, rows, m
 
 def _reference_write_wfs_log(series, d_rx, path):
     """The per-cell writer whose bytes write_wfs_log must reproduce."""
-    row_valid = series.valid_mask.all(axis=1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# wavelength_m={series.wavelength_tag!r} d_rx_m={d_rx!r}\n")
         fh.write("t_s,valid," + ",".join(f"b{j}" for j in range(1, series.j_max + 1)) + "\n")
         for i in range(series.n_samples):
-            valid = 1 if row_valid[i] else 0
+            valid = 1 if series.valid_mask[i] else 0
             coeffs = ",".join(repr(float(v)) for v in series.coefficients[i])
             fh.write(f"{float(series.timestamps[i])!r},{valid},{coeffs}\n")
 
@@ -331,8 +317,7 @@ def _reference_load_wfs_log(path):
         raise ValueError(f"{path}:{lineno}: non-finite value (nan or inf)")
     if t.size >= 2 and not np.all(np.diff(t) > 0):
         raise ValueError(f"{path}: timestamps not strictly increasing")
-    mask = np.repeat(np.array(valid)[:, None], j_max, axis=1)
-    series = ZernikeSeries(t, b, mask, meta["wavelength_m"])
+    series = ZernikeSeries(t, b, np.array(valid), meta["wavelength_m"])
     return series, meta["d_rx_m"]
 
 
@@ -362,8 +347,7 @@ def _series(draw):
     cells = st.floats(allow_nan=False, allow_infinity=False)
     coeffs = draw(st.lists(cells, min_size=n * j_max, max_size=n * j_max))
     masked = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    mask = np.repeat(~masked[:, None], j_max, axis=1)
-    return ZernikeSeries(np.array(sorted(times)), np.reshape(coeffs, (n, j_max)), mask, 1.555e-6)
+    return ZernikeSeries(np.array(sorted(times)), np.reshape(coeffs, (n, j_max)), ~masked, 1.555e-6)
 
 
 # Cell text a data row may hold instead of the writer's; the loader's per-line

@@ -206,6 +206,25 @@ def test_sweep_bad_point_raises_the_scalar_error(points, at, bad):
         assert str(array.value) == f"{scalar.value} (sweep point {at})"
 
 
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        (0, "r0 must be finite and positive, got nan"),
+        (1, "wind_speed must be finite and >= 0, got nan"),
+        (2, "a_coeff_db_km must be finite and >= 0, got nan"),
+        (3, "J must be an integer >= 1, got nan"),
+    ],
+    ids=_NAMES,
+)
+def test_sweep_none_in_a_list_raises_a_value_error_naming_the_point(at, message):
+    """None in a list input reaches the scalar path as nan; the point is named."""
+    args = [0.05, 0.5, 0.2, 35]
+    args[at] = [args[at], None]
+    with pytest.raises(ValueError) as exc:
+        sweep_columns(GEOM, *args)
+    assert str(exc.value) == f"{message} (sweep point 1)"
+
+
 _REFERENCE_KEYS = ("r0_m", "w_l_m", "eta_a", "eta_coll", "eta_focus", "eta0", "eta_s",
                    "eta_phi_residual", "eta_tau", "eta_smf", "eta_ch")
 

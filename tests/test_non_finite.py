@@ -22,7 +22,7 @@ _GEOM = LinkGeometry(_PATH, _CHAIN)
 _TURB = TurbulenceState.from_r0(0.0875, _PATH, 0.556)
 _SESSION = qkd.QkdSessionModel(qkd.SNSPD)
 _VARIANCES = ModeVarianceSet({j: turbulence_variance(j, 0.41, 0.1) for j in range(1, 8)})
-_SERIES = ZernikeSeries(np.arange(3.0), np.zeros((3, 4)), np.ones((3, 4), dtype=bool), 1.555e-6)
+_SERIES = ZernikeSeries(np.arange(3.0), np.zeros((3, 4)), np.ones(3, dtype=bool), 1.555e-6)
 _OBSERVATION = dict(timestamp=0.0, signal_rate=1e4, noise_rate=1e2, qber_z=0.01, qber_x=0.01)
 
 # (input name, call with the bad value in that input's place)

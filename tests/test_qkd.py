@@ -449,6 +449,35 @@ def test_skr_clamp_logs_one_record(
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [("INFO", message)]
 
 
+def _gamma_log2_argument(session, signal, qber_z, qber_x):
+    """The argument of gamma's log2, from the bound's helpers."""
+    c = session._finite_key
+    n_x = c.n_z / (signal * c.p_zz) * (signal * c.p_xx)
+    s_z1, _ = qkd._m_bounds(c, c.n_z, c.d_nz, c.s1_nz, qber_z * c.n_z)
+    s_x1, v_x1 = qkd._m_bounds(c, n_x, *qkd._n_terms(c, n_x)[:2], qber_x * n_x)
+    b = min(max(min(v_x1 / s_x1, 0.5), 1e-12), 1.0 - 1e-12)
+    return (s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * c.gamma_eps_sq
+
+
+@pytest.mark.parametrize(
+    "qber_z, qber_x, rate, message",
+    [
+        (0.03, 0.1, 0.0, "secret_key_rate: bound non-positive (-3804252.0 bits), clamping to 0"),
+        (0.01, 0.1, 285.87621563975864, None),
+    ],
+    ids=["clamped", "positive"],
+)
+def test_skr_takes_gamma_zero_where_its_log2_argument_is_at_most_one(
+    caplog, qber_z, qber_x, rate, message
+):
+    """A large eps_sec leaves gamma's log2 argument <= 1: no deviation, no math domain error."""
+    session = qkd.QkdSessionModel(qkd.SNSPD, eps_sec=0.5, block_size=10**7)
+    assert _gamma_log2_argument(session, 2e4, qber_z, qber_x) <= 1.0
+    with caplog.at_level("INFO", logger="skylink.qkd"):
+        assert qkd.secret_key_rate(session, 2e4, qber_z, qber_x) == rate
+    assert [r.getMessage() for r in caplog.records] == ([message] if message else [])
+
+
 @pytest.mark.parametrize(
     "session",
     [_SNSPD, _SPAD, _CUSTOM, qkd.QkdSessionModel(qkd.SNSPD, block_size=1)],

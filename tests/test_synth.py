@@ -88,7 +88,7 @@ def test_timestamps_and_mask():
     cfg = synth.SynthConfig(r0=0.06, j_max=2, n_samples=100, sample_rate=250.0, seed=1)
     series = synth.generate_series(cfg)
     assert series.timestamps[1] - series.timestamps[0] == pytest.approx(1 / 250.0, rel=1e-12)
-    assert series.valid_mask.all()
+    assert series.valid_mask.shape == (100,) and series.valid_mask.all()
     assert series.wavelength_tag == cfg.wavelength
 
 

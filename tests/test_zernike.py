@@ -127,21 +127,23 @@ def test_tail_sum_matches_residual_formula():
 
 def make_series(coeffs, mask=None):
     coeffs = np.asarray(coeffs, dtype=float)
-    n, j_max = coeffs.shape
+    n = coeffs.shape[0]
     if mask is None:
-        mask = np.ones((n, j_max), dtype=bool)
+        mask = np.ones(n, dtype=bool)
     return ZernikeSeries(np.arange(n, dtype=float), coeffs, mask, 1.555e-6)
 
 
 def test_series_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
-        ZernikeSeries(np.array([0.0, 0.0]), np.zeros((2, 3)), np.ones((2, 3), bool), 1.5e-6)
+        ZernikeSeries(np.array([0.0, 0.0]), np.zeros((2, 3)), np.ones(2, bool), 1.5e-6)
     with pytest.raises(ValueError, match="shapes"):
-        ZernikeSeries(np.array([0.0, 1.0]), np.zeros((3, 3)), np.ones((3, 3), bool), 1.5e-6)
-    with pytest.raises(ValueError):
-        make_series(np.zeros((2, 2)), mask=np.ones((2, 3), bool))
+        ZernikeSeries(np.array([0.0, 1.0]), np.zeros((3, 3)), np.ones(3, bool), 1.5e-6)
+    # one valid flag per sample: a per-mode mask, or one of the wrong length, is refused
+    for mask in (np.ones((2, 2), bool), np.ones(3, bool)):
+        with pytest.raises(ValueError, match="inconsistent series shapes"):
+            make_series(np.zeros((2, 2)), mask=mask)
     # increasing times whose difference overflows a float
-    wide = ZernikeSeries(np.array([-1e308, 1e308]), np.zeros((2, 3)), np.ones((2, 3), bool), 1.5e-6)
+    wide = ZernikeSeries(np.array([-1e308, 1e308]), np.zeros((2, 3)), np.ones(2, bool), 1.5e-6)
     assert wide.n_samples == 2
 
 
@@ -163,10 +165,10 @@ def test_empirical_variances_unbiased():
 
 def test_empirical_variances_respects_mask():
     data = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 1e9]])
-    mask = np.array([[True, True], [True, True], [True, False]])
-    out = empirical_variances(make_series(data, mask))
+    out = empirical_variances(make_series(data, np.array([True, True, False])))
+    assert out[1] == pytest.approx(np.var([1.0, 2.0], ddof=1), rel=1e-15)
     assert out[2] == pytest.approx(np.var([10.0, 20.0], ddof=1), rel=1e-15)
-    assert out.sample_counts[2] == 2
+    assert out.sample_counts == {1: 2, 2: 2}
 
 
 def test_empirical_variances_rejects_a_non_finite_valid_sample():
@@ -174,20 +176,72 @@ def test_empirical_variances_rejects_a_non_finite_valid_sample():
         data = np.array([[1.0, 5.0], [bad, 6.0], [3.0, 8.0]])
         with pytest.raises(ValueError, match=r"\bmode 1\b"):
             empirical_variances(make_series(data))
-    # a masked-out cell is not a sample
-    mask = np.array([[True, True], [False, True], [True, True]])
-    assert empirical_variances(make_series(data, mask)).modes == (1, 2)
+    # a masked-out row is not a sample
+    out = empirical_variances(make_series(data, np.array([True, False, True])))
+    assert out.modes == (1, 2)
+    assert out.sample_counts == {1: 2, 2: 2}
 
 
 def test_modes_with_too_few_samples_are_absent():
-    data = np.array([[1.0, 5.0], [2.0, 6.0]])
-    mask = np.array([[True, True], [True, False]])
-    out = empirical_variances(make_series(data, mask))
-    assert 1 in out
-    assert 2 not in out
-    assert out.modes == (1,)
-    with pytest.raises(KeyError):
-        out[2]
+    data = np.array([[1.0, 5.0], [2.0, 6.0], [4.0, 9.0]])
+    for mask in ([True, False, False], [False, False, False]):
+        out = empirical_variances(make_series(data, np.array(mask)))
+        assert 1 not in out
+        assert 2 not in out
+        assert out.modes == ()
+        assert out.sample_counts == {}
+        with pytest.raises(KeyError):
+            out[1]
+    out = empirical_variances(make_series(data, np.array([True, False, True])))
+    assert out.modes == (1, 2)
+
+
+def _reference_empirical_variances(series):
+    """The per-column loop whose variances empirical_variances must reproduce bit for bit."""
+    variances, counts = {}, {}
+    for col in range(series.j_max):
+        mask = series.valid_mask
+        n = int(mask.sum())
+        if n < 2:
+            continue
+        with np.errstate(invalid="ignore", over="ignore"):
+            variances[col + 1] = float(np.var(series.coefficients[mask, col], ddof=1))
+        counts[col + 1] = n
+    return ModeVarianceSet(variances, counts)
+
+
+def _variance_outcome(estimate, series):
+    """Variances as float.hex with their counts, or the ValueError text."""
+    try:
+        out = estimate(series)
+    except ValueError as exc:
+        return str(exc)
+    return {j: out[j].hex() for j in out.modes}, out.sample_counts
+
+
+@st.composite
+def _row_masked_series(draw):
+    """Any float cells (nan, inf, past 1e154) in a few rows, or up to 700 Gaussian rows."""
+    if draw(st.booleans()):
+        n, j_max = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        cells = draw(st.lists(st.floats(), min_size=n * j_max, max_size=n * j_max))
+        coeffs = np.reshape(cells, (n, j_max))
+        valid = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        n, j_max = draw(st.integers(1, 700)), draw(st.integers(1, 35))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        loc, scale = draw(st.floats(-1e3, 1e3)), 10 ** draw(st.floats(-8.0, 8.0))
+        coeffs = loc + scale * rng.standard_normal((n, j_max))
+        valid = rng.random(n) < draw(st.sampled_from([0.0, 0.003, 0.5, 0.9, 1.0]))
+    return make_series(coeffs, valid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series=_row_masked_series())
+def test_empirical_variances_match_the_per_column_loop_bit_for_bit(series):
+    assert _variance_outcome(empirical_variances, series) == _variance_outcome(
+        _reference_empirical_variances, series
+    )
 
 
 def test_mode_variance_set_container():
