@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: budget, fit-r0, predict-smf, qkd, sweep, synth.  A JSON config
-file (--config or the SKYLINK_CONFIG environment variable) overrides the
-built-in field-trial defaults; individual flags override the config.  Human
-tables go to standard output; --out writes full-precision JSON or CSV.
+Subcommands: budget, fit-r0, predict-smf, qkd, sweep, synth.  A JSON config file
+(--config or the SKYLINK_CONFIG environment variable) overrides the built-in
+field-trial defaults.  An operating-point flag (--r0, --wind, --a-coeff, --detector)
+is stored under its config key; main() copies the flags given over the config once,
+so each command reads one operating point, the config.  Human tables go to standard
+output; --out writes full-precision JSON or CSV.
 
 Exit codes: 0 success, 2 usage/config, 3 domain/model, 4 I/O.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+from dataclasses import asdict, replace
 import json
 import logging
 import os
@@ -156,8 +158,8 @@ def build_geometry(cfg: dict) -> LinkGeometry:
     return LinkGeometry(build_path(cfg), build_chain(cfg), **_fields(cfg, LinkGeometry))
 
 
-def build_session(cfg: dict, detector_name: str | None = None) -> qkd.QkdSessionModel:
-    name = (detector_name or cfg["detector"]).lower()
+def build_session(cfg: dict) -> qkd.QkdSessionModel:
+    name = cfg["detector"].lower()
     if name not in _DETECTORS:
         raise ConfigError(f"unknown detector {name!r}; choose from {sorted(_DETECTORS)}")
     return qkd.QkdSessionModel(_DETECTORS[name], **_fields(cfg, qkd.QkdSessionModel))
@@ -184,8 +186,15 @@ def write_output(path: str, payload) -> None:
             writer.writerows(rows)
 
 
-def _print_db_line(name: str, ratio: float) -> None:
-    print(f"  {name:<18} {to_db(ratio):+8.1f} dB")
+def _print_db_table(table: dict) -> None:
+    print("\n".join(f"  {name:<18} {db:+8.1f} dB" for name, db in table.items()))
+
+
+def _ratio_from_db(name: str, db: float) -> float:
+    """The linear ratio of a dB flag, or ValueError unless it is a finite dB value <= 0."""
+    if not (db <= 0 and _is_ratio(from_db(db))):
+        raise ValueError(f"{name} must be in (0, 1], a finite dB value <= 0, got {db} dB")
+    return from_db(db)
 
 
 def parse_modes(text: str, j_max: int | None = None) -> tuple:
@@ -221,28 +230,18 @@ def parse_modes(text: str, j_max: int | None = None) -> tuple:
 
 def cmd_budget(args, cfg: dict) -> int:
     geom = build_geometry(cfg)
-    r0 = args.r0 if args.r0 is not None else cfg["r0_m"]
-    a_coeff = args.a_coeff if args.a_coeff is not None else cfg["a_coeff_db_per_km"]
-    wind = args.wind if args.wind is not None else cfg["wind_mps"]
+    r0, a_coeff, wind = cfg["r0_m"], cfg["a_coeff_db_per_km"], cfg["wind_mps"]
     ts = TurbulenceState.from_r0(r0, geom.path, wind)
     smf = model_smf_breakdown(geom.chain, ts, geom.path)
     if args.eta_smf is not None:
         # replace the modeled coupling with the supplied (measured) value
-        if not (args.eta_smf <= 0 and _is_ratio(from_db(args.eta_smf))):
-            raise ValueError(
-                f"eta_smf must be in (0, 1], a finite dB value <= 0, got {args.eta_smf} dB"
-            )
-        smf = dataclasses.replace(smf, eta_smf=from_db(args.eta_smf))
+        smf = replace(smf, eta_smf=_ratio_from_db("eta_smf", args.eta_smf))
     report = full_budget(geom, ts, a_coeff, smf)
     print(f"link budget  (r0 = {r0:.4g} m, A = {a_coeff:.3g} dB/km, wind = {wind:.3g} m/s)")
     print(f"  beam radius W_L    {report.w_l:8.3f} m")
-    for name in ("eta_a", "eta_coll", "eta_focus", "eta_optics", "eta_smf", "eta_fiber", "eta_ch"):
-        _print_db_line(name, getattr(report, name))
+    _print_db_table(report.db_table())
     if args.out:
-        payload = {k: getattr(report, k) for k in report.__dataclass_fields__}
-        payload["r0_m"] = r0
-        payload["a_coeff_db_per_km"] = a_coeff
-        write_output(args.out, payload)
+        write_output(args.out, {**asdict(report), "r0_m": r0, "a_coeff_db_per_km": a_coeff})
     return 0
 
 
@@ -288,7 +287,7 @@ def _load_log_for(chain: ReceiverChain, path: OpticalPath, log_file: str):
 
 
 def cmd_predict_smf(args, cfg: dict) -> int:
-    if (args.ao_off is None) == (args.r0 is None):
+    if (args.ao_off is None) == (args.r0_m is None):
         raise ConfigError("provide exactly one of --ao-off or --r0")
     chain = build_chain(cfg)
     path = build_path(cfg)
@@ -297,21 +296,20 @@ def cmd_predict_smf(args, cfg: dict) -> int:
         off_series = _load_log_for(chain, path, args.ao_off)
         fit = estimation.fit_fried(estimation.empirical_variances(off_series), chain.d_rx)
     else:
-        fit = FriedFit(args.r0, 0.0, float("nan"), 0.0, ("manual",))
-    wind = args.wind if args.wind is not None else cfg["wind_mps"]
-    smf = estimation.predict_eta_smf(ao_on, fit, wind, chain, path)
+        fit = FriedFit(cfg["r0_m"], 0.0, float("nan"), 0.0, ("manual",))
+    wind = cfg["wind_mps"]
+    terms = asdict(estimation.predict_eta_smf(ao_on, fit, wind, chain, path))
     print(f"predicted SMF coupling  (r0 = {fit.r0_hat:.4g} m, wind = {wind:.3g} m/s)")
-    for name in ("eta0", "eta_s", "eta_phi_on", "eta_phi_residual", "eta_tau", "eta_ao", "eta_smf"):
-        _print_db_line(name, getattr(smf, name))
+    _print_db_table({name: to_db(ratio) for name, ratio in terms.items()})
     if args.out:
-        write_output(args.out, {k: getattr(smf, k) for k in smf.__dataclass_fields__})
+        write_output(args.out, terms)
     return 0
 
 
 def cmd_qkd(args, cfg: dict) -> int:
     if (args.log is None) == (args.eta_ch is None):
         raise ConfigError("provide exactly one of --log or --eta-ch")
-    session = build_session(cfg, args.detector)
+    session = build_session(cfg)
     names = ("mu1", "mu2", "p_mu1", "p_z_alice", "p_z_bob", "f_ec", "eps_sec", "eps_cor")
     protocol = " ".join(f"{name}={getattr(session, name)}" for name in names)
     tail = f"n_z={session.block_size} bytes detector={session.detector.label}"
@@ -340,7 +338,7 @@ def cmd_qkd(args, cfg: dict) -> int:
             **{f"{k}_{s}": v for k, st in summary.items() for s, v in st.items()},
         }
     else:
-        eta_ch = from_db(args.eta_ch)
+        eta_ch = _ratio_from_db("eta_ch", args.eta_ch)
         signal = qkd.expected_signal_rate(session, eta_ch)
         noise = qkd.windowed_noise_rate(
             session.detector.noise_rate, session.detector.window, cfg["pulse_rate_hz"]
@@ -395,15 +393,15 @@ def cmd_synth(args, cfg: dict) -> int:
         raise ConfigError("synth writes its log to OUT_FILE; --out does not apply")
     chain = build_chain(cfg)
     config = synth.SynthConfig(
-        r0=args.r0, d_rx=chain.d_rx, j_max=args.j_max, n_samples=args.n, sample_rate=args.rate,
-        wind_speed=args.wind, ao_on=args.ao_on, ao_modes=chain.ao_modes, f_3db=chain.f_3db,
+        r0=cfg["r0_m"], d_rx=chain.d_rx, j_max=args.j_max, n_samples=args.n, sample_rate=args.rate,
+        wind_speed=cfg["wind_mps"], ao_on=args.ao_on, ao_modes=chain.ao_modes, f_3db=chain.f_3db,
         wavelength=build_path(cfg).wavelength, seed=args.seed,
     )
     series = synth.generate_series(config)
     estimation.write_wfs_log(series, chain.d_rx, args.out_file)
     print(
         f"wrote {series.n_samples} samples x {series.j_max} modes to {args.out_file} "
-        f"(r0 = {args.r0:.4g} m, ao_on = {args.ao_on}, seed = {args.seed})"
+        f"(r0 = {config.r0:.4g} m, ao_on = {args.ao_on}, seed = {args.seed})"
     )
     return 0
 
@@ -419,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("budget", help="end-to-end channel budget")
-    p.add_argument("--r0", type=float, help="Fried parameter in m")
-    p.add_argument("--a-coeff", type=float, help="absorption coefficient in dB/km")
-    p.add_argument("--wind", type=float, help="mean transverse wind speed in m/s")
+    p.add_argument("--r0", type=float, dest="r0_m", help="Fried parameter in m")
+    p.add_argument("--a-coeff", type=float, dest="a_coeff_db_per_km", help="absorption in dB/km")
+    p.add_argument("--wind", type=float, dest="wind_mps", help="mean transverse wind in m/s")
     p.add_argument("--eta-smf", type=float, help="override SMF coupling, in dB")
     p.set_defaults(func=cmd_budget)
 
@@ -434,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict-smf", help="predict SMF coupling from WFS data")
     p.add_argument("--ao-on", required=True, help="AO-ON WFS log CSV")
     p.add_argument("--ao-off", help="AO-OFF WFS log CSV (fits r0)")
-    p.add_argument("--r0", type=float, help="Fried parameter in m (instead of --ao-off)")
-    p.add_argument("--wind", type=float, help="mean transverse wind speed in m/s")
+    p.add_argument("--r0", type=float, dest="r0_m", help="Fried r0 in m (instead of --ao-off)")
+    p.add_argument("--wind", type=float, dest="wind_mps", help="mean transverse wind in m/s")
     p.set_defaults(func=cmd_predict_smf)
 
     p = sub.add_parser("qkd", help="rates, QBER and secret key rate")
@@ -454,9 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic WFS log")
     p.add_argument("out_file")
-    p.add_argument("--r0", type=float, required=True)
+    p.add_argument("--r0", type=float, dest="r0_m", required=True)
+    p.add_argument("--wind", type=float, dest="wind_mps", help="m/s (default: config wind_mps)")
     defaults = synth.SynthConfig
-    p.add_argument("--wind", type=float, default=defaults.wind_speed)
     p.add_argument("--n", type=int, default=defaults.n_samples)
     p.add_argument("--rate", type=float, default=defaults.sample_rate)
     p.add_argument("--j-max", type=int, default=defaults.j_max)
@@ -474,6 +472,8 @@ def main(argv=None) -> int:
         if args.out:  # before any work or output
             _check_output_path(args.out)
         cfg = load_config(args.config)
+        # a flag given overrides the config key named by its dest
+        cfg.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

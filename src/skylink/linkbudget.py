@@ -247,12 +247,12 @@ def sweep_columns(
             ok &= _is_ratio(factor)
     if not ok.all():
         i = int(np.argmin(ok))
-        # A numpy scalar in its input's own dtype, so that the scalar path sees (and
-        # names) J = 35, not 35.0; any other object (None) as the float column has it.
-        raw = np.broadcast_arrays(*(np.atleast_1d(x) for x in inputs))
+        # The raw element as a Python number, so that the scalar path sees (and names)
+        # J = 35, not 35.0; any other object (None) as the float column has it.
+        raw = (np.broadcast_to(np.atleast_1d(x), shape).item(i) for x in inputs)
         r0_i, wind_i, a_i, J_i = (
-            x[i].item() if isinstance(x[i], np.generic) else float(col[i])
-            for x, col in zip(raw, (r0, wind, a_coeff, modes))
+            v if isinstance(v, (int, float)) else float(col[i])
+            for v, col in zip(raw, (r0, wind, a_coeff, modes))
         )
         try:  # re-run the scalar path at the point for its error message
             ts = TurbulenceState.from_r0(r0_i, path, wind_i)

@@ -82,6 +82,61 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert json.loads(out_file.read_text())["a_coeff_db_per_km"] == 0.1
 
 
+@pytest.mark.parametrize(
+    "argv, flag, key, configured, flagged",
+    [
+        (["budget"], "--r0", "r0_m", 0.12, 0.07),
+        (["budget"], "--wind", "wind_mps", 1.5, 3.0),
+        (["budget"], "--a-coeff", "a_coeff_db_per_km", 0.3, 0.1),
+        (["predict-smf", "--ao-on", "on.csv", "--r0", "0.08"], "--wind", "wind_mps", 1.5, 3.0),
+        (["qkd", "--eta-ch", "-29"], "--detector", "detector", "spad", "snspd"),
+        (["synth", "w.csv", "--r0", "0.08", "--n", "300", "--ao-on"], "--wind", "wind_mps",
+         1.5, 3.0),
+    ],
+    ids=["budget-r0", "budget-wind", "budget-a-coeff", "predict-smf-wind", "qkd-detector",
+         "synth-wind"],
+)
+def test_config_sets_the_operating_point_and_a_flag_overrides_it(
+    tmp_path, capsys, monkeypatch, argv, flag, key, configured, flagged
+):
+    """Without the flag the command runs at the config's value; with it, at the flag's."""
+    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "synth", "on.csv", "--r0", "0.08", "--n", "300", "--wind", "0.556", "--ao-on")
+    (tmp_path / "cfg.json").write_text(json.dumps({key: configured}))
+
+    def outcome(*config, value=None):
+        """(exit code, stdout, bytes written) of one call."""
+        written = tmp_path / ("w.csv" if argv[0] == "synth" else "o.json")
+        written.unlink(missing_ok=True)
+        out = [] if argv[0] == "synth" else ["--out", written.name]  # synth takes no --out
+        tail = [] if value is None else [flag, str(value)]
+        code, stdout, _ = run(capsys, *config, *out, *argv, *tail)
+        return code, stdout, written.read_bytes()
+
+    config = ("--config", "cfg.json")
+    from_config = outcome(*config)
+    assert from_config[0] == 0
+    assert from_config == outcome(value=configured)
+    assert outcome(*config, value=flagged) == outcome(value=flagged) != from_config
+
+
+def test_synth_wind_defaults_to_the_configured_wind(tmp_path, capsys, monkeypatch):
+    """synth without --wind writes the log --wind wind_mps writes: at the default wind,
+    an AO-ON log whose coefficients are not all zero.  (Under a config: the overlay test.)"""
+    from skylink import estimation
+
+    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
+    default, flagged = tmp_path / "default.csv", tmp_path / "flagged.csv"
+    argv = ["--r0", "0.08", "--n", "300", "--seed", "3", "--ao-on"]
+    wind = repr(cli.DEFAULT_CONFIG["wind_mps"])
+    assert run(capsys, "synth", str(default), *argv)[0] == 0
+    assert run(capsys, "synth", str(flagged), *argv, "--wind", wind)[0] == 0
+    assert default.read_bytes() == flagged.read_bytes()
+    series, _ = estimation.load_wfs_log(default)
+    assert series.coefficients.any()
+
+
 def test_synth_then_fit_round_trip(tmp_path, capsys):
     wfs = tmp_path / "wfs.csv"
     code, _, _ = run(capsys, "synth", str(wfs), "--r0", "0.08", "--n", "8000", "--seed", "3")
@@ -409,6 +464,21 @@ def test_budget_rejects_eta_smf_outside_unit_interval(tmp_path, capsys, value):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("value", ["1e-17", "nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag, name", [("budget", "--eta-smf", "eta_smf"), ("qkd", "--eta-ch", "eta_ch")]
+)
+def test_db_flag_outside_the_unit_interval_exits_3_naming_it(
+    tmp_path, capsys, command, flag, name, value
+):
+    out_file = tmp_path / "o.json"
+    code, out, err = run(capsys, "--out", str(out_file), command, f"{flag}={value}")
+    assert (code, out) == (3, "")
+    assert f"error: {name} must be in (0, 1]" in err
+    assert f"got {float(value)} dB" in err
+    assert not out_file.exists()
+
+
 def test_synth_rejects_non_finite_wind(tmp_path, capsys):
     wfs = tmp_path / "wfs.csv"
     code, _, err = run(capsys, "synth", str(wfs), "--r0", "0.08", "--wind", "nan")
@@ -533,7 +603,7 @@ def test_defaults_come_from_the_dataclasses(monkeypatch):
     assert cli.build_geometry(cfg) == LinkGeometry(OpticalPath(), ReceiverChain())
     assert cli.build_geometry(cfg).path == OpticalPath()
     assert cli.build_session(cfg) == qkd.QkdSessionModel(qkd.SNSPD)
-    assert cli.build_session(cfg, "spad") == qkd.QkdSessionModel(
+    assert cli.build_session({**cfg, "detector": "spad"}) == qkd.QkdSessionModel(
         qkd.SPAD, block_size=qkd.BLOCK_SIZE["spad"]
     )
     sc = synth.SynthConfig(r0=0.08)
@@ -609,4 +679,5 @@ def test_library_spad_session_is_the_clis(monkeypatch):
     from skylink import qkd
 
     monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
-    assert cli.build_session(cli.load_config(None), "spad") == qkd.QkdSessionModel(qkd.SPAD)
+    cfg = {**cli.load_config(None), "detector": "spad"}
+    assert cli.build_session(cfg) == qkd.QkdSessionModel(qkd.SPAD)

@@ -207,22 +207,24 @@ def test_sweep_bad_point_raises_the_scalar_error(points, at, bad):
 
 
 @pytest.mark.parametrize(
-    "at, message",
+    "at, first, message",
     [
-        (0, "r0 must be finite and positive, got nan"),
-        (1, "wind_speed must be finite and >= 0, got nan"),
-        (2, "a_coeff_db_km must be finite and >= 0, got nan"),
-        (3, "J must be an integer >= 1, got nan"),
+        (0, 0.05, "r0 must be finite and positive, got nan (sweep point 1)"),
+        (1, 0.5, "wind_speed must be finite and >= 0, got nan (sweep point 1)"),
+        (2, 0.2, "a_coeff_db_km must be finite and >= 0, got nan (sweep point 1)"),
+        (3, 35, "J must be an integer >= 1, got nan (sweep point 1)"),
+        (3, 0, "J must be an integer >= 1, got 0 (sweep point 0)"),
     ],
-    ids=_NAMES,
+    ids=[*_NAMES, "J-bad-before-None"],
 )
-def test_sweep_none_in_a_list_raises_a_value_error_naming_the_point(at, message):
-    """None in a list input reaches the scalar path as nan; the point is named."""
+def test_sweep_none_in_a_list_raises_a_value_error_naming_the_point(at, first, message):
+    """None in a list input reaches the scalar path as nan, and a bad number before it
+    as the number it is (J = 0, not 0.0); the point is named."""
     args = [0.05, 0.5, 0.2, 35]
-    args[at] = [args[at], None]
+    args[at] = [first, None]
     with pytest.raises(ValueError) as exc:
         sweep_columns(GEOM, *args)
-    assert str(exc.value) == f"{message} (sweep point 1)"
+    assert str(exc.value) == message
 
 
 _REFERENCE_KEYS = ("r0_m", "w_l_m", "eta_a", "eta_coll", "eta_focus", "eta0", "eta_s",
