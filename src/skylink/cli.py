@@ -313,7 +313,7 @@ def cmd_qkd(args, cfg: dict) -> int:
     names = ("mu1", "mu2", "p_mu1", "p_z_alice", "p_z_bob", "f_ec", "eps_sec", "eps_cor")
     protocol = " ".join(f"{name}={getattr(session, name)}" for name in names)
     tail = f"n_z={session.block_size} bytes detector={session.detector.label}"
-    lines = [f"protocol defaults: {protocol} {tail}"]  # printed once every check has passed
+    lines = [f"protocol: {protocol} {tail}"]  # printed once every check has passed
     if args.log is not None:
         records = qkd.load_session_log(args.log)
         summary = qkd.analyze_session_log(records)

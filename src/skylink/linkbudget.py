@@ -14,6 +14,7 @@ one row per point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .atmosphere import (
@@ -247,11 +248,12 @@ def sweep_columns(
             ok &= _is_ratio(factor)
     if not ok.all():
         i = int(np.argmin(ok))
-        # The raw element as a Python number, so that the scalar path sees (and names)
-        # J = 35, not 35.0; any other object (None) as the float column has it.
+        # The raw element as the number it is (a Python or numpy scalar), so that
+        # the scalar path sees (and names) J = 35, not 35.0, and a float32 -0.05
+        # as -0.05; any other object (None) as the float column has it.
         raw = (np.broadcast_to(np.atleast_1d(x), shape).item(i) for x in inputs)
         r0_i, wind_i, a_i, J_i = (
-            v if isinstance(v, (int, float)) else float(col[i])
+            v if isinstance(v, numbers.Real) else float(col[i])
             for v, col in zip(raw, (r0, wind, a_coeff, modes))
         )
         try:  # re-run the scalar path at the point for its error message

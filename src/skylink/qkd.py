@@ -111,24 +111,13 @@ class QkdSessionModel:
         if not 1 <= self.f_ec < math.inf:
             raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
-    def with_detector(self, detector: DetectorModel) -> "QkdSessionModel":
-        """The same session with another detector.
-
-        A block_size equal to the old detector's ``BLOCK_SIZE`` entry becomes
-        the new detector's entry (ValueError if it has none, as in the
-        constructor); any other block_size is kept.
-        """
-        default = self.block_size == BLOCK_SIZE.get(self.detector.label)
-        return replace(self, detector=detector, block_size=None if default else self.block_size)
-
     @cached_property
     def _finite_key(self) -> "_FiniteKeyConstants":
         # Kept in the instance __dict__, outside the dataclass fields, so
         # ==, hash, repr and asdict ignore it and replace() builds afresh.
-        return _FiniteKeyConstants.of(self)
+        return _FiniteKeyConstants(self)
 
 
-@dataclass(frozen=True)
 class _FiniteKeyConstants:
     """Factors of the finite-key bound that depend on the session alone.
 
@@ -138,93 +127,55 @@ class _FiniteKeyConstants:
     rate keeps its bits.
     """
 
-    p1: float  # p_mu1
-    p2: float  # p_mu2 = 1 - p_mu1
-    n_z: float  # n_Z: block_size bytes of sifted Z key, as bits
-    p_zz: float  # share of detections sifted into Z (both chose Z)
-    p_xx: float  # share sifted into X
-    # The eps_sec/19 split: every Hoeffding deviation sqrt(n/2 ln(1/eps0))
-    # and gamma's 21^2/a^2 are taken at eps0 = eps_sec/19, one share of the
-    # 19 terms behind the 6 log2(19/eps_sec) cost.  Rusca et al. write gamma
-    # at a = eps_sec; the smaller a gives the larger gamma, the safe side.
-    # Deviation: gamma is 0 where its log2 argument is <= 1 (a large eps_sec):
-    # the sampling bound's failure probability falls as gamma grows and is
-    # already within its share at gamma = 0.
-    eps0: float
-    log_inv_eps0: float  # ln(1/eps0)
-    # Deviation: no per-intensity counts are modeled, so detections (and
-    # errors) split across intensities as p_k mu_k, the high-loss limit;
-    # w1 + w2 = 1.
-    w1: float
-    w2: float
-    tau0: float  # tau_0 = sum_k p_k e^-k, vacuum probability
-    tau1: float  # tau_1 = sum_k p_k e^-k k, single-photon probability
-    exp_mu1: float  # e^mu1 of n^±_{mu1}, m^±_{mu1}
-    exp_mu2: float  # e^mu2 of n^±_{mu2}, m^±_{mu2}
-    mu1_exp_mu2: float  # s_0^-: mu1 e^mu2, prefix of its n^-_{mu2} term
-    mu2_exp_mu1: float  # s_0^-: mu2 e^mu1, prefix of its n^+_{mu1} term
-    s0m_pre: float  # s_0^-: tau_0/(mu1 - mu2)
-    # Deviation: s_0^+ is the min of 2(tau_0 e^k/p_k m_k^+ + delta) over
-    # both intensities k; these are its two prefixes tau_0 e^k/p_k.
-    s0p_pre1: float
-    s0p_pre2: float
-    s1m_pre: float  # s_1^-: tau_1 mu1/(mu2 (mu1 - mu2))
-    mu_ratio_sq_exp_mu1: float  # s_1^-: (mu2^2/mu1^2) e^mu1, prefix of its n^+_{mu1} term
-    s0_weight: float  # s_1^-: (mu1^2 - mu2^2)/(mu1^2 tau_0), applied to s_0^+
-    v1p_pre: float  # v_1^+: tau_1/(mu1 - mu2)
-    gamma_eps_sq: float  # gamma: 21^2/a^2 at a = eps0
-    ln2: float  # log 2 in gamma's denominator
-    pa_cost: float  # 6 log2(19/eps_sec), privacy amplification
-    ec_cost: float  # log2(2/eps_cor), error-verification hash
-    # The Z basis's n side, _n_terms at n = n_Z: the block size fixes it, so
-    # each rate pays only the Z basis's m side (_m_bounds).  nan until of()
-    # fills them from the record itself.
-    d_nz: float = math.nan  # Hoeffding deviation of n_Z
-    s1_nz: float = math.nan  # s_1^-: its n^-_{mu2} and n^+_{mu1} terms at n_Z
-    s0_z: float = math.nan  # s_0^- at n_Z, clipped to [0, n_Z]
-
-    @classmethod
-    def of(cls, session: QkdSessionModel) -> "_FiniteKeyConstants":
+    def __init__(self, session: QkdSessionModel) -> None:
         mu1, mu2 = session.mu1, session.mu2
-        p1 = session.p_mu1
-        p2 = 1.0 - p1
+        self.p1 = p1 = session.p_mu1
+        self.p2 = p2 = 1.0 - p1  # p_mu2 = 1 - p_mu1
+        self.n_z = float(session.block_size * 8)  # n_Z: block_size bytes of sifted Z key, as bits
+        self.p_zz = session.p_z_alice * session.p_z_bob  # share sifted into Z (both chose Z)
+        self.p_xx = (1.0 - session.p_z_alice) * (1.0 - session.p_z_bob)  # share sifted into X
+        # The eps_sec/19 split: every Hoeffding deviation sqrt(n/2 ln(1/eps0))
+        # and gamma's 21^2/a^2 are taken at eps0 = eps_sec/19, one share of the
+        # 19 terms behind the 6 log2(19/eps_sec) cost.  Rusca et al. write gamma
+        # at a = eps_sec; the smaller a gives the larger gamma, the safe side.
+        # Deviation: gamma is 0 where its log2 argument is <= 1 (a large eps_sec):
+        # the sampling bound's failure probability falls as gamma grows and is
+        # already within its share at gamma = 0.
         eps0 = session.eps_sec / 19.0
+        self.log_inv_eps0 = math.log(1.0 / eps0)
+        self.gamma_eps_sq = (21.0 / eps0) ** 2  # gamma: 21^2/a^2 at a = eps0
+        self.ln2 = math.log(2.0)  # log 2 in gamma's denominator
+        self.pa_cost = 6.0 * math.log2(19.0 / session.eps_sec)  # privacy amplification
+        self.ec_cost = math.log2(2.0 / session.eps_cor)  # error-verification hash
+        # Deviation: no per-intensity counts are modeled, so detections (and
+        # errors) split across intensities as p_k mu_k, the high-loss limit;
+        # w1 + w2 = 1.
+        self.w1 = w1 = p1 * mu1 / (p1 * mu1 + p2 * mu2)
+        self.w2 = 1.0 - w1
+        # tau_0 = sum_k p_k e^-k, vacuum probability; tau_1 = sum_k p_k e^-k k,
+        # single-photon probability.
         tau0, tau1 = (
             sum(p * math.exp(-mu) * mu**i / math.factorial(i) for p, mu in ((p1, mu1), (p2, mu2)))
             for i in (0, 1)
         )
-        w1 = p1 * mu1 / (p1 * mu1 + p2 * mu2)
-        exp_mu1, exp_mu2 = math.exp(mu1), math.exp(mu2)
-        c = cls(
-            p1=p1,
-            p2=p2,
-            n_z=float(session.block_size * 8),
-            p_zz=session.p_z_alice * session.p_z_bob,
-            p_xx=(1.0 - session.p_z_alice) * (1.0 - session.p_z_bob),
-            eps0=eps0,
-            log_inv_eps0=math.log(1.0 / eps0),
-            w1=w1,
-            w2=1.0 - w1,
-            tau0=tau0,
-            tau1=tau1,
-            exp_mu1=exp_mu1,
-            exp_mu2=exp_mu2,
-            mu1_exp_mu2=mu1 * exp_mu2,
-            mu2_exp_mu1=mu2 * exp_mu1,
-            s0m_pre=tau0 / (mu1 - mu2),
-            s0p_pre1=tau0 * exp_mu1 / p1,
-            s0p_pre2=tau0 * exp_mu2 / p2,
-            s1m_pre=tau1 * mu1 / (mu2 * (mu1 - mu2)),
-            mu_ratio_sq_exp_mu1=mu2**2 / mu1**2 * exp_mu1,
-            s0_weight=(mu1**2 - mu2**2) / (mu1**2 * tau0),
-            v1p_pre=tau1 / (mu1 - mu2),
-            gamma_eps_sq=(21.0 / eps0) ** 2,
-            ln2=math.log(2.0),
-            pa_cost=6.0 * math.log2(19.0 / session.eps_sec),
-            ec_cost=math.log2(2.0 / session.eps_cor),
-        )
-        d_nz, s1_nz, s0_z = _n_terms(c, c.n_z)
-        return replace(c, d_nz=d_nz, s1_nz=s1_nz, s0_z=s0_z)
+        self.exp_mu1 = exp_mu1 = math.exp(mu1)  # e^mu1 of n^±_{mu1}, m^±_{mu1}
+        self.exp_mu2 = exp_mu2 = math.exp(mu2)  # e^mu2 of n^±_{mu2}, m^±_{mu2}
+        self.mu1_exp_mu2 = mu1 * exp_mu2  # s_0^-: mu1 e^mu2, prefix of its n^-_{mu2} term
+        self.mu2_exp_mu1 = mu2 * exp_mu1  # s_0^-: mu2 e^mu1, prefix of its n^+_{mu1} term
+        self.s0m_pre = tau0 / (mu1 - mu2)  # s_0^-
+        # Deviation: s_0^+ is the min of 2(tau_0 e^k/p_k m_k^+ + delta) over
+        # both intensities k; these are its two prefixes tau_0 e^k/p_k.
+        self.s0p_pre1 = tau0 * exp_mu1 / p1
+        self.s0p_pre2 = tau0 * exp_mu2 / p2
+        self.s1m_pre = tau1 * mu1 / (mu2 * (mu1 - mu2))  # s_1^-
+        self.mu_ratio_sq_exp_mu1 = mu2**2 / mu1**2 * exp_mu1  # s_1^-: prefix of its n^+_{mu1} term
+        self.s0_weight = (mu1**2 - mu2**2) / (mu1**2 * tau0)  # s_1^-: applied to s_0^+
+        self.v1p_pre = tau1 / (mu1 - mu2)  # v_1^+
+        # The Z basis's n side, _n_terms at n = n_Z: the block size fixes it, so
+        # each rate pays only the Z basis's m side (_m_bounds).  d_nz is the
+        # Hoeffding deviation of n_Z, s1_nz the n^-_{mu2} and n^+_{mu1} terms of
+        # s_1^- at n_Z, s0_z is s_0^- at n_Z, clipped to [0, n_Z].
+        self.d_nz, self.s1_nz, self.s0_z = _n_terms(self, self.n_z)
 
 
 def _check_qber(name: str, value: float) -> None:
@@ -310,7 +261,7 @@ def expected_qber(signal_rate: float, noise_rate: float, intrinsic_qber: float =
 
 
 def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
+    if x <= 0.0:  # x <= 0.5 here: a checked QBER or a phase error clipped to 0.5
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
@@ -402,8 +353,7 @@ def secret_key_rate(
 
     phi_x = v_x1 / s_x1
     phi_x = 0.5 if phi_x > 0.5 else phi_x  # min(phi_x, 0.5)
-    b = 1e-12 if phi_x < 1e-12 else phi_x  # max(phi_x, 1e-12)
-    b = 1.0 - 1e-12 if b > 1.0 - 1e-12 else b  # min(b, 1.0 - 1e-12)
+    b = 1e-12 if phi_x < 1e-12 else phi_x  # max(phi_x, 1e-12); b <= 0.5
     gamma_arg = (s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * c.gamma_eps_sq
     gamma = (
         math.sqrt(((s_z1 + s_x1) * (1.0 - b) * b) / (s_z1 * s_x1 * c.ln2) * math.log2(gamma_arg))

@@ -13,7 +13,9 @@ Each input domain is decided here, once, by a predicate and a checker:
 The predicates combine comparisons with ``&``, so the same one takes a float
 or a numpy array (elementwise; ``linkbudget.sweep_columns`` builds its
 validity mask from them).  NaN and ±inf fail all four.  A checker raises
-``ValueError(f"{name} must be <domain>, got {value}")``.
+``ValueError(f"{name} must be <domain>, got {value!s}")``: ``str`` gives a
+Python number's usual digits and a numpy scalar its own (a float32 -0.05,
+which ``format`` would widen to -0.05000000074505806).
 """
 
 import math
@@ -53,19 +55,19 @@ def _is_integer(v, minimum: int):
 
 def _check_positive(name: str, value) -> None:
     if not _is_positive(value):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+        raise ValueError(f"{name} must be finite and positive, got {value!s}")
 
 
 def _check_non_negative(name: str, value) -> None:
     if not _is_non_negative(value):
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        raise ValueError(f"{name} must be finite and >= 0, got {value!s}")
 
 
 def _check_ratio(name: str, value) -> None:
     if not _is_ratio(value):
-        raise ValueError(f"{name} must be in (0, 1], got {value}")
+        raise ValueError(f"{name} must be in (0, 1], got {value!s}")
 
 
 def _check_integer(name: str, value, minimum: int) -> None:
     if not _is_integer(value, minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!s}")

@@ -271,6 +271,15 @@ def test_qkd_from_eta(tmp_path, capsys):
     assert 500 <= payload["skr_bps"] <= 2000
 
 
+def test_qkd_prints_the_protocol_it_runs_at(tmp_path, capsys):
+    """The protocol line names the configured values, not the built-in defaults."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mu1": 0.5}))
+    code, out, _ = run(capsys, "--config", str(cfg), "qkd", "--eta-ch", "-29")
+    assert code == 0
+    assert out.startswith("protocol: mu1=0.5 mu2=0.1 ")
+
+
 def test_qkd_requires_one_source(tmp_path, capsys):
     for argv in (["qkd"], ["qkd", "--log", str(tmp_path / "s.csv"), "--eta-ch", "-29"]):
         code, out, err = run(capsys, *argv)

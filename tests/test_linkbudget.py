@@ -214,12 +214,15 @@ def test_sweep_bad_point_raises_the_scalar_error(points, at, bad):
         (2, 0.2, "a_coeff_db_km must be finite and >= 0, got nan (sweep point 1)"),
         (3, 35, "J must be an integer >= 1, got nan (sweep point 1)"),
         (3, 0, "J must be an integer >= 1, got 0 (sweep point 0)"),
+        (3, np.int64(0), "J must be an integer >= 1, got 0 (sweep point 0)"),
+        (0, np.float32(-0.05), "r0 must be finite and positive, got -0.05 (sweep point 0)"),
     ],
-    ids=[*_NAMES, "J-bad-before-None"],
+    ids=[*_NAMES, "J-bad-before-None", "J-int64-bad-before-None", "r0-float32-bad-before-None"],
 )
 def test_sweep_none_in_a_list_raises_a_value_error_naming_the_point(at, first, message):
     """None in a list input reaches the scalar path as nan, and a bad number before it
-    as the number it is (J = 0, not 0.0); the point is named."""
+    as the number it is, numpy scalars included (J = 0, not 0.0; a float32 r0 = -0.05,
+    not -0.05000000074505806); the point is named."""
     args = [0.05, 0.5, 0.2, 35]
     args[at] = [first, None]
     with pytest.raises(ValueError) as exc:

@@ -39,12 +39,6 @@ def test_session_validation():
         qkd.QkdSessionModel(qkd.SNSPD, internal_loss=0.0)
 
 
-def test_with_detector(snspd_session):
-    swapped = snspd_session.with_detector(qkd.SPAD)
-    assert swapped.detector is qkd.SPAD
-    assert swapped.mu1 == snspd_session.mu1
-
-
 def test_rate_inversion_round_trip(snspd_session):
     eta = from_db(-29.0)
     rate = qkd.expected_signal_rate(snspd_session, eta)
@@ -518,13 +512,3 @@ def test_block_size_defaults_to_the_detectors():
     assert qkd.QkdSessionModel(custom, block_size=1000).block_size == 1000
     with pytest.raises(ValueError, match="'ingaas'"):
         qkd.QkdSessionModel(custom)
-
-
-def test_with_detector_takes_the_new_detectors_default_block_size():
-    snspd, spad = qkd.QkdSessionModel(qkd.SNSPD), qkd.QkdSessionModel(qkd.SPAD)
-    assert snspd.with_detector(qkd.SPAD) == spad
-    assert snspd.with_detector(qkd.SPAD).block_size == 50000
-    assert spad.with_detector(qkd.SNSPD) == snspd
-    # any other block size is the user's and stays
-    custom = qkd.QkdSessionModel(qkd.SNSPD, block_size=1000).with_detector(qkd.SPAD)
-    assert custom.block_size == 1000
