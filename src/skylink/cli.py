@@ -4,8 +4,8 @@ Subcommands: budget, fit-r0, predict-smf, qkd, sweep, synth.  A JSON config file
 (--config or the SKYLINK_CONFIG environment variable) overrides the built-in
 field-trial defaults.  An operating-point flag (--r0, --wind, --a-coeff, --detector)
 is stored under its config key; main() copies the flags given over the config once,
-so each command reads one operating point, the config.  Human tables go to standard
-output; --out writes full-precision JSON or CSV.
+so each command reads one operating point, the config.  Each command prints a table to
+standard output and returns its record; main() writes it to --out as full-precision JSON or CSV.
 
 Exit codes: 0 success, 2 usage/config, 3 domain/model, 4 I/O.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 from dataclasses import asdict, replace
+import itertools
 import json
 import logging
 import os
@@ -26,7 +27,7 @@ from .atmosphere import OpticalPath, TurbulenceState
 from .coupling import ReceiverChain
 from .estimation import FriedFit
 from .linkbudget import LinkGeometry, full_budget, model_smf_breakdown, sweep_columns
-from .units import _is_ratio, from_db, to_db
+from .units import _check_positive, _is_ratio, from_db, to_db
 
 __all__ = ["main"]
 
@@ -165,25 +166,23 @@ def build_session(cfg: dict) -> qkd.QkdSessionModel:
     return qkd.QkdSessionModel(_DETECTORS[name], **_fields(cfg, qkd.QkdSessionModel))
 
 
-def _check_output_path(path: str) -> None:
-    """ConfigError unless the file extension names an output format."""
-    if not path.endswith((".json", ".csv")):
-        raise ConfigError(f"cannot infer output format from {path!r} (use .json or .csv)")
+def _write_csv(fh, record) -> None:
+    """Write a record (a dict, or a list of dicts with the same keys) as CSV rows."""
+    rows = record if isinstance(record, list) else [record]
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
-def write_output(path: str, payload) -> None:
-    """Write machine output; format picked from the file extension."""
-    _check_output_path(path)
+def write_output(path: str, record) -> None:
+    """Write a command's record: JSON for a .json path, CSV otherwise."""
     if path.endswith(".json"):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(record, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
-        rows = payload if isinstance(payload, list) else [payload]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+            _write_csv(fh, record)
 
 
 def _print_db_table(table: dict) -> None:
@@ -197,15 +196,13 @@ def _ratio_from_db(name: str, db: float) -> float:
     return from_db(db)
 
 
-def parse_modes(text: str, j_max: int | None = None) -> tuple:
-    """Parse a mode list like '1-35' or '3,5,7-10'.
+def parse_modes(text: str):
+    """Parse a mode list like '1-35' or '3,5,7-10' into an iterator over its modes.
 
     Each chunk is a mode >= 1 or an ascending range lo-hi of them; any other
-    chunk raises ConfigError naming it.  Given a log's last mode j_max, a
-    range ends at mode j_max + 1 (or at lo, if later): fit_fried stops at the
-    first mode the log lacks, so the modes past it would go unread.
+    chunk raises ConfigError naming it, before the first mode is read.
     """
-    modes: list[int] = []
+    ranges: list[range] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -220,15 +217,13 @@ def parse_modes(text: str, j_max: int | None = None) -> tuple:
             raise ConfigError(f"mode chunk {chunk!r} has a mode < 1")
         if last < first:
             raise ConfigError(f"mode range {chunk!r} is reversed")
-        if j_max is not None:
-            last = min(last, max(first, j_max + 1))
-        modes.extend(range(first, last + 1))
-    if not modes:
+        ranges.append(range(first, last + 1))
+    if not ranges:
         raise ConfigError(f"empty mode list {text!r}")
-    return tuple(modes)
+    return itertools.chain.from_iterable(ranges)
 
 
-def cmd_budget(args, cfg: dict) -> int:
+def cmd_budget(args, cfg: dict) -> dict:
     geom = build_geometry(cfg)
     r0, a_coeff, wind = cfg["r0_m"], cfg["a_coeff_db_per_km"], cfg["wind_mps"]
     ts = TurbulenceState.from_r0(r0, geom.path, wind)
@@ -240,19 +235,17 @@ def cmd_budget(args, cfg: dict) -> int:
     print(f"link budget  (r0 = {r0:.4g} m, A = {a_coeff:.3g} dB/km, wind = {wind:.3g} m/s)")
     print(f"  beam radius W_L    {report.w_l:8.3f} m")
     _print_db_table(report.db_table())
-    if args.out:
-        write_output(args.out, {**asdict(report), "r0_m": r0, "a_coeff_db_per_km": a_coeff})
-    return 0
+    return {**asdict(report), "r0_m": r0, "a_coeff_db_per_km": a_coeff}
 
 
 _RESIDUAL_WARN = 0.5  # log-domain rms above this flags non-Kolmogorov data
 
 
-def cmd_fit_r0(args, cfg: dict) -> int:
+def cmd_fit_r0(args, cfg: dict) -> dict:
     series, d_rx_file = estimation.load_wfs_log(args.wfs_csv)
     d_rx = args.d_rx if args.d_rx is not None else d_rx_file
     variances = estimation.empirical_variances(series)
-    modes = parse_modes(args.modes, series.j_max) if args.modes else None
+    modes = parse_modes(args.modes) if args.modes else None
     fit = estimation.fit_fried(variances, d_rx, modes)
     print(f"Fried parameter fit over {len(fit.modes_used)} modes (D_Rx = {d_rx:.3g} m)")
     print(f"  r0_hat             {fit.r0_hat * 100:8.2f} cm")
@@ -264,12 +257,10 @@ def cmd_fit_r0(args, cfg: dict) -> int:
             "  warning: residual rms is high; data deviate from the Kolmogorov "
             "per-mode variance law (closed-loop data?)"
         )
-    if args.out:
-        write_output(args.out, {
-            "r0_hat_m": fit.r0_hat, "r0_sigma_m": fit.r0_sigma, "residual_rms": fit.residual_rms,
-            "fit_exponent_check": fit.fit_exponent_check, "modes_used": list(fit.modes_used),
-        })
-    return 0
+    return {
+        "r0_hat_m": fit.r0_hat, "r0_sigma_m": fit.r0_sigma, "residual_rms": fit.residual_rms,
+        "fit_exponent_check": fit.fit_exponent_check, "modes_used": list(fit.modes_used),
+    }
 
 
 def _load_log_for(chain: ReceiverChain, path: OpticalPath, log_file: str):
@@ -286,7 +277,7 @@ def _load_log_for(chain: ReceiverChain, path: OpticalPath, log_file: str):
     return series
 
 
-def cmd_predict_smf(args, cfg: dict) -> int:
+def cmd_predict_smf(args, cfg: dict) -> dict:
     if (args.ao_off is None) == (args.r0_m is None):
         raise ConfigError("provide exactly one of --ao-off or --r0")
     chain = build_chain(cfg)
@@ -296,17 +287,16 @@ def cmd_predict_smf(args, cfg: dict) -> int:
         off_series = _load_log_for(chain, path, args.ao_off)
         fit = estimation.fit_fried(estimation.empirical_variances(off_series), chain.d_rx)
     else:
+        _check_positive("r0", cfg["r0_m"])  # named as the flag, not as FriedFit's r0_hat
         fit = FriedFit(cfg["r0_m"], 0.0, float("nan"), 0.0, ("manual",))
     wind = cfg["wind_mps"]
     terms = asdict(estimation.predict_eta_smf(ao_on, fit, wind, chain, path))
     print(f"predicted SMF coupling  (r0 = {fit.r0_hat:.4g} m, wind = {wind:.3g} m/s)")
     _print_db_table({name: to_db(ratio) for name, ratio in terms.items()})
-    if args.out:
-        write_output(args.out, terms)
-    return 0
+    return terms
 
 
-def cmd_qkd(args, cfg: dict) -> int:
+def cmd_qkd(args, cfg: dict) -> dict:
     if (args.log is None) == (args.eta_ch is None):
         raise ConfigError("provide exactly one of --log or --eta-ch")
     session = build_session(cfg)
@@ -343,8 +333,7 @@ def cmd_qkd(args, cfg: dict) -> int:
         noise = qkd.windowed_noise_rate(
             session.detector.noise_rate, session.detector.window, cfg["pulse_rate_hz"]
         )
-        qber_z = qkd.expected_qber(signal, noise, args.intrinsic_qber)
-        qber_x = qber_z
+        qber_z = qber_x = qkd.expected_qber(signal, noise, args.intrinsic_qber)
         skr = qkd.secret_key_rate(session, signal, qber_z, qber_x)
         lines += [
             f"  expected signal    {signal:10.1f} Hz",
@@ -360,12 +349,10 @@ def cmd_qkd(args, cfg: dict) -> int:
             "skr_bps": skr,
         }
     print("\n".join(lines))
-    if args.out:
-        write_output(args.out, payload)
-    return 0
+    return payload
 
 
-def cmd_sweep(args, cfg: dict) -> int:
+def cmd_sweep(args, cfg: dict) -> list:
     import numpy as np
 
     geom = build_geometry(cfg)
@@ -380,15 +367,11 @@ def cmd_sweep(args, cfg: dict) -> int:
     del cols["r0_m"]  # the swept column takes its place, first
     names = ["r0_m" if args.var == "r0" else args.var, *cols]
     rows = [dict(zip(names, row)) for row in zip(values, *(c.tolist() for c in cols.values()))]
-    writer = csv.DictWriter(sys.stdout, fieldnames=names)
-    writer.writeheader()
-    writer.writerows(rows)
-    if args.out:
-        write_output(args.out, rows)
-    return 0
+    _write_csv(sys.stdout, rows)
+    return rows
 
 
-def cmd_synth(args, cfg: dict) -> int:
+def cmd_synth(args, cfg: dict) -> None:
     if args.out:
         raise ConfigError("synth writes its log to OUT_FILE; --out does not apply")
     chain = build_chain(cfg)
@@ -403,7 +386,6 @@ def cmd_synth(args, cfg: dict) -> int:
         f"wrote {series.n_samples} samples x {series.j_max} modes to {args.out_file} "
         f"(r0 = {config.r0:.4g} m, ao_on = {args.ao_on}, seed = {args.seed})"
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,12 +451,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
-        if args.out:  # before any work or output
-            _check_output_path(args.out)
+        if args.out and not args.out.endswith((".json", ".csv")):  # before any work or output
+            raise ConfigError(f"cannot infer output format from {args.out!r} (use .json or .csv)")
         cfg = load_config(args.config)
         # a flag given overrides the config key named by its dest
         cfg.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
-        return args.func(args, cfg)
+        record = args.func(args, cfg)  # prints the command's table
+        if args.out:
+            write_output(args.out, record)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

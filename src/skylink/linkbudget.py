@@ -220,9 +220,11 @@ def sweep_columns(
     float64 arrays, one entry per point in index order (no points: arrays of
     length 0).  Each point must pass the checks of the scalar path
     (``model_smf_breakdown`` then ``full_budget``): the first point that
-    fails raises that path's ValueError, naming the point.  numpy's exp, log,
-    pow and hypot round differently from ``math``, so values may differ from
-    the scalar path by a few ulp.
+    fails raises that path's ValueError, naming the point, and its value as
+    numpy holds the input: a float32 -0.05 as -0.05, but a list mixing float32
+    and float is promoted to float64, so -0.05000000074505806.  numpy's exp,
+    log, pow and hypot round differently from ``math``, so values may differ
+    from the scalar path by a few ulp.
     """
     import numpy as np
 
@@ -251,14 +253,15 @@ def sweep_columns(
         # The raw element as the number it is (a Python or numpy scalar), so that
         # the scalar path sees (and names) J = 35, not 35.0, and a float32 -0.05
         # as -0.05; any other object (None) as the float column has it.
-        raw = (np.broadcast_to(np.atleast_1d(x), shape).item(i) for x in inputs)
+        raw = (np.broadcast_to(np.asarray(x), shape)[i] for x in inputs)
         r0_i, wind_i, a_i, J_i = (
             v if isinstance(v, numbers.Real) else float(col[i])
             for v, col in zip(raw, (r0, wind, a_coeff, modes))
         )
         try:  # re-run the scalar path at the point for its error message
-            ts = TurbulenceState.from_r0(r0_i, path, wind_i)
-            full_budget(geom, ts, a_i, model_smf_breakdown(chain, ts, path, J_i))
+            with np.errstate(all="ignore"):  # numpy scalar overflow: let the checks name it
+                ts = TurbulenceState.from_r0(r0_i, path, wind_i)
+                full_budget(geom, ts, a_i, model_smf_breakdown(chain, ts, path, J_i))
         except ValueError as exc:
             raise ValueError(f"{exc} (sweep point {i})") from None
         raise ValueError(f"sweep point {i} is outside the model's domain")

@@ -260,6 +260,15 @@ def test_predict_smf_from_r0_matches_the_ao_off_fit(tmp_path, capsys):
     assert json.loads(from_r0.read_text()) == json.loads(from_off.read_text())
 
 
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_predict_smf_names_a_bad_r0_flag_as_r0(tmp_path, capsys, value):
+    on = tmp_path / "on.csv"
+    run(capsys, "synth", str(on), "--r0", "0.08", "--n", "500", "--seed", "1", "--ao-on")
+    code, out, err = run(capsys, "predict-smf", "--ao-on", str(on), "--r0", value)
+    assert (code, out) == (3, "")
+    assert err == f"error: r0 must be finite and positive, got {float(value)}\n"
+
+
 def test_qkd_from_eta(tmp_path, capsys):
     out_file = tmp_path / "qkd.json"
     code, out, _ = run(capsys, "--out", str(out_file), "qkd", "--eta-ch", "-29")
@@ -521,11 +530,11 @@ def test_single_step_sweep_matches_budget(tmp_path, capsys):
 
 
 def test_parse_modes():
-    assert cli.parse_modes("1-3") == (1, 2, 3)
-    assert cli.parse_modes("5, 7, 9-11") == (5, 7, 9, 10, 11)
+    assert tuple(cli.parse_modes("1-3")) == (1, 2, 3)
+    assert tuple(cli.parse_modes("5, 7, 9-11")) == (5, 7, 9, 10, 11)
     with pytest.raises(cli.ConfigError):
         cli.parse_modes(" , ")
-    assert cli.parse_modes("3,3,4") == (3, 3, 4)  # fit_fried names the duplicate
+    assert tuple(cli.parse_modes("3,3,4")) == (3, 3, 4)  # fit_fried names the duplicate
     for text, chunk in [("3-35,10-5", "'10-5'"), ("3-x", "'3-x'"), ("0-4", "'0-4'"),
                         ("2,-3", "'-3'"), ("3-", "'3-'"), ("1.5", "'1.5'")]:
         with pytest.raises(cli.ConfigError, match=chunk):
@@ -557,7 +566,6 @@ def test_fit_expands_a_mode_range_no_further_than_the_log_needs(tmp_path, capsys
     assert got == 3
     assert peak < 1e6, f"peak {peak} B"
     assert "variance for mode 36 is missing" in err
-    assert cli.parse_modes("2,40-50,1-9", 35) == (2, 40, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
 
 @pytest.mark.parametrize(
@@ -690,3 +698,93 @@ def test_library_spad_session_is_the_clis(monkeypatch):
     monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
     cfg = {**cli.load_config(None), "detector": "spad"}
     assert cli.build_session(cfg) == qkd.QkdSessionModel(qkd.SPAD)
+
+
+def test_config_file_holding_a_list_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    code, out, err = run(capsys, "--config", str(cfg), "budget")
+    assert (code, out) == (2, "")
+    assert "must hold a JSON object" in err
+
+
+def test_unknown_detector_in_the_config_exits_2_naming_the_choices(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"detector": "apd"}')
+    code, out, err = run(capsys, "--config", str(cfg), "qkd", "--eta-ch", "-29")
+    assert (code, out) == (2, "")
+    assert "'apd'" in err and "'snspd'" in err and "'spad'" in err
+
+
+def test_sweep_of_zero_steps_exits_2(capsys):
+    code, out, err = run(capsys, "sweep", "--steps", "0")
+    assert (code, out) == (2, "")
+    assert "steps must be >= 1" in err
+
+
+def test_null_block_size_in_the_config_takes_the_detectors(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_z_bytes": null}')
+    code, out, _ = run(capsys, "--config", str(cfg), "qkd", "--eta-ch", "-29")
+    assert code == 0
+    assert " n_z=250000 bytes detector=snspd\n" in out.splitlines(keepends=True)[0]
+
+
+def test_qkd_from_a_session_log_without_data_rows_exits_3(tmp_path, capsys):
+    from skylink import qkd as qkd_mod
+
+    log = tmp_path / "session.csv"
+    qkd_mod.write_session_log([qkd_mod.RateObservation(0.0, 20400.0, 2000.0, 0.008, 0.011)], log)
+    log.write_text(log.read_text().splitlines(keepends=True)[0])
+    out_file = tmp_path / "q.json"
+    code, out, err = run(capsys, "--out", str(out_file), "qkd", "--log", str(log))
+    assert (code, out) == (3, "")
+    assert "no data rows" in err
+    assert not out_file.exists()
+
+
+def test_out_in_a_missing_directory_exits_4_after_the_table(tmp_path, capsys):
+    out_file = tmp_path / "absent" / "b.json"
+    code, out, err = run(capsys, "--out", str(out_file), "budget")
+    assert code == 4
+    assert out == run(capsys, "budget")[1]
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["budget", "--r0", "0.15"],
+        ["fit-r0", "{off}", "--modes", "2-20"],
+        ["predict-smf", "--ao-on", "{on}", "--ao-off", "{off}"],
+        ["qkd", "--eta-ch", "-29"],
+        ["qkd", "--log", "{session}"],
+        ["sweep", "--var", "J", "--min", "1", "--max", "36", "--steps", "4"],
+    ],
+    ids=["budget", "fit-r0", "predict-smf", "qkd-eta-ch", "qkd-log", "sweep"],
+)
+def test_json_and_csv_records_agree(tmp_path, capsys, argv):
+    """The .csv record holds the .json record's keys, each value as str() writes it."""
+    import csv as csv_mod
+
+    from skylink import qkd as qkd_mod
+
+    files = {name: tmp_path / f"{name}.csv" for name in ("on", "off", "session")}
+    run(capsys, "synth", str(files["on"]), "--r0", "0.08", "--n", "500", "--seed", "1", "--ao-on")
+    run(capsys, "synth", str(files["off"]), "--r0", "0.08", "--n", "500", "--seed", "2")
+    records = [
+        qkd_mod.RateObservation(float(i), 20400.0 + i, 2000.0, 0.008, 0.011) for i in range(3)
+    ]
+    qkd_mod.write_session_log(records, files["session"])
+    argv = [arg.format(**files) for arg in argv]
+    json_file, csv_file = tmp_path / "r.json", tmp_path / "r.csv"
+    json_run = run(capsys, "--out", str(json_file), *argv)
+    assert json_run[0] == 0
+    assert run(capsys, "--out", str(csv_file), *argv) == json_run
+    record = json.loads(json_file.read_text())
+    rows = record if isinstance(record, list) else [record]
+    with open(csv_file, newline="") as fh:
+        assert list(csv_mod.DictReader(fh)) == [
+            {key: str(value) for key, value in row.items()} for row in rows
+        ]

@@ -207,24 +207,37 @@ def test_sweep_bad_point_raises_the_scalar_error(points, at, bad):
 
 
 @pytest.mark.parametrize(
-    "at, first, message",
+    "at, value, message",
     [
-        (0, 0.05, "r0 must be finite and positive, got nan (sweep point 1)"),
-        (1, 0.5, "wind_speed must be finite and >= 0, got nan (sweep point 1)"),
-        (2, 0.2, "a_coeff_db_km must be finite and >= 0, got nan (sweep point 1)"),
-        (3, 35, "J must be an integer >= 1, got nan (sweep point 1)"),
-        (3, 0, "J must be an integer >= 1, got 0 (sweep point 0)"),
-        (3, np.int64(0), "J must be an integer >= 1, got 0 (sweep point 0)"),
+        (0, [0.05, None], "r0 must be finite and positive, got nan (sweep point 1)"),
+        (1, [0.5, None], "wind_speed must be finite and >= 0, got nan (sweep point 1)"),
+        (2, [0.2, None], "a_coeff_db_km must be finite and >= 0, got nan (sweep point 1)"),
+        (3, [35, None], "J must be an integer >= 1, got nan (sweep point 1)"),
+        (3, [0, None], "J must be an integer >= 1, got 0 (sweep point 0)"),
+        (3, [np.int64(0), None], "J must be an integer >= 1, got 0 (sweep point 0)"),
+        (0, [np.float32(-0.05), None], "r0 must be finite and positive, got -0.05 (sweep point 0)"),
         (0, np.float32(-0.05), "r0 must be finite and positive, got -0.05 (sweep point 0)"),
+        (
+            0, np.array([0.05, -0.05], dtype=np.float32),
+            "r0 must be finite and positive, got -0.05 (sweep point 1)",
+        ),
+        (  # float32 r0**(-5/3) overflows: the scalar path's Cn2 error, not a RuntimeWarning
+            0, np.float32(1e-30),
+            "r0 must give a finite, positive Cn2, got 1.0000000031710769e-30 (Cn2 = inf) "
+            "(sweep point 0)",
+        ),
     ],
-    ids=[*_NAMES, "J-bad-before-None", "J-int64-bad-before-None", "r0-float32-bad-before-None"],
+    ids=[
+        *_NAMES, "J-bad-before-None", "J-int64-bad-before-None", "r0-float32-bad-before-None",
+        "r0-float32-scalar", "r0-float32-array", "r0-float32-overflow",
+    ],
 )
-def test_sweep_none_in_a_list_raises_a_value_error_naming_the_point(at, first, message):
-    """None in a list input reaches the scalar path as nan, and a bad number before it
-    as the number it is, numpy scalars included (J = 0, not 0.0; a float32 r0 = -0.05,
-    not -0.05000000074505806); the point is named."""
+def test_sweep_none_in_a_list_raises_a_value_error_naming_the_point(at, value, message):
+    """None in a list input reaches the scalar path as nan, and a bad number as the
+    number numpy holds, numpy scalars included (J = 0, not 0.0; a float32 r0 = -0.05,
+    alone, in an array or before None, not -0.05000000074505806); the point is named."""
     args = [0.05, 0.5, 0.2, 35]
-    args[at] = [first, None]
+    args[at] = value
     with pytest.raises(ValueError) as exc:
         sweep_columns(GEOM, *args)
     assert str(exc.value) == message
