@@ -167,8 +167,10 @@ def _aperture_averaged(xp, cn2, path: OpticalPath, d_rx: float):
     sigma_r2 = _rytov(cn2, path)
     beta0 = 0.4065 * sigma_r2
     d = math.sqrt(path.wavenumber * d_rx * d_rx / (4.0 * path.path_length))
-    t1 = 0.49 * beta0**2 / (1.0 + 0.18 * d * d + 0.56 * beta0 ** (12.0 / 5.0)) ** (7.0 / 6.0)
-    t2 = 0.51 * beta0**2 / (1.0 + 0.90 * d * d + 0.69 * beta0 ** (12.0 / 5.0)) ** (5.0 / 6.0)
+    beta0_sq = beta0**2
+    beta0_12_5 = beta0 ** (12.0 / 5.0)
+    t1 = 0.49 * beta0_sq / (1.0 + 0.18 * d * d + 0.56 * beta0_12_5) ** (7.0 / 6.0)
+    t2 = 0.51 * beta0_sq / (1.0 + 0.90 * d * d + 0.69 * beta0_12_5) ** (5.0 / 6.0)
     sigma_i2 = xp.exp(t1 + t2) - 1.0
     sigma_chi2 = 0.25 * xp.log(sigma_i2 + 1.0)
     return sigma_r2, beta0, d, t1, t2, sigma_i2, sigma_chi2, xp.exp(-sigma_chi2)

@@ -167,11 +167,18 @@ def build_session(cfg: dict) -> qkd.QkdSessionModel:
 
 
 def _write_csv(fh, record) -> None:
-    """Write a record (a dict, or a list of dicts with the same keys) as CSV rows."""
+    """Write a record (a dict, or a list of dicts with the same keys) as CSV rows.
+
+    A list value becomes one cell of its items joined by commas, as
+    ``parse_modes`` reads a mode list back.
+    """
     rows = record if isinstance(record, list) else [record]
     writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
     writer.writeheader()
-    writer.writerows(rows)
+    writer.writerows(
+        {k: ",".join(map(str, v)) if isinstance(v, list) else v for k, v in row.items()}
+        for row in rows
+    )
 
 
 def write_output(path: str, record) -> None:

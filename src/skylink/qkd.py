@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import statistics
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -171,11 +170,15 @@ class _FiniteKeyConstants:
         self.mu_ratio_sq_exp_mu1 = mu2**2 / mu1**2 * exp_mu1  # s_1^-: prefix of its n^+_{mu1} term
         self.s0_weight = (mu1**2 - mu2**2) / (mu1**2 * tau0)  # s_1^-: applied to s_0^+
         self.v1p_pre = tau1 / (mu1 - mu2)  # v_1^+
-        # The Z basis's n side, _n_terms at n = n_Z: the block size fixes it, so
-        # each rate pays only the Z basis's m side (_m_bounds).  d_nz is the
-        # Hoeffding deviation of n_Z, s1_nz the n^-_{mu2} and n^+_{mu1} terms of
-        # s_1^- at n_Z, s0_z is s_0^- at n_Z, clipped to [0, n_Z].
+        # Both bases' n side, _n_terms at n = n_Z and n = n_X: the block size
+        # fixes them, so each rate pays only the m sides (_m_bounds).  d_nz is
+        # the Hoeffding deviation of n_Z, s1_nz the n^-_{mu2} and n^+_{mu1} terms
+        # of s_1^- at n_Z, s0_z is s_0^- at n_Z, clipped to [0, n_Z]; d_nx and
+        # s1_nx are the same at n_X.  n_X, the X detections while n_Z Z bits
+        # are sifted, is n_Z p_XX/p_ZZ whatever the signal rate.
         self.d_nz, self.s1_nz, self.s0_z = _n_terms(self, self.n_z)
+        self.n_x = self.n_z * self.p_xx / self.p_zz
+        self.d_nx, self.s1_nx, _ = _n_terms(self, self.n_x)
 
 
 def _check_qber(name: str, value: float) -> None:
@@ -327,9 +330,8 @@ def secret_key_rate(
     single-photon contributions are bounded with Hoeffding inequalities and
     the phase error is transferred from the X basis with the usual
     random-sampling correction.  Negative bounds clamp to zero (logged).
-    The factors that depend on the session alone, the Z basis's n side
-    among them, are computed once per session (see
-    :class:`_FiniteKeyConstants`).
+    The factors that depend on the session alone, both bases' n side among
+    them, are computed once per session (see :class:`_FiniteKeyConstants`).
     """
     _check_positive("signal_rate", signal_rate)
     _check_qber("qber_z", qber_z)
@@ -338,15 +340,13 @@ def secret_key_rate(
 
     n_z = c.n_z  # sifted Z bits per block
     block_time = n_z / (signal_rate * c.p_zz)
-    n_x = block_time * (signal_rate * c.p_xx)
 
     s_z1, _ = _m_bounds(c, n_z, c.d_nz, c.s1_nz, qber_z * n_z)
     if s_z1 <= 0:
         log.info("secret_key_rate: single-photon bound vanished, clamping to 0")
         return 0.0
-    # n_X can move in its last bit with the signal rate: no per-session terms.
-    d_nx, s1_nx, _ = _n_terms(c, n_x)
-    s_x1, v_x1 = _m_bounds(c, n_x, d_nx, s1_nx, qber_x * n_x)
+    n_x = c.n_x  # X detections per block
+    s_x1, v_x1 = _m_bounds(c, n_x, c.d_nx, c.s1_nx, qber_x * n_x)
     if s_x1 <= 0:
         log.info("secret_key_rate: single-photon bound vanished, clamping to 0")
         return 0.0
@@ -373,6 +373,8 @@ def secret_key_rate(
 
 def analyze_session_log(records: list[RateObservation]) -> dict[str, dict[str, float]]:
     """Per-field mean/min/max/std summary of a session log."""
+    import statistics  # not at module level: it loads decimal and fractions
+
     if not records:
         raise ValueError("empty session log")
     fields = {

@@ -53,21 +53,25 @@ def _is_integer(v, minimum: int):
     return (v >= minimum) & (v % 1 == 0)
 
 
+# Each checker writes its predicate's expression out rather than calling it:
+# one Python call per check on the per-point paths.
+
+
 def _check_positive(name: str, value) -> None:
-    if not _is_positive(value):
+    if not ((value > 0) & (value < math.inf)):  # _is_positive
         raise ValueError(f"{name} must be finite and positive, got {value!s}")
 
 
 def _check_non_negative(name: str, value) -> None:
-    if not _is_non_negative(value):
+    if not ((value >= 0) & (value < math.inf)):  # _is_non_negative
         raise ValueError(f"{name} must be finite and >= 0, got {value!s}")
 
 
 def _check_ratio(name: str, value) -> None:
-    if not _is_ratio(value):
+    if not ((value > 0) & (value <= 1)):  # _is_ratio
         raise ValueError(f"{name} must be in (0, 1], got {value!s}")
 
 
 def _check_integer(name: str, value, minimum: int) -> None:
-    if not _is_integer(value, minimum):
+    if not ((value >= minimum) & (value % 1 == 0)):  # _is_integer
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!s}")

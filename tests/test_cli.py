@@ -765,7 +765,10 @@ def test_out_in_a_missing_directory_exits_4_after_the_table(tmp_path, capsys):
     ids=["budget", "fit-r0", "predict-smf", "qkd-eta-ch", "qkd-log", "sweep"],
 )
 def test_json_and_csv_records_agree(tmp_path, capsys, argv):
-    """The .csv record holds the .json record's keys, each value as str() writes it."""
+    """The .csv record holds the .json record's keys, each value as str() writes it.
+
+    A list (fit-r0's modes_used) is its items joined by commas.
+    """
     import csv as csv_mod
 
     from skylink import qkd as qkd_mod
@@ -786,5 +789,25 @@ def test_json_and_csv_records_agree(tmp_path, capsys, argv):
     rows = record if isinstance(record, list) else [record]
     with open(csv_file, newline="") as fh:
         assert list(csv_mod.DictReader(fh)) == [
-            {key: str(value) for key, value in row.items()} for row in rows
+            {
+                key: ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                for key, value in row.items()
+            }
+            for row in rows
         ]
+
+
+def test_fit_csv_modes_read_back_as_modes(tmp_path, capsys):
+    """fit-r0's .csv modes_used cell is a mode list that --modes reads back."""
+    import csv as csv_mod
+
+    off = tmp_path / "off.csv"
+    run(capsys, "synth", str(off), "--r0", "0.08", "--n", "500", "--seed", "2")
+    json_file, csv_file = tmp_path / "fit.json", tmp_path / "fit.csv"
+    for out in (json_file, csv_file):
+        assert run(capsys, "--out", str(out), "fit-r0", str(off), "--modes", "3-6,9,12-35")[0] == 0
+    with open(csv_file, newline="") as fh:
+        (row,) = csv_mod.DictReader(fh)
+    modes = json.loads(json_file.read_text())["modes_used"]
+    assert row["modes_used"] == ",".join(map(str, modes))
+    assert list(cli.parse_modes(row["modes_used"])) == modes

@@ -261,8 +261,12 @@ def test_skr_pinned_clamps(caplog, session, signal, qber, reason):
     assert reason in caplog.text
 
 
-def _reference_skr(session, signal_rate, qber_z, qber_x):
-    """The finite-key bound as one self-contained per-call formula."""
+def _reference_skr(session, signal_rate, qber_z, qber_x, per_point_n_x=False):
+    """The finite-key bound as one self-contained per-call formula.
+
+    n_X is n_Z p_XX/p_ZZ, or with per_point_n_x the X detections in one
+    block's time at this signal rate, equal in exact arithmetic.
+    """
     mu1, mu2 = session.mu1, session.mu2
     p1 = session.p_mu1
     p2 = 1.0 - p1
@@ -272,7 +276,7 @@ def _reference_skr(session, signal_rate, qber_z, qber_x):
     rate_x = signal_rate * p_xx
     n_z = float(session.block_size * 8)
     block_time = n_z / rate_z
-    n_x = block_time * rate_x
+    n_x = block_time * rate_x if per_point_n_x else n_z * p_xx / p_zz
     eps0 = session.eps_sec / 19.0
 
     def tau(i):
@@ -412,9 +416,8 @@ def test_skr_matches_reference_formula_bit_for_bit(
 def _single_photon_bounds(session, signal, qber_z, qber_x):
     """(s_Z1, s_X1) from the bound's helpers, with both bases evaluated."""
     c = session._finite_key
-    n_x = c.n_z / (signal * c.p_zz) * (signal * c.p_xx)
     s_z1, _ = qkd._m_bounds(c, c.n_z, c.d_nz, c.s1_nz, qber_z * c.n_z)
-    s_x1, _ = qkd._m_bounds(c, n_x, *qkd._n_terms(c, n_x)[:2], qber_x * n_x)
+    s_x1, _ = qkd._m_bounds(c, c.n_x, c.d_nx, c.s1_nx, qber_x * c.n_x)
     return s_z1, s_x1
 
 
@@ -446,9 +449,8 @@ def test_skr_clamp_logs_one_record(
 def _gamma_log2_argument(session, signal, qber_z, qber_x):
     """The argument of gamma's log2, from the bound's helpers."""
     c = session._finite_key
-    n_x = c.n_z / (signal * c.p_zz) * (signal * c.p_xx)
     s_z1, _ = qkd._m_bounds(c, c.n_z, c.d_nz, c.s1_nz, qber_z * c.n_z)
-    s_x1, v_x1 = qkd._m_bounds(c, n_x, *qkd._n_terms(c, n_x)[:2], qber_x * n_x)
+    s_x1, v_x1 = qkd._m_bounds(c, c.n_x, c.d_nx, c.s1_nx, qber_x * c.n_x)
     b = min(max(min(v_x1 / s_x1, 0.5), 1e-12), 1.0 - 1e-12)
     return (s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * c.gamma_eps_sq
 
@@ -481,6 +483,41 @@ def test_stored_z_terms_are_the_per_point_formula(session):
     c = session._finite_key
     stored = (c.d_nz, c.s1_nz, c.s0_z)
     assert [x.hex() for x in stored] == [x.hex() for x in qkd._n_terms(c, c.n_z)]
+
+
+@pytest.mark.parametrize(
+    "session",
+    [_SNSPD, _SPAD, _CUSTOM, qkd.QkdSessionModel(qkd.SNSPD, block_size=1)],
+    ids=["snspd", "spad", "custom", "one-byte"],
+)
+def test_stored_x_terms_are_the_per_point_formula(session):
+    c = session._finite_key
+    assert c.n_x == c.n_z * c.p_xx / c.p_zz
+    stored = (c.d_nx, c.s1_nx)
+    assert [x.hex() for x in stored] == [x.hex() for x in qkd._n_terms(c, c.n_x)[:2]]
+
+
+@pytest.mark.parametrize(
+    "session", [_SNSPD, _SPAD, _CUSTOM], ids=["snspd", "spad", "custom"]
+)
+def test_session_n_x_moves_rates_from_the_per_point_n_x_by_ulps(session):
+    """n_X once per session against block_time * (signal * p_XX) at each rate.
+
+    Across -46 to -19 dB the two agree to 1e-13 relative and clamp at the
+    same points.
+    """
+    det = session.detector
+    noise = qkd.windowed_noise_rate(det.noise_rate, det.window, 100e6)
+    positive = 0
+    for db in np.linspace(-46.0, -19.0, 541):
+        signal = qkd.expected_signal_rate(session, from_db(db))
+        qber = qkd.expected_qber(signal, noise, 0.005)
+        rate = qkd.secret_key_rate(session, signal, qber, qber)
+        ref = _reference_skr(session, signal, qber, qber, per_point_n_x=True)
+        assert (rate == 0.0) == (ref == 0.0), db
+        assert abs(rate - ref) <= 1e-13 * ref, db
+        positive += rate > 0.0
+    assert 0 < positive < 541  # the grid crosses the clamp edge
 
 
 def test_session_constants_leave_the_dataclass_alone():

@@ -15,12 +15,14 @@ from skylink.units import from_db
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _scipy_modules_after(code: str) -> list[str]:
+def _modules_after(code: str, roots: tuple[str, ...] = ("scipy",)) -> list[str]:
+    """The loaded modules under any of roots once code has run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("SKYLINK_CONFIG", None)
     probe = (
         code + "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -29,7 +31,7 @@ def _scipy_modules_after(code: str) -> list[str]:
 
 
 def test_import_cli_does_not_load_scipy():
-    assert _scipy_modules_after("import skylink.cli") == []
+    assert _modules_after("import skylink.cli") == []
 
 
 def test_non_synth_commands_do_not_load_scipy(tmp_path):
@@ -41,7 +43,17 @@ def test_non_synth_commands_do_not_load_scipy(tmp_path):
         "from skylink.coupling import optimize_beta\n"
         "optimize_beta(0.41)"
     )
-    assert _scipy_modules_after(code) == []
+    assert _modules_after(code) == []
+
+
+def test_budget_and_qkd_do_not_load_statistics():
+    """statistics, with the decimal and fractions it imports, waits for qkd --log."""
+    code = (
+        "from skylink import cli\n"
+        "assert cli.main(['budget']) == 0\n"
+        "assert cli.main(['qkd', '--eta-ch', '-29']) == 0"
+    )
+    assert _modules_after(code, ("statistics", "decimal", "fractions")) == []
 
 
 def test_every_command_runs_without_scipy(tmp_path):
