@@ -45,7 +45,7 @@ class _Field(NamedTuple):
 # Each config key sets a dataclass field or, if no dataclass holds it, is an
 # operating-point value with its default given here.  A field key left unset
 # keeps the dataclass default, so each default is stated once, in its class.
-_CONFIG_KEYS = {
+_FIELD_KEYS = {
     "wavelength_m": _Field(OpticalPath, "wavelength"),
     "path_length_m": _Field(OpticalPath, "path_length"),
     "w0_m": _Field(LinkGeometry, "w0"),
@@ -58,11 +58,6 @@ _CONFIG_KEYS = {
     "eta_fiber_db": _Field(ReceiverChain, "eta_fiber", db=True),
     "ao_modes": _Field(ReceiverChain, "ao_modes"),
     "f_3db_hz": _Field(ReceiverChain, "f_3db"),
-    "r0_m": 0.0875,
-    "wind_mps": 0.556,
-    "a_coeff_db_per_km": 0.2,
-    "detector": "snspd",
-    "pulse_rate_hz": 1e8,
     "internal_loss_db": _Field(qkd.QkdSessionModel, "internal_loss", db=True),
     "r_ref_hz": _Field(qkd.QkdSessionModel, "r_ref"),
     "n_z_bytes": _Field(qkd.QkdSessionModel, "block_size"),  # null: per detector
@@ -75,35 +70,37 @@ _CONFIG_KEYS = {
     "eps_sec": _Field(qkd.QkdSessionModel, "eps_sec"),
     "eps_cor": _Field(qkd.QkdSessionModel, "eps_cor"),
 }
+_OPERATING_POINT = {
+    "r0_m": 0.0875,
+    "wind_mps": 0.556,
+    "a_coeff_db_per_km": 0.2,
+    "detector": "snspd",
+    "pulse_rate_hz": 1e8,
+}
 _KINDS = {str: "a string", float: "a number", int: "a whole number"}
 
 
-def _default(key):
-    if not isinstance(key, _Field):
-        return key
+def _default(key: _Field):
     value = key.owner.__dataclass_fields__[key.name].default
     return round(to_db(value), 10) if key.db else value  # -1.4, not -1.3999999999999995
 
 
-# Readable view of every key's default; the builders do not read it.
-DEFAULT_CONFIG = {name: _default(key) for name, key in _CONFIG_KEYS.items()}
+# Every key's default, readable; the builders do not read it.  The type of a
+# key's default is the kind of value the key takes (None: a whole number).
+DEFAULT_CONFIG = {**{name: _default(key) for name, key in _FIELD_KEYS.items()}, **_OPERATING_POINT}
 
 _DETECTORS = {d.label: d for d in (qkd.SNSPD, qkd.SPAD)}
 
 
 def _checked(name: str, value):
     """The config value, or ConfigError if it is not of the key's kind."""
-    key = _CONFIG_KEYS[name]
-    if not isinstance(key, _Field):
-        kind = type(key)
-    else:
-        field = key.owner.__dataclass_fields__[key.name]
-        if value is None and field.default is None:  # the class resolves null
-            return None
-        kind = int if field.type in ("int", "int | None") else float
+    default = DEFAULT_CONFIG[name]
+    if value is None and default is None:  # the class resolves null
+        return None
+    kind = int if default is None else type(default)
     if kind is str:
         ok = isinstance(value, str)
-    else:  # a JSON number, not true/false; for int fields a whole one
+    else:  # a JSON number, not true/false; for int keys a whole one
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         ok = ok and (kind is float or isinstance(value, int) or value.is_integer())
     if not ok:
@@ -117,7 +114,7 @@ def load_config(path: str | None) -> dict:
     Keys the file leaves unset keep the defaults of the dataclasses they
     set and are absent from the result.
     """
-    cfg = {name: v for name, v in _CONFIG_KEYS.items() if not isinstance(v, _Field)}
+    cfg = dict(_OPERATING_POINT)
     if path is None:
         path = os.environ.get("SKYLINK_CONFIG") or None
     if path is None:
@@ -131,7 +128,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(user) - set(_CONFIG_KEYS))
+    unknown = sorted(set(user) - set(DEFAULT_CONFIG))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     cfg.update((name, _checked(name, value)) for name, value in user.items())
@@ -142,8 +139,8 @@ def _fields(cfg: dict, owner: type) -> dict:
     """Keyword arguments for owner: its fields that the config sets, in linear units."""
     return {
         key.name: from_db(cfg[name]) if key.db else cfg[name]
-        for name, key in _CONFIG_KEYS.items()
-        if isinstance(key, _Field) and key.owner is owner and name in cfg
+        for name, key in _FIELD_KEYS.items()
+        if key.owner is owner and name in cfg
     }
 
 
@@ -462,7 +459,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot infer output format from {args.out!r} (use .json or .csv)")
         cfg = load_config(args.config)
         # a flag given overrides the config key named by its dest
-        cfg.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
+        cfg.update((k, v) for k, v in vars(args).items() if k in DEFAULT_CONFIG and v is not None)
         record = args.func(args, cfg)  # prints the command's table
         if args.out:
             write_output(args.out, record)

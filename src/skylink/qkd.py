@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio
+from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio, from_db
 
 __all__ = [
     "DetectorModel",
@@ -62,12 +62,12 @@ SPAD = DetectorModel(efficiency=0.15, label="spad")
 # Bytes of sifted key per processing block in the field trial, by detector label.
 BLOCK_SIZE = {"snspd": 250000, "spad": 50000}
 
-_INTERNAL_LOSS = 10 ** (-0.12)  # -1.2 dB receiver internal optics
+_INTERNAL_LOSS = from_db(-1.2)  # receiver internal optics
 
 # Reference detected rate at unit channel efficiency, unit detector
 # efficiency and no internal loss, calibrated on the SNSPD run
 # (20.4 kHz at eta_ch = -29 dB).
-R_REF_DEFAULT = 20.4e3 / (10 ** (-2.9) * _INTERNAL_LOSS * SNSPD.efficiency)
+R_REF_DEFAULT = 20.4e3 / (from_db(-29.0) * _INTERNAL_LOSS * SNSPD.efficiency)
 
 
 @dataclass(frozen=True)

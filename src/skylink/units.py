@@ -20,6 +20,8 @@ which ``format`` would widen to -0.05000000074505806).
 
 import math
 
+__all__ = ["to_db", "from_db", "format_db"]
+
 
 def to_db(ratio: float) -> float:
     """10*log10(ratio). Requires a finite ratio > 0."""
@@ -54,7 +56,8 @@ def _is_integer(v, minimum: int):
 
 
 # Each checker writes its predicate's expression out rather than calling it:
-# one Python call per check on the per-point paths.
+# one Python call per check on the per-point paths.  _check_integer tests
+# value < inf first, so % never sees ±inf (numpy warns on inf % 1).
 
 
 def _check_positive(name: str, value) -> None:
@@ -73,5 +76,5 @@ def _check_ratio(name: str, value) -> None:
 
 
 def _check_integer(name: str, value, minimum: int) -> None:
-    if not ((value >= minimum) & (value % 1 == 0)):  # _is_integer
+    if not (minimum <= value < math.inf and value % 1 == 0):  # _is_integer
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!s}")

@@ -590,6 +590,28 @@ def test_config_value_of_the_wrong_kind(tmp_path, capsys, command, key, text):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("key", sorted(cli.DEFAULT_CONFIG))
+def test_every_config_key_names_itself_for_a_wrong_kind(tmp_path, capsys, key):
+    kind = {"detector": "a string", "ao_modes": "a whole number", "n_z_bytes": "a whole number"}
+    wrong = 5 if key == "detector" else "0.4"
+    for value in (wrong, True):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, "--config", str(cfg), "qkd", "--eta-ch", "-29")
+        assert code == 2 and out == ""
+        want = f"config key {key} must be {kind.get(key, 'a number')}, got {json.dumps(value)}"
+        assert err == f"error: {want}\n"
+
+
+def test_default_config_file_builds_what_no_config_builds(tmp_path, monkeypatch):
+    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cli.DEFAULT_CONFIG))
+    loaded, default = cli.load_config(str(cfg)), cli.load_config(None)
+    for builder in (cli.build_path, cli.build_chain, cli.build_geometry, cli.build_session):
+        assert builder(loaded) == builder(default)
+
+
 def test_non_finite_config_number_reaches_the_field_check(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"d_rx_m": NaN}')

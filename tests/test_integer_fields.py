@@ -1,5 +1,6 @@
 """Count fields reject fractional values, naming the field."""
 
+import numpy as np
 import pytest
 
 from skylink import qkd, synth
@@ -26,6 +27,16 @@ _COUNT_FIELDS = [
 @pytest.mark.parametrize("name, call", _COUNT_FIELDS)
 @pytest.mark.parametrize("value", [2.5, 3.000001])
 def test_count_fields_reject_fractions(name, call, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d+, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name, call", _COUNT_FIELDS)
+@pytest.mark.parametrize(
+    "value", [np.float64("inf"), np.float64("-inf"), np.float32("inf"), np.float32("-inf")]
+)
+def test_count_fields_reject_numpy_infinities(name, call, value):
+    # No errstate: under the suite's error::RuntimeWarning, inf % 1 would raise.
     with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d+, got {value}$"):
         call(value)
 

@@ -42,7 +42,7 @@ _DOMAINS = {
 @pytest.mark.parametrize("domain", _DOMAINS)
 def test_checker_raises_exactly_where_its_predicate_is_false(domain):
     check, predicate, message = _DOMAINS[domain]
-    # inf % 1 on a numpy float warns; the predicate and the checker share it.
+    # inf % 1 on a numpy float warns in the predicate; the checker never takes it.
     with np.errstate(all="ignore"):
         for v in _values():
             try:
