@@ -85,11 +85,21 @@ def cn2_from_r0(r0: float, path: OpticalPath) -> float:
 
 
 def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: float) -> float:
-    """Rescale r0 between wavelengths at fixed Cn2 (lambda^(6/5) law)."""
+    """Rescale r0 between wavelengths at fixed Cn2 (lambda^(6/5) law).
+
+    An r0 that rescales out of the float range (1e300 m from 1 nm to 1 m
+    overflows it) raises ValueError naming r0.
+    """
     args = (("r0", r0), ("wavelength_from", wavelength_from), ("wavelength_to", wavelength_to))
     for name, v in args:
         _check_positive(name, v)
-    return r0 * (wavelength_to / wavelength_from) ** (6.0 / 5.0)
+    try:
+        scaled = r0 * (wavelength_to / wavelength_from) ** (6.0 / 5.0)
+    except OverflowError:  # Python float pow raises where numpy's gives inf
+        scaled = math.inf
+    if not _is_positive(scaled):
+        raise ValueError(f"r0 must rescale to a finite, positive r0, got {r0} (rescaled: {scaled})")
+    return scaled
 
 
 @dataclass(frozen=True)

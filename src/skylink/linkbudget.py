@@ -86,10 +86,17 @@ def beam_divergence(geom: LinkGeometry, r0: float) -> tuple[float, float, float]
     """(theta0, theta_turb, theta) half-angle divergences in radians.
 
     theta0 = lambda/(pi*w0), theta_turb = lambda/(pi*rho0) with rho0 = r0/2.1,
-    combined in quadrature.
+    combined in quadrature.  An r0 whose theta leaves the float range
+    (5e-324 m overflows it) raises ValueError naming r0.
     """
     _check_positive("r0", r0)
-    return _divergence(math, geom, r0)
+    try:
+        divergence = _divergence(math, geom, r0)
+    except ZeroDivisionError:  # r0 / 2.1 underflows to 0
+        divergence = (math.inf,)
+    if not divergence[-1] < math.inf:
+        raise ValueError(f"r0 must give a finite divergence, got {r0}")
+    return divergence
 
 
 def _received_waist(theta, path: OpticalPath):
@@ -123,9 +130,16 @@ def _collection(xp, w_l, chain: ReceiverChain):
 
 
 def collection_efficiency(w_l: float, chain: ReceiverChain) -> float:
-    """Obstructed-aperture collection of a Gaussian beam of radius w_l."""
+    """Obstructed-aperture collection of a Gaussian beam of radius w_l.
+
+    A w_l whose 2 w_l^2 underflows to 0 (w_l = 1e-300 m) raises ValueError
+    naming w_l.
+    """
     _check_positive("w_l", w_l)
-    return _collection(math, w_l, chain)
+    try:
+        return _collection(math, w_l, chain)
+    except ZeroDivisionError:
+        raise ValueError(f"w_l must be large enough that 2 w_l^2 > 0, got {w_l}") from None
 
 
 def _smf_factors(xp, chain: ReceiverChain, path: OpticalPath, r0, cn2, wind, J, e_on):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from skylink.coupling import (
     ReceiverChain,
+    _u_start,
     compose_smf,
     coupling_from_power,
     eta0,
@@ -111,6 +112,49 @@ def test_optimize_beta_solves_the_stationarity_condition(alpha):
         beta_ref = float(ref.x)
         assert abs(beta_opt - beta_ref) <= 1e-6
         assert best >= eta0(beta_ref, alpha) * (1 - 1e-12)
+
+
+def _seven_step_root(k):
+    """u* by seven Newton steps on F from u = 1.5, optimize_beta's solve before its fitted start."""
+    u = 1.5
+    for _ in range(7):
+        e = math.expm1(-k * u) / k
+        f = (2.0 * u + 1.0) * e + 2.0 * u
+        df = 2.0 * e - (2.0 * u + 1.0) * (1.0 + k * e) + 2.0
+        u -= f / df
+    return u
+
+
+# 1 - 2**-53 and nextafter(1, 0) are the same float, the largest alpha below 1
+@pytest.mark.parametrize(
+    "alpha", [0.0, 5e-324, 1e-8, 0.41, 0.999, 1 - 2**-53, math.nextafter(1.0, 0.0)]
+)
+def test_optimize_beta_at_edge_alphas(alpha):
+    beta_opt, best = optimize_beta(alpha)
+    assert math.isfinite(beta_opt)
+    assert beta_opt == pytest.approx(_stationary_beta(alpha), rel=1e-14, abs=0)
+    assert best == eta0(beta_opt, alpha)
+
+
+def test_fitted_start_is_within_its_stated_bound():
+    # k = 2**-52 is the smallest 1 - alpha^2 of a float alpha < 1; 2.1e-4 is
+    # the bound optimize_beta's docstring states.
+    for k in [2.0**-52, *np.linspace(0.0, 1.0, 2001)[1:]]:
+        k = float(k)
+        assert abs(_u_start(k) - _seven_step_root(k)) <= 2.1e-4, k
+
+
+def test_optimize_beta_matches_the_seven_step_solve():
+    rng = np.random.default_rng(24)
+    alphas = [
+        0.0,
+        *rng.uniform(0.0, 1.0, 20000),
+        *(1.0 - np.logspace(-16, -1, 200)),
+        *np.logspace(-300, -1, 200),
+    ]
+    for alpha in map(float, alphas):
+        beta_ref = math.sqrt(_seven_step_root(1.0 - alpha * alpha))
+        assert optimize_beta(alpha)[0] == pytest.approx(beta_ref, rel=2e-15, abs=0), alpha
 
 
 @pytest.mark.parametrize("alpha", [1.0, -0.1, math.nan])

@@ -1,4 +1,5 @@
-"""Every public entry point named here rejects nan and ±inf, naming the input."""
+"""Every public entry point named here rejects nan and ±inf, and an input whose
+result would leave the float range, naming the input."""
 
 import os
 
@@ -8,7 +9,8 @@ import pytest
 from skylink import qkd, synth
 from skylink.atmosphere import OpticalPath, TurbulenceState, scale_r0_to_wavelength
 from skylink.atmosphere import scintillation_report
-from skylink.coupling import ReceiverChain, coupling_from_power, eta0, eta_tau, mode_match_beta
+from skylink.coupling import ReceiverChain, coupling_from_power, eta0, eta_phi_residual, eta_tau
+from skylink.coupling import mode_match_beta
 from skylink.estimation import FriedFit, fit_fried, write_wfs_log
 from skylink.linkbudget import LinkGeometry, beam_divergence, collection_efficiency
 from skylink.linkbudget import received_waist
@@ -85,6 +87,32 @@ _ENTRY_POINTS = [
     "name, call", _ENTRY_POINTS, ids=[f"{i}-{name}" for i, (name, _) in enumerate(_ENTRY_POINTS)]
 )
 def test_rejects_non_finite_input(name, call, value):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(value)
+
+
+# (input name, call, a finite value in range whose result overflows or underflows)
+_OUT_OF_RANGE = [
+    ("signal_rate", lambda v: qkd.secret_key_rate(_SESSION, v, 0.01, 0.01), 5e-324),
+    ("signal_rate", lambda v: qkd.secret_key_rate(_SESSION, v, 0.01, 0.01), 1e-305),
+    ("r0", lambda v: beam_divergence(_GEOM, v), 5e-324),
+    ("r0", lambda v: beam_divergence(_GEOM, v), 1e-315),
+    ("w_l", lambda v: collection_efficiency(v, _CHAIN), 1e-300),
+    ("r0", lambda v: residual_variance(35, 0.41, v), 1e-300),
+    ("r0", lambda v: eta_phi_residual(35, 0.41, v), 1e-300),
+    ("r0", lambda v: turbulence_variance(2, 0.41, v), 1e-300),
+    ("wavelength", lambda v: mode_match_beta(_CHAIN, v), 1e-320),
+    ("r0", lambda v: scale_r0_to_wavelength(v, 1e-9, 1.0), 1e300),
+    ("r0", lambda v: scale_r0_to_wavelength(v, 1.0, 1e-9), 5e-324),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, value",
+    _OUT_OF_RANGE,
+    ids=[f"{i}-{name}-{value:g}" for i, (name, _, value) in enumerate(_OUT_OF_RANGE)],
+)
+def test_rejects_input_whose_result_leaves_the_float_range(name, call, value):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call(value)
 
