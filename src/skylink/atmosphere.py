@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import _check_non_negative, _check_positive, _is_positive
+from .units import _check_non_negative, _check_positive, _finite_result
 
 __all__ = [
     "OpticalPath",
@@ -42,6 +42,7 @@ class OpticalPath:
     def __post_init__(self) -> None:
         for name in ("wavelength", "path_length"):
             _check_positive(name, getattr(self, name))
+        _finite_result("wavelength", self.wavelength, "wavenumber", lambda: self.wavenumber)
 
     @property
     def wavenumber(self) -> float:
@@ -65,41 +66,23 @@ def r0_from_cn2(cn2: float, path: OpticalPath) -> float:
     r0 = (0.16 * Cn2 * k^2 * L)^(-3/5)
     """
     _check_positive("cn2", cn2)
-    return _r0_from_cn2(cn2, path)
+    return _finite_result("cn2", cn2, "r0", _r0_from_cn2, cn2, path)
 
 
 def cn2_from_r0(r0: float, path: OpticalPath) -> float:
-    """Exact algebraic inverse of :func:`r0_from_cn2`.
-
-    An r0 whose Cn2 leaves the float range (r0 = 1e-300 m overflows it)
-    raises ValueError naming r0.
-    """
+    """Exact algebraic inverse of :func:`r0_from_cn2`."""
     _check_positive("r0", r0)
-    try:
-        cn2 = _cn2_from_r0(r0, path)
-    except OverflowError:  # Python float pow raises where numpy's gives inf
-        cn2 = math.inf
-    if not _is_positive(cn2):
-        raise ValueError(f"r0 must give a finite, positive Cn2, got {r0} (Cn2 = {cn2})")
-    return cn2
+    return _finite_result("r0", r0, "Cn2", _cn2_from_r0, r0, path)
 
 
 def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: float) -> float:
-    """Rescale r0 between wavelengths at fixed Cn2 (lambda^(6/5) law).
-
-    An r0 that rescales out of the float range (1e300 m from 1 nm to 1 m
-    overflows it) raises ValueError naming r0.
-    """
+    """Rescale r0 between wavelengths at fixed Cn2 (lambda^(6/5) law)."""
     args = (("r0", r0), ("wavelength_from", wavelength_from), ("wavelength_to", wavelength_to))
     for name, v in args:
         _check_positive(name, v)
-    try:
-        scaled = r0 * (wavelength_to / wavelength_from) ** (6.0 / 5.0)
-    except OverflowError:  # Python float pow raises where numpy's gives inf
-        scaled = math.inf
-    if not _is_positive(scaled):
-        raise ValueError(f"r0 must rescale to a finite, positive r0, got {r0} (rescaled: {scaled})")
-    return scaled
+    return _finite_result(
+        "r0", r0, "rescaled r0", lambda: r0 * (wavelength_to / wavelength_from) ** (6.0 / 5.0)
+    )
 
 
 @dataclass(frozen=True)

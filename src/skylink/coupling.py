@@ -12,9 +12,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio, _is_positive
-from .units import from_db
-from .zernike import ModeVarianceSet, _residual_variance, residual_variance
+from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio
+from .units import _finite_result, from_db
+from .zernike import ModeVarianceSet, _check_residual_args, _residual_variance
 
 __all__ = [
     "ReceiverChain",
@@ -68,18 +68,12 @@ def obscuration_ratio(chain: ReceiverChain) -> float:
 
 
 def mode_match_beta(chain: ReceiverChain, wavelength: float) -> float:
-    """Mode-matching factor beta = (pi*D_rx / 4*lambda) * (MFD / f_eff).
-
-    A wavelength whose beta leaves the float range (1e-320 m overflows it)
-    raises ValueError naming wavelength.
-    """
+    """Mode-matching factor beta = (pi*D_rx / 4*lambda) * (MFD / f_eff)."""
     _check_positive("wavelength", wavelength)
-    beta = (math.pi * chain.d_rx / (4.0 * wavelength)) * (chain.mfd / chain.f_eff)
-    if not _is_positive(beta):
-        raise ValueError(
-            f"wavelength must give a finite, positive beta, got {wavelength} (beta = {beta})"
-        )
-    return beta
+    return _finite_result(
+        "wavelength", wavelength, "beta",
+        lambda: (math.pi * chain.d_rx / (4.0 * wavelength)) * (chain.mfd / chain.f_eff),
+    )
 
 
 def eta0(beta: float, alpha: float) -> float:
@@ -92,7 +86,7 @@ def eta0(beta: float, alpha: float) -> float:
     _check_positive("beta", beta)
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return _eta0(beta, alpha)
+    return _finite_result("beta", beta, "eta0", _eta0, beta, alpha)
 
 
 def _eta0(beta: float, alpha: float) -> float:
@@ -165,12 +159,11 @@ def _eta_phi_residual(xp, J, d_rx: float, r0):
 
 
 def eta_phi_residual(J: int, d_rx: float, r0: float) -> float:
-    """Efficiency lost to uncorrected modes j > J: exp(-sigma_J^2).
-
-    Inputs whose sigma_J^2 leaves the float range raise ValueError naming r0,
-    as :func:`residual_variance` does.
-    """
-    return math.exp(-residual_variance(J, d_rx, r0))
+    """Efficiency lost to uncorrected modes j > J: exp(-sigma_J^2)."""
+    _check_residual_args(J, d_rx, r0)
+    return _finite_result(
+        "r0", r0, "eta_phi_residual", _eta_phi_residual, math, J, d_rx, r0, on_error=0.0
+    )
 
 
 def _servo_lag_variance(f_g, f_3db: float):
@@ -186,7 +179,7 @@ def eta_tau(f_g: float, f_3db: float) -> float:
     """Temporal AO efficiency exp(-(f_G/f_3dB)^(5/3))."""
     _check_positive("f_3db", f_3db)
     _check_non_negative("f_g", f_g)
-    return _eta_tau(math, f_g, f_3db)
+    return _finite_result("f_g", f_g, "eta_tau", _eta_tau, math, f_g, f_3db, on_error=0.0)
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
     residual_rms = float(np.sqrt(np.mean((log_resid - c) ** 2)))
 
     per_mode_r0 = d_rx * np.exp(-0.6 * log_resid)
-    mad = float(np.median(np.abs(per_mode_r0 - np.median(per_mode_r0))))
+    mad = float(_median(np.abs(per_mode_r0 - _median(per_mode_r0))))
     r0_sigma = 1.4826 * mad
 
     return FriedFit(
@@ -94,6 +94,16 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
         residual_rms=residual_rms,
         modes_used=tuple(usable),
     )
+
+
+def _median(x):
+    """np.median of a 1-D array, bit for bit, without the numpy.ma np.median imports."""
+    s = x.copy()
+    s.sort()
+    h = len(s) // 2
+    if s[-1] != s[-1]:  # nan sorts last, and np.median returns it
+        return s[-1]
+    return s[h] if len(s) % 2 else s[h - 1 : h + 1].mean()
 
 
 def predict_eta_smf(

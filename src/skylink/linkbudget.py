@@ -36,8 +36,8 @@ from .coupling import (
     mode_match_beta,
     obscuration_ratio,
 )
-from .units import _check_non_negative, _check_positive, _is_integer, _is_non_negative
-from .units import _is_positive, _is_ratio, to_db
+from .units import _check_non_negative, _check_positive, _check_result, _finite_result
+from .units import _is_integer, _is_non_negative, _is_positive, _is_ratio, to_db
 from .zernike import _check_residual_args
 
 __all__ = [
@@ -86,17 +86,11 @@ def beam_divergence(geom: LinkGeometry, r0: float) -> tuple[float, float, float]
     """(theta0, theta_turb, theta) half-angle divergences in radians.
 
     theta0 = lambda/(pi*w0), theta_turb = lambda/(pi*rho0) with rho0 = r0/2.1,
-    combined in quadrature.  An r0 whose theta leaves the float range
-    (5e-324 m overflows it) raises ValueError naming r0.
+    combined in quadrature.
     """
     _check_positive("r0", r0)
-    try:
-        divergence = _divergence(math, geom, r0)
-    except ZeroDivisionError:  # r0 / 2.1 underflows to 0
-        divergence = (math.inf,)
-    if not divergence[-1] < math.inf:
-        raise ValueError(f"r0 must give a finite divergence, got {r0}")
-    return divergence
+    theta = _finite_result("r0", r0, "theta", lambda: _divergence(math, geom, r0)[2])
+    return *_divergence(math, geom, r0)[:2], theta
 
 
 def _received_waist(theta, path: OpticalPath):
@@ -106,7 +100,7 @@ def _received_waist(theta, path: OpticalPath):
 def received_waist(theta: float, path: OpticalPath) -> float:
     """Beam radius at the receiver, W_L = theta * L."""
     _check_positive("theta", theta)
-    return _received_waist(theta, path)
+    return _finite_result("theta", theta, "w_l", _received_waist, theta, path)
 
 
 def _absorption(xp, a_coeff_db_km, path: OpticalPath):
@@ -121,7 +115,9 @@ def absorption_efficiency(a_coeff_db_km: float, path: OpticalPath) -> float:
     this is the same as exp(-A*L) with A converted to nat/m.
     """
     _check_non_negative("a_coeff_db_km", a_coeff_db_km)
-    return _absorption(math, a_coeff_db_km, path)
+    return _finite_result(
+        "a_coeff_db_km", a_coeff_db_km, "eta_a", _absorption, math, a_coeff_db_km, path
+    )
 
 
 def _collection(xp, w_l, chain: ReceiverChain):
@@ -130,16 +126,9 @@ def _collection(xp, w_l, chain: ReceiverChain):
 
 
 def collection_efficiency(w_l: float, chain: ReceiverChain) -> float:
-    """Obstructed-aperture collection of a Gaussian beam of radius w_l.
-
-    A w_l whose 2 w_l^2 underflows to 0 (w_l = 1e-300 m) raises ValueError
-    naming w_l.
-    """
+    """Obstructed-aperture collection of a Gaussian beam of radius w_l."""
     _check_positive("w_l", w_l)
-    try:
-        return _collection(math, w_l, chain)
-    except ZeroDivisionError:
-        raise ValueError(f"w_l must be large enough that 2 w_l^2 > 0, got {w_l}") from None
+    return _finite_result("w_l", w_l, "eta_coll", _collection, math, w_l, chain, on_error=0.0)
 
 
 def _smf_factors(xp, chain: ReceiverChain, path: OpticalPath, r0, cn2, wind, J, e_on):
@@ -215,11 +204,15 @@ def full_budget(
     """Compose the channel budget from geometry, turbulence and coupling.
 
     eta_smf is injected rather than recomputed so measured and modeled terms
-    can be mixed.  geom.path must be ts.path.
+    can be mixed.  geom.path must be ts.path.  An eta_a or eta_coll that
+    underflows to 0 raises ValueError naming a_coeff_db_km or r0.
     """
     _check_same_path(ts, geom.path, "geom.path")
     _check_non_negative("a_coeff_db_km", a_coeff_db_km)
-    return BudgetReport(*_budget_terms(math, geom, ts.fried_r0, a_coeff_db_km, smf.eta_smf))
+    report = BudgetReport(*_budget_terms(math, geom, ts.fried_r0, a_coeff_db_km, smf.eta_smf))
+    _check_result("a_coeff_db_km", a_coeff_db_km, "eta_a", report.eta_a)
+    _check_result("r0", ts.fried_r0, "eta_coll", report.eta_coll)
+    return report
 
 
 def sweep_columns(
@@ -259,7 +252,7 @@ def sweep_columns(
             np, geom, r0, a_coeff, eta_smf
         )
         ok = _is_positive(r0) & _is_positive(cn2) & _is_non_negative(wind) & _is_integer(modes, 1)
-        ok &= _is_non_negative(a_coeff)
+        ok &= _is_non_negative(a_coeff) & _is_positive(eta_a) & _is_positive(eta_coll)
         for factor in factors:  # compose_smf's (0, 1] check
             ok &= _is_ratio(factor)
     if not ok.all():

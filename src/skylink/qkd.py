@@ -16,7 +16,8 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio, from_db
+from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio, _check_result
+from .units import from_db
 
 __all__ = [
     "DetectorModel",
@@ -330,8 +331,6 @@ def secret_key_rate(
     single-photon contributions are bounded with Hoeffding inequalities and
     the phase error is transferred from the X basis with the usual
     random-sampling correction.  Negative bounds clamp to zero (logged).
-    A signal rate whose block time is not finite (5e-324 or 1e-305 Hz)
-    raises ValueError naming signal_rate rather than a clamped 0.0.
     The factors that depend on the session alone, both bases' n side among
     them, are computed once per session (see :class:`_FiniteKeyConstants`).
     """
@@ -345,8 +344,8 @@ def secret_key_rate(
         block_time = n_z / (signal_rate * c.p_zz)
     except ZeroDivisionError:  # signal_rate * p_zz underflows to 0
         block_time = math.inf
-    if block_time == math.inf:
-        raise ValueError(f"signal_rate must give a finite block time, got {signal_rate}")
+    if block_time == math.inf:  # decided inline: it runs once per key-rate point
+        _check_result("signal_rate", signal_rate, "block time", block_time)
 
     s_z1, _ = _m_bounds(c, n_z, c.d_nz, c.s1_nz, qber_z * n_z)
     if s_z1 <= 0:

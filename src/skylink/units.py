@@ -16,6 +16,12 @@ validity mask from them).  NaN and ±inf fail all four.  A checker raises
 ``ValueError(f"{name} must be <domain>, got {value!s}")``: ``str`` gives a
 Python number's usual digits and a numpy scalar its own (a float32 -0.05,
 which ``format`` would widen to -0.05000000074505806).
+
+The one range rule of the scalar leaves is here too: :func:`_check_result`
+raises ``ValueError(f"{name} must give a finite, positive {what}, got {value}
+({what} = {result})")``, naming the input, unless its result is finite and > 0.
+``value`` is formatted as an f-string does: a float32 r0 of 1e-30 reads
+1.0000000031710769e-30.
 """
 
 import math
@@ -78,3 +84,25 @@ def _check_ratio(name: str, value) -> None:
 def _check_integer(name: str, value, minimum: int) -> None:
     if not (minimum <= value < math.inf and value % 1 == 0):  # _is_integer
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!s}")
+
+
+def _finite_result(name: str, value, what: str, compute, *args, on_error: float = math.inf):
+    """compute(*args), checked by :func:`_check_result`.
+
+    Where numpy gives inf, Python's float ``**`` raises OverflowError and ``/``
+    by an underflowed 0 ZeroDivisionError; either counts as the result
+    ``on_error``: inf, or 0.0 where that inf falls under an exp(-x).
+    """
+    try:
+        result = compute(*args)
+    except (OverflowError, ZeroDivisionError):
+        result = on_error
+    _check_result(name, value, what, result)
+    return result
+
+
+def _check_result(name: str, value, what: str, result) -> None:
+    """ValueError naming the input ``name`` unless its result is finite and > 0."""
+    if not 0 < result < math.inf:
+        raise ValueError(f"{name} must give a finite, positive {what}, got {value} "
+                         f"({what} = {result})")

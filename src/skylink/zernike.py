@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .units import _check_integer, _check_non_negative, _check_positive
+from .units import _check_integer, _check_non_negative, _check_positive, _finite_result
 
 __all__ = [
     "radial_order",
@@ -58,18 +58,12 @@ def noll_weight(j: int) -> float:
 
 
 def turbulence_variance(j: int, d_rx: float, r0: float) -> float:
-    """Open-loop variance of mode j: (D/r0)^(5/3) * g(j), in rad^2.
-
-    A D/r0 whose variance leaves the float range (r0 = 1e-300 m overflows
-    it) raises ValueError naming r0.
-    """
+    """Open-loop variance of mode j: (D/r0)^(5/3) * g(j), in rad^2."""
     _check_positive("d_rx", d_rx)
     _check_positive("r0", r0)
-    try:
-        variance = (d_rx / r0) ** (5.0 / 3.0) * noll_weight(j)
-    except OverflowError:  # Python float pow raises where numpy's gives inf
-        variance = math.inf
-    return _finite_phase_variance(variance, d_rx, r0)
+    return _finite_result(
+        "r0", r0, "phase variance", lambda: (d_rx / r0) ** (5.0 / 3.0) * noll_weight(j)
+    )
 
 
 def _check_residual_args(J: int, d_rx: float, r0: float) -> None:
@@ -84,23 +78,9 @@ def _residual_variance(J, d_rx, r0):
 
 
 def residual_variance(J: int, d_rx: float, r0: float) -> float:
-    """Phase variance left after perfect correction of modes 1..J, in rad^2.
-
-    A D/r0 whose variance leaves the float range (r0 = 1e-300 m overflows
-    it) raises ValueError naming r0.
-    """
+    """Phase variance left after perfect correction of modes 1..J, in rad^2."""
     _check_residual_args(J, d_rx, r0)
-    try:
-        variance = _residual_variance(J, d_rx, r0)
-    except OverflowError:  # Python float pow raises where numpy's gives inf
-        variance = math.inf
-    return _finite_phase_variance(variance, d_rx, r0)
-
-
-def _finite_phase_variance(variance: float, d_rx: float, r0: float) -> float:
-    if not variance < math.inf:
-        raise ValueError(f"r0 must give a finite phase variance, got {r0} (d_rx = {d_rx})")
-    return variance
+    return _finite_result("r0", r0, "phase variance", _residual_variance, J, d_rx, r0)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,15 @@ def test_budget_r0_past_the_float_range_exits_3_without_output(tmp_path, capsys)
     assert not out_file.exists()
 
 
+def test_budget_absorption_past_the_float_range_exits_3_before_printing(tmp_path, capsys):
+    out_file = tmp_path / "budget.json"
+    code, out, err = run(capsys, "--out", str(out_file), "budget", "--a-coeff", "1000")
+    assert code == 3
+    assert out == ""
+    assert "a_coeff_db_km must give a finite, positive eta_a" in err
+    assert not out_file.exists()
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"no_such_key": 1}')

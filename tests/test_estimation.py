@@ -95,6 +95,20 @@ def test_fit_uncertainty_zero_for_perfect_data():
     assert fit.r0_sigma == pytest.approx(0.0, abs=1e-12)
 
 
+# fit_fried's medians see values in [0, inf], and nan where inf - inf meets
+_MEDIAN_INPUTS = st.lists(st.one_of(st.floats(min_value=0.0), st.just(math.nan)), min_size=1,
+                          max_size=79)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_MEDIAN_INPUTS)
+def test_median_is_np_median_bit_for_bit(values):
+    x = np.array(values)
+    with np.errstate(over="ignore"):  # both add the middle two of [8.9e307, 9e307]
+        assert estimation._median(x).tobytes() == np.median(x).tobytes()
+    assert x.tobytes() == np.array(values).tobytes()  # the input is left as it was
+
+
 def test_predict_eta_smf_composition(path, chain):
     r0, wind = 0.0875, 0.556
     targets = {j: 0.02 for j in range(1, 36)}

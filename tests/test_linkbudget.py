@@ -191,7 +191,10 @@ def test_sweep_mixed_scalar_and_array_arguments(points, which):
     points=_points,
     at=st.integers(0, 19),
     bad=st.sampled_from(
-        [("r0", float("nan")), ("r0", 1e-300), ("J", 0), ("wind", -0.5), ("a", float("inf"))]
+        [
+            ("r0", float("nan")), ("r0", 1e-300), ("J", 0), ("wind", -0.5), ("a", float("inf")),
+            ("a", 1e3),  # eta_a underflows to 0
+        ]
     ),
 )
 def test_sweep_bad_point_raises_the_scalar_error(points, at, bad):

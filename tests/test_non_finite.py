@@ -8,12 +8,13 @@ import pytest
 
 from skylink import qkd, synth
 from skylink.atmosphere import OpticalPath, TurbulenceState, scale_r0_to_wavelength
-from skylink.atmosphere import scintillation_report
+from skylink.atmosphere import r0_from_cn2, scintillation_report
 from skylink.coupling import ReceiverChain, coupling_from_power, eta0, eta_phi_residual, eta_tau
 from skylink.coupling import mode_match_beta
 from skylink.estimation import FriedFit, fit_fried, write_wfs_log
-from skylink.linkbudget import LinkGeometry, beam_divergence, collection_efficiency
-from skylink.linkbudget import received_waist
+from skylink.linkbudget import LinkGeometry, absorption_efficiency, beam_divergence
+from skylink.linkbudget import collection_efficiency, full_budget, model_smf_breakdown
+from skylink.linkbudget import received_waist, sweep_columns
 from skylink.units import to_db
 from skylink.zernike import ModeVarianceSet, ZernikeSeries, noll_weight, radial_order
 from skylink.zernike import residual_variance, turbulence_variance
@@ -22,6 +23,7 @@ _PATH = OpticalPath(1.555e-6, 18e3)
 _CHAIN = ReceiverChain()
 _GEOM = LinkGeometry(_PATH, _CHAIN)
 _TURB = TurbulenceState.from_r0(0.0875, _PATH, 0.556)
+_SMF = model_smf_breakdown(_CHAIN, _TURB, _PATH)
 _SESSION = qkd.QkdSessionModel(qkd.SNSPD)
 _VARIANCES = ModeVarianceSet({j: turbulence_variance(j, 0.41, 0.1) for j in range(1, 8)})
 _SERIES = ZernikeSeries(np.arange(3.0), np.zeros((3, 4)), np.ones(3, dtype=bool), 1.555e-6)
@@ -104,6 +106,20 @@ _OUT_OF_RANGE = [
     ("wavelength", lambda v: mode_match_beta(_CHAIN, v), 1e-320),
     ("r0", lambda v: scale_r0_to_wavelength(v, 1e-9, 1.0), 1e300),
     ("r0", lambda v: scale_r0_to_wavelength(v, 1.0, 1e-9), 5e-324),
+    ("r0", lambda v: turbulence_variance(2, 0.41, v), 1e300),
+    ("cn2", lambda v: r0_from_cn2(v, _PATH), 1e300),
+    ("cn2", lambda v: r0_from_cn2(v, _PATH), 5e-324),
+    ("theta", lambda v: received_waist(v, _PATH), 1e305),
+    ("wavelength", lambda v: OpticalPath(wavelength=v), 1e-320),
+    ("r0", lambda v: eta_phi_residual(35, 0.41, v), 1e-5),
+    ("f_g", lambda v: eta_tau(v, 10.0), 1e6),
+    ("f_g", lambda v: eta_tau(v, 1.0), 1e300),
+    ("a_coeff_db_km", lambda v: absorption_efficiency(v, _PATH), 1e3),
+    ("w_l", lambda v: collection_efficiency(v, _CHAIN), 1e-3),
+    ("beta", lambda v: eta0(v, 0.4), 100.0),
+    ("a_coeff_db_km", lambda v: full_budget(_GEOM, _TURB, v, _SMF), 1e3),
+    ("r0", lambda v: full_budget(_GEOM, TurbulenceState.from_r0(v, _PATH), 0.2, _SMF), 1e-180),
+    ("a_coeff_db_km", lambda v: sweep_columns(_GEOM, [0.09, 0.09], 0.5, [0.2, v]), 1e3),
 ]
 
 
@@ -113,7 +129,9 @@ _OUT_OF_RANGE = [
     ids=[f"{i}-{name}-{value:g}" for i, (name, _, value) in enumerate(_OUT_OF_RANGE)],
 )
 def test_rejects_input_whose_result_leaves_the_float_range(name, call, value):
-    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+    """Every row raises the one message form of units._check_result."""
+    form = rf"^{name} must give a finite, positive .+, got .+ \(.+ = .+\)$"
+    with pytest.raises(ValueError, match=form):
         call(value)
 
 

@@ -56,6 +56,17 @@ def test_budget_and_qkd_do_not_load_statistics():
     assert _modules_after(code, ("statistics", "decimal", "fractions")) == []
 
 
+def test_fit_r0_does_not_load_numpy_ma(tmp_path):
+    """fit_fried's medians sort; np.median would import numpy.ma (~14 ms a process)."""
+    log = tmp_path / "wfs.csv"
+    code = (
+        "from skylink import cli\n"
+        f"assert cli.main(['synth', {str(log)!r}, '--r0', '0.08', '--n', '200']) == 0\n"
+        f"assert cli.main(['fit-r0', {str(log)!r}]) == 0"
+    )
+    assert "numpy.ma" not in _modules_after(code, ("numpy",))
+
+
 def test_every_command_runs_without_scipy(tmp_path):
     """With scipy unimportable, each CLI command still returns 0."""
     off, on = tmp_path / "off.csv", tmp_path / "on.csv"
