@@ -13,11 +13,9 @@ Exit codes: 0 success, 2 usage/config, 3 domain/model, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import csv
 from dataclasses import asdict, replace
 import itertools
 import json
-import logging
 import os
 import sys
 from typing import NamedTuple
@@ -169,6 +167,8 @@ def _write_csv(fh, record) -> None:
     A list value becomes one cell of its items joined by commas, as
     ``parse_modes`` reads a mode list back.
     """
+    import csv
+
     rows = record if isinstance(record, list) else [record]
     writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -453,7 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+    if args.verbose:
+        import logging
+
+        logging.basicConfig(level=logging.DEBUG)
     try:
         if args.out and not args.out.endswith((".json", ".csv")):  # before any work or output
             raise ConfigError(f"cannot infer output format from {args.out!r} (use .json or .csv)")

@@ -148,8 +148,6 @@ def eta_phi_on(variances: ModeVarianceSet, J: int) -> float:
     _check_integer("J", J, 1)
     log_sum = 0.0
     for j in range(1, int(J) + 1):
-        if j not in variances:
-            raise ValueError(f"variance for mode {j} is missing")
         log_sum += math.log1p(2.0 * variances[j])
     return math.exp(-0.5 * log_sum)
 

@@ -61,8 +61,6 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
         if j in seen:
             raise ValueError(f"mode {j} is listed twice")
         seen.add(j)
-        if j not in variances:
-            raise ValueError(f"variance for mode {j} is missing")
         if variances[j] <= 0:
             warnings.warn(f"mode {j} has non-positive variance; excluded from fit", stacklevel=2)
             continue

@@ -36,9 +36,8 @@ from .coupling import (
     mode_match_beta,
     obscuration_ratio,
 )
-from .units import _check_non_negative, _check_positive, _check_result, _finite_result
-from .units import _is_integer, _is_non_negative, _is_positive, _is_ratio, to_db
-from .zernike import _check_residual_args
+from .units import _check_integer, _check_non_negative, _check_positive, _check_result
+from .units import _finite_result, _is_integer, _is_non_negative, _is_positive, _is_ratio, to_db
 
 __all__ = [
     "LinkGeometry",
@@ -155,7 +154,7 @@ def model_smf_breakdown(
     """
     _check_same_path(ts, path)
     J = chain.ao_modes if J is None else J
-    _check_residual_args(J, chain.d_rx, ts.fried_r0)
+    _check_integer("J", J, 1)  # chain and ts checked d_rx and r0 when they were built
     factors = _smf_factors(math, chain, path, ts.fried_r0, ts.cn2, ts.wind_speed, J, eta_phi_on)
     return compose_smf(*factors)
 

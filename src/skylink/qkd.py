@@ -9,8 +9,6 @@ with documented defaults.
 
 from __future__ import annotations
 
-import csv
-import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -37,7 +35,19 @@ __all__ = [
     "write_session_log",
 ]
 
-log = logging.getLogger(__name__)
+
+class _FirstClampLog:
+    """The skylink.qkd logger's stand-in until the first clamp: most runs never import logging."""
+
+    def info(self, msg, *args) -> None:
+        global log
+        import logging
+
+        log = logging.getLogger(__name__)  # later clamps call the logger directly
+        log.info(msg, *args)
+
+
+log = _FirstClampLog()
 
 _SESSION_LOG_HEADER = ["t_s", "signal_hz", "noise_hz", "qber_z", "qber_x", "skr_bps"]
 
@@ -403,6 +413,8 @@ def analyze_session_log(records: list[RateObservation]) -> dict[str, dict[str, f
 
 def load_session_log(path) -> list[RateObservation]:
     """Read the session-log CSV (t_s,signal_hz,noise_hz,qber_z,qber_x,skr_bps)."""
+    import csv
+
     records: list[RateObservation] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -429,6 +441,8 @@ def load_session_log(path) -> list[RateObservation]:
 
 def write_session_log(records: list[RateObservation], path) -> None:
     """Write the session-log CSV; a missing SKR becomes an empty field."""
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SESSION_LOG_HEADER)

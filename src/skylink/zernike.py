@@ -129,14 +129,13 @@ class ZernikeSeries:
 
 @dataclass(frozen=True)
 class ModeVarianceSet:
-    """Per-mode sample variances (rad^2); modes without enough data are absent.
+    """Per-mode sample variances (rad^2).
 
     A variance that is not finite or is below 0 raises ValueError naming
-    its mode.
+    its mode, and so does reading a mode the set does not hold.
     """
 
     variances: dict = field(default_factory=dict)  # j -> rad^2
-    sample_counts: dict = field(default_factory=dict)  # j -> N used
 
     def __post_init__(self) -> None:
         for j, v in self.variances.items():
@@ -146,7 +145,10 @@ class ModeVarianceSet:
         return j in self.variances
 
     def __getitem__(self, j: int) -> float:
-        return self.variances[j]
+        try:
+            return self.variances[j]
+        except KeyError:
+            raise ValueError(f"variance for mode {j} is missing") from None
 
     @property
     def modes(self) -> tuple:
@@ -154,22 +156,20 @@ class ModeVarianceSet:
 
 
 def empirical_variances(series: ZernikeSeries) -> ModeVarianceSet:
-    """Unbiased per-mode sample variance over the valid samples.
+    """Unbiased per-mode sample variance over the valid samples, for every mode.
 
-    Every mode is reported, each with the count of valid samples, or none
-    is when fewer than 2 samples are valid.  A nan or inf among the valid
-    samples gives a variance that :class:`ModeVarianceSet` rejects, naming
-    the mode.
+    Fewer than 2 valid samples raise ValueError naming the count.  A nan or
+    inf among the valid samples gives a variance that
+    :class:`ModeVarianceSet` rejects, naming the mode.
     """
     import numpy as np
 
     rows = series.coefficients[series.valid_mask]
     n = rows.shape[0]
     if n < 2:
-        return ModeVarianceSet()
+        raise ValueError(f"need at least 2 valid samples, got {n}")
     # inf - inf, or a square past 1e308: ModeVarianceSet's ValueError says it
     with np.errstate(invalid="ignore", over="ignore"):
         # one contiguous row per mode: numpy sums it pairwise, as it does a lone column
         var = np.var(np.ascontiguousarray(rows.T), axis=1, ddof=1)
-    modes = range(1, series.j_max + 1)
-    return ModeVarianceSet(dict(zip(modes, var.tolist())), dict.fromkeys(modes, n))
+    return ModeVarianceSet(dict(zip(range(1, series.j_max + 1), var.tolist())))

@@ -28,14 +28,12 @@ def analytic_variances(r0, d_rx, j_max, attenuation=1.0, ao_modes=None):
     """Open-loop Kolmogorov per-mode variances, optionally attenuated on
     the first ao_modes (idealized closed loop)."""
     variances = {}
-    counts = {}
     for j in range(1, j_max + 1):
         v = turbulence_variance(j, d_rx, r0)
         if ao_modes is not None and j <= ao_modes:
             v *= attenuation
         variances[j] = v
-        counts[j] = 0
-    return ModeVarianceSet(variances, counts)
+    return ModeVarianceSet(variances)
 
 
 def series_with_exact_variances(targets, n=512, seed=123, sample_rate=100.0, wavelength=1.555e-6):

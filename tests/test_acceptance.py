@@ -214,9 +214,7 @@ def test_criterion_12_property_suites():
         j_bump = int(rng.integers(1, 9))
         bumped = dict(base)
         bumped[j_bump] = base[j_bump] + float(rng.uniform(0, 1))
-        ok = ok and eta_phi_on(ModeVarianceSet(bumped, {}), 8) <= eta_phi_on(
-            ModeVarianceSet(base, {}), 8
-        )
+        ok = ok and eta_phi_on(ModeVarianceSet(bumped), 8) <= eta_phi_on(ModeVarianceSet(base), 8)
     notes.append("eta_phi_ON monotone")
 
     # r0 <-> Cn2 round trip

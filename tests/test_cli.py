@@ -190,6 +190,17 @@ def test_fit_rejects_non_finite_log(tmp_path, capsys):
     assert "r0_hat" not in out
 
 
+@pytest.mark.parametrize("n_valid", [1, 0])
+def test_a_log_with_fewer_than_two_valid_rows_names_the_count(tmp_path, capsys, n_valid):
+    p = tmp_path / "wfs.csv"
+    header = "# wavelength_m=1.555e-06 d_rx_m=0.41\nt_s,valid,b1,b2,b3\n"
+    flags = [1] * n_valid + [0] * (5 - n_valid)
+    p.write_text(header + "".join(f"{k}.0,{v},0.1,-0.2,0.{k}\n" for k, v in enumerate(flags)))
+    for argv in (["fit-r0", str(p)], ["predict-smf", "--ao-on", str(p), "--r0", "0.08"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: need at least 2 valid samples, got {n_valid}\n")
+
+
 def test_fit_mode_selection(tmp_path, capsys):
     wfs = tmp_path / "wfs.csv"
     run(capsys, "synth", str(wfs), "--r0", "0.08", "--n", "4000", "--seed", "3")

@@ -180,22 +180,22 @@ def test_optimize_beta_dominates_grid(alpha):
 
 
 def test_eta_phi_on_matches_product():
-    variances = ModeVarianceSet({1: 0.2, 2: 0.1, 3: 0.05}, {1: 9, 2: 9, 3: 9})
+    variances = ModeVarianceSet({1: 0.2, 2: 0.1, 3: 0.05})
     expected = math.prod((1 + 2 * v) ** -0.5 for v in (0.2, 0.1, 0.05))
     assert eta_phi_on(variances, 3) == pytest.approx(expected, rel=1e-12)
 
 
 def test_eta_phi_on_missing_mode_is_named():
-    variances = ModeVarianceSet({1: 0.2, 3: 0.05}, {})
-    with pytest.raises(ValueError, match="mode 2"):
+    variances = ModeVarianceSet({1: 0.2, 3: 0.05})
+    with pytest.raises(ValueError, match=r"^variance for mode 2 is missing$"):
         eta_phi_on(variances, 3)
 
 
 def test_eta_phi_on_monotone_in_variance():
     base = {j: 0.1 for j in range(1, 6)}
-    lo = eta_phi_on(ModeVarianceSet(dict(base), {}), 5)
+    lo = eta_phi_on(ModeVarianceSet(dict(base)), 5)
     base[3] = 0.3
-    hi = eta_phi_on(ModeVarianceSet(base, {}), 5)
+    hi = eta_phi_on(ModeVarianceSet(base), 5)
     assert hi < lo
 
 

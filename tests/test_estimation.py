@@ -60,7 +60,7 @@ def test_fit_excludes_nonpositive_variance():
 
 def test_fit_errors():
     variances = analytic_variances(0.08, 0.41, 5)
-    with pytest.raises(ValueError, match="mode 6"):
+    with pytest.raises(ValueError, match=r"^variance for mode 6 is missing$"):
         estimation.fit_fried(variances, 0.41, modes=(1, 2, 6))
     with pytest.raises(ValueError, match="at least 3"):
         estimation.fit_fried(variances, 0.41, modes=(1, 2))
@@ -68,6 +68,8 @@ def test_fit_errors():
         estimation.fit_fried(variances, 0.41, modes=(3, 3, 4))
     with pytest.raises(ValueError):
         estimation.fit_fried(variances, -0.41)
+    with pytest.raises(ValueError, match=r"^modes_used must be non-empty$"):
+        estimation.FriedFit(0.08, 0.0, 1.0, 0.0, modes_used=())
 
 
 @pytest.mark.parametrize(
@@ -188,6 +190,33 @@ def test_wfs_log_errors(tmp_path):
     p.write_text("# wavelength_m=-1.5e-06 d_rx_m=0.41\nt_s,valid,b1\n0.0,1,0.1\n")
     with pytest.raises(ValueError, match=":1: non-positive header value 'wavelength_m=-1.5e-06'"):
         estimation.load_wfs_log(p)
+
+
+_WFS_HEADER = "# wavelength_m=1.5e-06 d_rx_m=0.41\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "{path}: empty WFS log"),
+        ("# wavelength_m=1.5e-06 d_rx_m\nt_s,valid,b1\n0.0,1,0.1\n",
+         "{path}:1: bad header token 'd_rx_m'"),
+        ("# wavelength_m=1.5um d_rx_m=0.41\nt_s,valid,b1\n0.0,1,0.1\n",
+         "{path}:1: bad header value 'wavelength_m=1.5um'"),
+        (_WFS_HEADER, "{path}: missing column header"),
+        (_WFS_HEADER + "t,valid,b1\n0.0,1,0.1\n", "{path}:2: bad column header 't,valid,b1'"),
+        (_WFS_HEADER + "t_s,valid\n0.0,1\n", "{path}:2: bad column header 't_s,valid'"),
+        (_WFS_HEADER + "t_s,valid,b1,b3\n0.0,1,0.1,0.2\n", "{path}:2: bad coefficient columns"),
+    ],
+    ids=["empty", "header token", "header value", "no columns", "column header", "no modes",
+         "coefficient columns"],
+)
+def test_wfs_log_header_errors_name_the_file_and_line(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError) as err:
+        estimation.load_wfs_log(p)
+    assert str(err.value) == message.format(path=p)
 
 
 @pytest.mark.parametrize(

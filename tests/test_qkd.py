@@ -203,8 +203,8 @@ def test_session_log_round_trip(tmp_path):
 
 def test_session_log_errors(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("t_s,signal_hz,noise_hz,qber_z,qber_x,skr_bps\n1.0,2.0,3.0\n")
-    with pytest.raises(ValueError, match=":2"):
+    p.write_text("t_s,signal_hz,noise_hz,qber_z,qber_x,skr_bps\n\n1.0,2.0,3.0\n")
+    with pytest.raises(ValueError, match=":3: expected 6 fields, got 3$"):  # a blank row counts
         qkd.load_session_log(p)
     p.write_text("wrong,header\n")
     with pytest.raises(ValueError, match="header"):

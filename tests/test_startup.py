@@ -56,6 +56,16 @@ def test_budget_and_qkd_do_not_load_statistics():
     assert _modules_after(code, ("statistics", "decimal", "fractions")) == []
 
 
+def test_budget_and_qkd_do_not_load_logging_or_csv():
+    """logging waits for --verbose or a clamped key rate, csv for a file to read or write."""
+    code = (
+        "import skylink.cli\n"
+        "assert skylink.cli.main(['budget']) == 0\n"
+        "assert skylink.cli.main(['qkd', '--eta-ch', '-29']) == 0"
+    )
+    assert _modules_after(code, ("logging", "csv")) == []
+
+
 def test_fit_r0_does_not_load_numpy_ma(tmp_path):
     """fit_fried's medians sort; np.median would import numpy.ma (~14 ms a process)."""
     log = tmp_path / "wfs.csv"

@@ -160,7 +160,7 @@ def test_empirical_variances_unbiased():
     data = np.array([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0], [5.0, 0.0]])
     out = empirical_variances(make_series(data))
     assert out[1] == pytest.approx(np.var(data[:, 0], ddof=1), rel=1e-15)
-    assert out.sample_counts[1] == 4
+    assert out.modes == (1, 2)
 
 
 def test_empirical_variances_respects_mask():
@@ -168,7 +168,7 @@ def test_empirical_variances_respects_mask():
     out = empirical_variances(make_series(data, np.array([True, True, False])))
     assert out[1] == pytest.approx(np.var([1.0, 2.0], ddof=1), rel=1e-15)
     assert out[2] == pytest.approx(np.var([10.0, 20.0], ddof=1), rel=1e-15)
-    assert out.sample_counts == {1: 2, 2: 2}
+    assert out.modes == (1, 2)
 
 
 def test_empirical_variances_rejects_a_non_finite_valid_sample():
@@ -179,44 +179,37 @@ def test_empirical_variances_rejects_a_non_finite_valid_sample():
     # a masked-out row is not a sample
     out = empirical_variances(make_series(data, np.array([True, False, True])))
     assert out.modes == (1, 2)
-    assert out.sample_counts == {1: 2, 2: 2}
 
 
-def test_modes_with_too_few_samples_are_absent():
+def test_fewer_than_two_valid_samples_raise_naming_the_count():
     data = np.array([[1.0, 5.0], [2.0, 6.0], [4.0, 9.0]])
-    for mask in ([True, False, False], [False, False, False]):
-        out = empirical_variances(make_series(data, np.array(mask)))
-        assert 1 not in out
-        assert 2 not in out
-        assert out.modes == ()
-        assert out.sample_counts == {}
-        with pytest.raises(KeyError):
-            out[1]
+    for mask, n in (([True, False, False], 1), ([False, False, False], 0)):
+        with pytest.raises(ValueError, match=rf"^need at least 2 valid samples, got {n}$"):
+            empirical_variances(make_series(data, np.array(mask)))
     out = empirical_variances(make_series(data, np.array([True, False, True])))
     assert out.modes == (1, 2)
 
 
 def _reference_empirical_variances(series):
     """The per-column loop whose variances empirical_variances must reproduce bit for bit."""
-    variances, counts = {}, {}
+    mask = series.valid_mask
+    n = int(mask.sum())
+    if n < 2:
+        raise ValueError(f"need at least 2 valid samples, got {n}")
+    variances = {}
     for col in range(series.j_max):
-        mask = series.valid_mask
-        n = int(mask.sum())
-        if n < 2:
-            continue
         with np.errstate(invalid="ignore", over="ignore"):
             variances[col + 1] = float(np.var(series.coefficients[mask, col], ddof=1))
-        counts[col + 1] = n
-    return ModeVarianceSet(variances, counts)
+    return ModeVarianceSet(variances)
 
 
 def _variance_outcome(estimate, series):
-    """Variances as float.hex with their counts, or the ValueError text."""
+    """Variances as float.hex, or the ValueError text."""
     try:
         out = estimate(series)
     except ValueError as exc:
         return str(exc)
-    return {j: out[j].hex() for j in out.modes}, out.sample_counts
+    return {j: out[j].hex() for j in out.modes}
 
 
 @st.composite
@@ -245,9 +238,11 @@ def test_empirical_variances_match_the_per_column_loop_bit_for_bit(series):
 
 
 def test_mode_variance_set_container():
-    s = ModeVarianceSet({2: 0.5, 1: 0.25}, {2: 10, 1: 10})
+    s = ModeVarianceSet({2: 0.5, 1: 0.25})
     assert s.modes == (1, 2)
     assert 1 in s and 3 not in s
     assert s[2] == 0.5
+    with pytest.raises(ValueError, match=r"^variance for mode 3 is missing$"):
+        s[3]
     with pytest.raises(ValueError, match=r"^variance of mode 1 must be finite and >= 0, got -0.25$"):
         ModeVarianceSet({2: 0.5, 1: -0.25})
