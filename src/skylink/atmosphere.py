@@ -113,10 +113,6 @@ class TurbulenceState:
         """Refractive-index structure constant, in m^(-2/3)."""
         return _cn2_from_r0(self.fried_r0, self.path)
 
-    def r0_at(self, wavelength: float) -> float:
-        """Fried parameter rescaled to another wavelength."""
-        return scale_r0_to_wavelength(self.fried_r0, self.path.wavelength, wavelength)
-
 
 def _check_same_path(ts: TurbulenceState, path: OpticalPath, name: str = "path") -> None:
     """ValueError unless the path given beside a turbulence state is the state's own."""

@@ -246,12 +246,12 @@ _RESIDUAL_WARN = 0.5  # log-domain rms above this flags non-Kolmogorov data
 
 
 def cmd_fit_r0(args, cfg: dict) -> dict:
-    series, d_rx_file = estimation.load_wfs_log(args.wfs_csv)
-    d_rx = args.d_rx if args.d_rx is not None else d_rx_file
+    chain = build_chain(cfg)
+    series = _load_log_for(chain, build_path(cfg), args.wfs_csv)
     variances = estimation.empirical_variances(series)
     modes = parse_modes(args.modes) if args.modes else None
-    fit = estimation.fit_fried(variances, d_rx, modes)
-    print(f"Fried parameter fit over {len(fit.modes_used)} modes (D_Rx = {d_rx:.3g} m)")
+    fit = estimation.fit_fried(variances, chain.d_rx, modes)
+    print(f"Fried parameter fit over {len(fit.modes_used)} modes (D_Rx = {chain.d_rx:.3g} m)")
     print(f"  r0_hat             {fit.r0_hat * 100:8.2f} cm")
     print(f"  r0_sigma           {fit.r0_sigma * 100:8.2f} cm")
     print(f"  residual_rms (log) {fit.residual_rms:8.3f}")
@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-r0", help="fit the Fried parameter from a WFS log")
     p.add_argument("wfs_csv")
     p.add_argument("--modes", help="modes to fit, e.g. '3-35' to exclude tilts")
-    p.add_argument("--d-rx", type=float, help="override receiver diameter in m")
     p.set_defaults(func=cmd_fit_r0)
 
     p = sub.add_parser("predict-smf", help="predict SMF coupling from WFS data")

@@ -66,6 +66,7 @@ class LinkGeometry:
 
     def __post_init__(self) -> None:
         _check_positive("w0", self.w0)
+        _finite_result("w0", self.w0, "rayleigh range", lambda: self.rayleigh_range)
 
     @property
     def rayleigh_range(self) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio, _check_result
 from .units import from_db
@@ -36,18 +36,13 @@ __all__ = [
 ]
 
 
-class _FirstClampLog:
-    """The skylink.qkd logger's stand-in until the first clamp: most runs never import logging."""
+@cache
+def _log():
+    """The skylink.qkd logger, imported at the first clamp: most runs never import logging."""
+    import logging
 
-    def info(self, msg, *args) -> None:
-        global log
-        import logging
+    return logging.getLogger(__name__)
 
-        log = logging.getLogger(__name__)  # later clamps call the logger directly
-        log.info(msg, *args)
-
-
-log = _FirstClampLog()
 
 _SESSION_LOG_HEADER = ["t_s", "signal_hz", "noise_hz", "qber_z", "qber_x", "skr_bps"]
 
@@ -359,12 +354,12 @@ def secret_key_rate(
 
     s_z1, _ = _m_bounds(c, n_z, c.d_nz, c.s1_nz, qber_z * n_z)
     if s_z1 <= 0:
-        log.info("secret_key_rate: single-photon bound vanished, clamping to 0")
+        _log().info("secret_key_rate: single-photon bound vanished, clamping to 0")
         return 0.0
     n_x = c.n_x  # X detections per block
     s_x1, v_x1 = _m_bounds(c, n_x, c.d_nx, c.s1_nx, qber_x * n_x)
     if s_x1 <= 0:
-        log.info("secret_key_rate: single-photon bound vanished, clamping to 0")
+        _log().info("secret_key_rate: single-photon bound vanished, clamping to 0")
         return 0.0
 
     phi_x = v_x1 / s_x1
@@ -382,7 +377,7 @@ def secret_key_rate(
     leak_ec = n_z * session.f_ec * _binary_entropy(qber_z)
     key_len = c.s0_z + s_z1 * (1.0 - _binary_entropy(phi_z)) - leak_ec - c.pa_cost - c.ec_cost
     if key_len <= 0:
-        log.info("secret_key_rate: bound non-positive (%.1f bits), clamping to 0", key_len)
+        _log().info("secret_key_rate: bound non-positive (%.1f bits), clamping to 0", key_len)
         return 0.0
     return key_len / block_time
 

@@ -91,10 +91,18 @@ def _finite_result(name: str, value, what: str, compute, *args, on_error: float 
 
     Where numpy gives inf, Python's float ``**`` raises OverflowError and ``/``
     by an underflowed 0 ZeroDivisionError; either counts as the result
-    ``on_error``: inf, or 0.0 where that inf falls under an exp(-x).
+    ``on_error``: inf, or 0.0 where that inf falls under an exp(-x).  A numpy
+    scalar input computes with numpy's warnings off, so its overflow is this
+    rule's ValueError too.
     """
     try:
-        result = compute(*args)
+        if type(value).__module__ == "numpy":  # numpy is loaded already
+            import numpy as np
+
+            with np.errstate(all="ignore"):
+                result = compute(*args)
+        else:
+            result = compute(*args)
     except (OverflowError, ZeroDivisionError):
         result = on_error
     _check_result(name, value, what, result)

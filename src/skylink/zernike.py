@@ -141,9 +141,6 @@ class ModeVarianceSet:
         for j, v in self.variances.items():
             _check_non_negative(f"variance of mode {j}", v)
 
-    def __contains__(self, j: int) -> bool:
-        return j in self.variances
-
     def __getitem__(self, j: int) -> float:
         try:
             return self.variances[j]

@@ -724,14 +724,38 @@ def test_predict_smf_checks_its_flags_before_reading_logs(tmp_path, capsys):
     assert "exactly one of --ao-off or --r0" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity"], ids=["nan", "inf"])
 def test_fit_rejects_non_finite_diameter(tmp_path, capsys, value):
     wfs = tmp_path / "wfs.csv"
     run(capsys, "synth", str(wfs), "--r0", "0.08", "--n", "500", "--seed", "3")
-    code, out, err = run(capsys, "fit-r0", str(wfs), "--d-rx", value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"d_rx_m": {value}}}')
+    code, out, err = run(capsys, "--config", str(cfg), "fit-r0", str(wfs))
     assert code == 3
     assert "error: d_rx must be finite" in err
     assert "r0_hat" not in out
+
+
+@pytest.mark.parametrize(
+    "key, logged, configured",
+    [("d_rx_m", "0.5", "0.41"), ("wavelength_m", "8e-07", "1.555e-06")],
+    ids=["d_rx", "wavelength"],
+)
+def test_fit_rejects_a_log_for_another_receiver(tmp_path, capsys, key, logged, configured):
+    wfs = tmp_path / "wfs.csv"
+    run(capsys, "synth", str(wfs), "--r0", "0.08", "--n", "500", "--seed", "3")
+    text = wfs.read_text()
+    wfs.write_text(text.replace(f"{key}={configured}", f"{key}={logged}", 1))
+    out_file = tmp_path / "fit.json"
+    code, out, err = run(capsys, "--out", str(out_file), "fit-r0", str(wfs))
+    assert (code, out) == (2, "")
+    assert err == f"error: {wfs}: WFS log has {key}={logged} but the config has {configured}\n"
+    assert not out_file.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: float(logged)}))
+    code, out, _ = run(capsys, "--config", str(cfg), "--out", str(out_file), "fit-r0", str(wfs))
+    assert code == 0
+    assert "r0_hat" in out and out_file.exists()
 
 
 def test_library_spad_session_is_the_clis(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from skylink import qkd, synth
 from skylink.atmosphere import OpticalPath, TurbulenceState, scale_r0_to_wavelength
-from skylink.atmosphere import r0_from_cn2, scintillation_report
+from skylink.atmosphere import cn2_from_r0, r0_from_cn2, scintillation_report
 from skylink.coupling import ReceiverChain, coupling_from_power, eta0, eta_phi_residual, eta_tau
 from skylink.coupling import mode_match_beta
 from skylink.estimation import FriedFit, fit_fried, write_wfs_log
@@ -120,6 +120,9 @@ _OUT_OF_RANGE = [
     ("a_coeff_db_km", lambda v: full_budget(_GEOM, _TURB, v, _SMF), 1e3),
     ("r0", lambda v: full_budget(_GEOM, TurbulenceState.from_r0(v, _PATH), 0.2, _SMF), 1e-180),
     ("a_coeff_db_km", lambda v: sweep_columns(_GEOM, [0.09, 0.09], 0.5, [0.2, v]), 1e3),
+    ("w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-200),
+    ("w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-320),
+    ("r0", lambda v: cn2_from_r0(v, _PATH), np.float32(1e-30)),  # numpy warns; the rule raises
 ]
 
 
