@@ -66,18 +66,13 @@ def test_r0_cn2_round_trip(r0, lam, length):
     assert r0_from_cn2(cn2_from_r0(r0, path), path) == pytest.approx(r0, rel=1e-10)
 
 
-def test_wavelength_scaling_six_fifths(path):
+def test_wavelength_scaling_six_fifths():
     r0 = 0.08
     scaled = scale_r0_to_wavelength(r0, 1.555e-6, 0.8e-6)
     assert scaled == pytest.approx(r0 * (0.8 / 1.555) ** 1.2, rel=1e-12)
     # round trip
     back = scale_r0_to_wavelength(scaled, 0.8e-6, 1.555e-6)
     assert back == pytest.approx(r0, rel=1e-12)
-    # a turbulence state's r0, rescaled from its own path's wavelength
-    ts = TurbulenceState.from_r0(0.0875, path)
-    assert scale_r0_to_wavelength(ts.fried_r0, ts.path.wavelength, 0.8e-6) == pytest.approx(
-        0.0875 * (0.8e-6 / path.wavelength) ** 1.2, rel=1e-12
-    )
 
 
 def test_scaling_matches_cn2_invariance(path):
@@ -104,6 +99,14 @@ def test_r0_whose_cn2_leaves_the_float_range_names_r0(path, r0):
     for build in (cn2_from_r0, TurbulenceState.from_r0):
         with pytest.raises(ValueError, match=want):
             build(r0, path)
+
+
+def test_r0_at_other_wavelength(path):
+    # a turbulence state's r0, rescaled from its own path's wavelength
+    ts = TurbulenceState.from_r0(0.0875, path)
+    assert scale_r0_to_wavelength(ts.fried_r0, ts.path.wavelength, 0.8e-6) == pytest.approx(
+        0.0875 * (0.8e-6 / path.wavelength) ** 1.2, rel=1e-12
+    )
 
 
 def test_scintillation_internal_identities(path):
