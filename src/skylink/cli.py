@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import estimation, qkd, synth
 from .atmosphere import OpticalPath, TurbulenceState
-from .coupling import ReceiverChain
+from .coupling import ReceiverChain, eta0, mode_match_beta, obscuration_ratio
 from .estimation import FriedFit
 from .linkbudget import LinkGeometry, full_budget, model_smf_breakdown, sweep_columns
 from .units import _check_positive, _is_ratio, from_db, to_db
@@ -76,6 +76,11 @@ _OPERATING_POINT = {
     "pulse_rate_hz": 1e8,
 }
 _KINDS = {str: "a string", float: "a number", int: "a whole number"}
+# The keys of the fields that set the mode-match beta and the obscuration alpha
+_BETA_KEYS = ", ".join(
+    name for field in ("d_rx", "d_obs", "f_eff", "mfd", "wavelength")
+    for name, key in _FIELD_KEYS.items() if key.name == field
+)
 
 
 def _default(key: _Field):
@@ -150,8 +155,18 @@ def build_chain(cfg: dict) -> ReceiverChain:
     return ReceiverChain(**_fields(cfg, ReceiverChain))
 
 
+def _build_optics(cfg: dict) -> tuple[OpticalPath, ReceiverChain]:
+    """The path and chain, or ValueError naming the keys that set beta if they give no eta0."""
+    path, chain = build_path(cfg), build_chain(cfg)
+    try:
+        eta0(mode_match_beta(chain, path.wavelength), obscuration_ratio(chain))
+    except ValueError as exc:
+        raise ValueError(f"{exc}; beta and alpha are set by config keys {_BETA_KEYS}") from None
+    return path, chain
+
+
 def build_geometry(cfg: dict) -> LinkGeometry:
-    return LinkGeometry(build_path(cfg), build_chain(cfg), **_fields(cfg, LinkGeometry))
+    return LinkGeometry(*_build_optics(cfg), **_fields(cfg, LinkGeometry))
 
 
 def build_session(cfg: dict) -> qkd.QkdSessionModel:
@@ -284,8 +299,7 @@ def _load_log_for(chain: ReceiverChain, path: OpticalPath, log_file: str):
 def cmd_predict_smf(args, cfg: dict) -> dict:
     if (args.ao_off is None) == (args.r0_m is None):
         raise ConfigError("provide exactly one of --ao-off or --r0")
-    chain = build_chain(cfg)
-    path = build_path(cfg)
+    path, chain = _build_optics(cfg)
     ao_on = _load_log_for(chain, path, args.ao_on)
     if args.ao_off is not None:
         off_series = _load_log_for(chain, path, args.ao_off)

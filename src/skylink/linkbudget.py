@@ -58,7 +58,11 @@ _DB_PER_NAT = 10.0 / math.log(10.0)
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Transmit waist plus path and receiver chain."""
+    """Transmit waist plus path and receiver chain.
+
+    A w0 whose Rayleigh range leaves the float range, or for which no r0
+    gives a positive eta_coll, raises ValueError naming w0.
+    """
 
     path: OpticalPath
     chain: ReceiverChain
@@ -67,6 +71,11 @@ class LinkGeometry:
     def __post_init__(self) -> None:
         _check_positive("w0", self.w0)
         _finite_result("w0", self.w0, "rayleigh range", lambda: self.rayleigh_range)
+        # Every r0 gives a received radius above its r0 -> inf limit L*theta0, so
+        # the best eta_coll any r0 can give is at max(L*theta0, w*).
+        theta0 = _divergence(math, self, math.inf)[0]
+        w_l = max(_received_waist(theta0, self.path), _peak_collection_radius(self.chain))
+        _finite_result("w0", self.w0, "eta_coll", _collection, math, w_l, self.chain, on_error=0.0)
 
     @property
     def rayleigh_range(self) -> float:
@@ -123,6 +132,16 @@ def absorption_efficiency(a_coeff_db_km: float, path: OpticalPath) -> float:
 def _collection(xp, w_l, chain: ReceiverChain):
     two_wl2 = 2.0 * w_l * w_l
     return chain.eta_tel * (xp.exp(-chain.d_obs**2 / two_wl2) - xp.exp(-chain.d_rx**2 / two_wl2))
+
+
+def _peak_collection_radius(chain: ReceiverChain) -> float:
+    """The beam radius w* of largest collection.
+
+    w*^2 = (d_rx^2 - d_obs^2) / (2 ln(d_rx^2 / d_obs^2)), where the two
+    exponentials of :func:`_collection` have equal slopes in 1/w^2.
+    """
+    d_rx, d_obs = chain.d_rx, chain.d_obs
+    return math.sqrt((d_rx - d_obs) * (d_rx + d_obs) / (4.0 * math.log(d_rx / d_obs)))
 
 
 def collection_efficiency(w_l: float, chain: ReceiverChain) -> float:

@@ -9,7 +9,7 @@ the first J modes uses the classic 0.2944 * J^(-sqrt(3)/2) closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .units import _check_integer, _check_non_negative, _check_positive, _finite_result
@@ -127,29 +127,25 @@ class ZernikeSeries:
         return ZernikeSeries(self.timestamps, self.coefficients * scale, self.valid_mask, wavelength)
 
 
-@dataclass(frozen=True)
-class ModeVarianceSet:
-    """Per-mode sample variances (rad^2).
+class ModeVarianceSet(dict):
+    """Per-mode sample variances: a dict from mode j to its variance in rad^2.
 
     A variance that is not finite or is below 0 raises ValueError naming
-    its mode, and so does reading a mode the set does not hold.
+    its mode, and so does ``s[j]`` for a mode j the set does not hold
+    (``s.get(j)`` gives None, as on any dict).
     """
 
-    variances: dict = field(default_factory=dict)  # j -> rad^2
-
-    def __post_init__(self) -> None:
-        for j, v in self.variances.items():
+    def __init__(self, variances=()) -> None:
+        super().__init__(variances)
+        for j, v in self.items():
             _check_non_negative(f"variance of mode {j}", v)
 
-    def __getitem__(self, j: int) -> float:
-        try:
-            return self.variances[j]
-        except KeyError:
-            raise ValueError(f"variance for mode {j} is missing") from None
+    def __missing__(self, j):
+        raise ValueError(f"variance for mode {j} is missing")
 
     @property
     def modes(self) -> tuple:
-        return tuple(sorted(self.variances))
+        return tuple(sorted(self))
 
 
 def empirical_variances(series: ZernikeSeries) -> ModeVarianceSet:
@@ -169,4 +165,4 @@ def empirical_variances(series: ZernikeSeries) -> ModeVarianceSet:
     with np.errstate(invalid="ignore", over="ignore"):
         # one contiguous row per mode: numpy sums it pairwise, as it does a lone column
         var = np.var(np.ascontiguousarray(rows.T), axis=1, ddof=1)
-    return ModeVarianceSet(dict(zip(range(1, series.j_max + 1), var.tolist())))
+    return ModeVarianceSet(zip(range(1, series.j_max + 1), var.tolist()))

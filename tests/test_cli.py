@@ -55,6 +55,35 @@ def test_budget_absorption_past_the_float_range_exits_3_before_printing(tmp_path
     assert not out_file.exists()
 
 
+def test_a_transmit_waist_no_r0_can_collect_exits_3_naming_w0(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"w0_m": 1e-150}')
+    code, out, err = run(capsys, "--config", str(cfg), "budget")
+    assert code == 3
+    assert out == ""
+    assert err == "error: w0 must give a finite, positive eta_coll, got 1e-150 (eta_coll = 0.0)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["budget"], ["sweep", "--steps", "3"], ["predict-smf", "--ao-on", "on.csv", "--r0", "0.08"]],
+    ids=["budget", "sweep", "predict-smf"],
+)
+def test_a_chain_with_no_eta0_names_the_config_keys_that_set_beta(
+    tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "synth", "on.csv", "--r0", "0.08", "--n", "300", "--ao-on")
+    (tmp_path / "cfg.json").write_text('{"mfd_m": 0.01}')
+    code, out, err = run(capsys, "--config", "cfg.json", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: beta must give a finite, positive eta0, got 1035.412369752263 (eta0 = 0.0); "
+        "beta and alpha are set by config keys d_rx_m, d_obs_m, f_eff_m, mfd_m, wavelength_m\n"
+    )
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"no_such_key": 1}')

@@ -51,7 +51,7 @@ def test_fit_subset_of_modes():
 
 def test_fit_excludes_nonpositive_variance():
     variances = analytic_variances(0.08, 0.41, 10)
-    variances.variances[4] = 0.0
+    variances[4] = 0.0  # a dict item set after the constructor's check
     with pytest.warns(UserWarning, match="mode 4"):
         fit = estimation.fit_fried(variances, 0.41)
     assert 4 not in fit.modes_used

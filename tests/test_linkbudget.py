@@ -352,6 +352,17 @@ def test_non_finite_inputs_name_the_input(path, chain, bad):
         TurbulenceState.from_r0(bad, path, 0.5)
 
 
+def test_a_waist_that_no_r0_can_collect_is_named_as_w0(path, chain):
+    with pytest.raises(
+        ValueError, match=r"^w0 must give a finite, positive eta_coll, got 1e-150 \(eta_coll = 0\.0\)$"
+    ):
+        LinkGeometry(path, chain, w0=1e-150)
+    ts = TurbulenceState.from_r0(0.09, path, 0.556)
+    for w0 in (1e-9, 0.025, 10.0, 1e6):  # far from the default, but some r0 collects
+        geom = LinkGeometry(path, chain, w0=w0)
+        assert full_budget(geom, ts, 0.2, model_smf_breakdown(chain, ts, path)).eta_coll > 0
+
+
 _OTHER_PATH = OpticalPath(path_length=1000.0)
 
 

@@ -123,6 +123,8 @@ _OUT_OF_RANGE = [
     ("w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-200),
     ("w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-320),
     ("r0", lambda v: cn2_from_r0(v, _PATH), np.float32(1e-30)),  # numpy warns; the rule raises
+    ("w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-150),  # no r0 gives an eta_coll
+    ("w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-20),
 ]
 
 

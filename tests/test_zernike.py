@@ -241,6 +241,11 @@ def test_mode_variance_set_container():
     s = ModeVarianceSet({2: 0.5, 1: 0.25})
     assert s.modes == (1, 2)
     assert s[2] == 0.5
+    assert 1 in s and 2 in s
+    assert 3 not in s
+    assert len(s) == 2
+    assert list(s) == [2, 1]  # insertion order, as a dict iterates
+    assert s.get(3) is None
     with pytest.raises(ValueError, match=r"^variance for mode 3 is missing$"):
         s[3]
     with pytest.raises(ValueError, match=r"^variance of mode 1 must be finite and >= 0, got -0.25$"):
