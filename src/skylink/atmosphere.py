@@ -99,6 +99,10 @@ class TurbulenceState:
     def __post_init__(self) -> None:
         cn2_from_r0(self.fried_r0, self.path)
         _check_non_negative("wind_speed", self.wind_speed)
+        # Stored as Python floats once checked (the messages above keep a
+        # numpy scalar's own digits), so a float32 r0 runs the budget in float64.
+        object.__setattr__(self, "fried_r0", float(self.fried_r0))
+        object.__setattr__(self, "wind_speed", float(self.wind_speed))
 
     @classmethod
     def from_r0(cls, r0: float, path: OpticalPath, wind_speed: float = 0.0) -> "TurbulenceState":

@@ -57,6 +57,8 @@ class ReceiverChain:
             _check_positive(name, getattr(self, name))
         if not self.d_obs < self.d_rx:
             raise ValueError(f"need d_obs < d_rx, got d_obs={self.d_obs}, d_rx={self.d_rx}")
+        # d_rx^2 in range keeps d_obs^2 below it; an underflowed d_obs^2 is harmless.
+        _finite_result("d_rx", self.d_rx, "d_rx^2", lambda: self.d_rx**2)
         for name in ("eta_tel", "eta_optics", "eta_fiber"):
             _check_ratio(name, getattr(self, name))
         _check_integer("ao_modes", self.ao_modes, 2)

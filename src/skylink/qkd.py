@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio, _check_result
-from .units import from_db
+from .units import _finite_result, from_db
 
 __all__ = [
     "DetectorModel",
@@ -133,10 +133,15 @@ class _FiniteKeyConstants:
     """
 
     def __init__(self, session: QkdSessionModel) -> None:
+        # The terms that one finite field can push out of the float range go
+        # through the range rule, naming that field (units._finite_result).
         mu1, mu2 = session.mu1, session.mu2
         self.p1 = p1 = session.p_mu1
         self.p2 = p2 = 1.0 - p1  # p_mu2 = 1 - p_mu1
-        self.n_z = float(session.block_size * 8)  # n_Z: block_size bytes of sifted Z key, as bits
+        # n_Z: block_size bytes of sifted Z key, as bits
+        self.n_z = _finite_result(
+            "block_size", session.block_size, "n_Z", lambda: float(session.block_size * 8)
+        )
         self.p_zz = session.p_z_alice * session.p_z_bob  # share sifted into Z (both chose Z)
         self.p_xx = (1.0 - session.p_z_alice) * (1.0 - session.p_z_bob)  # share sifted into X
         # The eps_sec/19 split: every Hoeffding deviation sqrt(n/2 ln(1/eps0))
@@ -147,11 +152,16 @@ class _FiniteKeyConstants:
         # the sampling bound's failure probability falls as gamma grows and is
         # already within its share at gamma = 0.
         eps0 = session.eps_sec / 19.0
+        self.gamma_eps_sq = _finite_result(  # gamma: 21^2/a^2 at a = eps0
+            "eps_sec", session.eps_sec, "gamma factor", lambda: (21.0 / eps0) ** 2
+        )
         self.log_inv_eps0 = math.log(1.0 / eps0)
-        self.gamma_eps_sq = (21.0 / eps0) ** 2  # gamma: 21^2/a^2 at a = eps0
         self.ln2 = math.log(2.0)  # log 2 in gamma's denominator
         self.pa_cost = 6.0 * math.log2(19.0 / session.eps_sec)  # privacy amplification
-        self.ec_cost = math.log2(2.0 / session.eps_cor)  # error-verification hash
+        self.ec_cost = _finite_result(  # error-verification hash
+            "eps_cor", session.eps_cor, "error-verification cost",
+            lambda: math.log2(2.0 / session.eps_cor),
+        )
         # Deviation: no per-intensity counts are modeled, so detections (and
         # errors) split across intensities as p_k mu_k, the high-loss limit;
         # w1 + w2 = 1.
@@ -163,27 +173,33 @@ class _FiniteKeyConstants:
             sum(p * math.exp(-mu) * mu**i / math.factorial(i) for p, mu in ((p1, mu1), (p2, mu2)))
             for i in (0, 1)
         )
-        self.exp_mu1 = exp_mu1 = math.exp(mu1)  # e^mu1 of n^±_{mu1}, m^±_{mu1}
+        # e^mu1 of n^±_{mu1}, m^±_{mu1}
+        self.exp_mu1 = exp_mu1 = _finite_result("mu1", mu1, "e^mu1", math.exp, mu1)
         self.exp_mu2 = exp_mu2 = math.exp(mu2)  # e^mu2 of n^±_{mu2}, m^±_{mu2}
         self.mu1_exp_mu2 = mu1 * exp_mu2  # s_0^-: mu1 e^mu2, prefix of its n^-_{mu2} term
         self.mu2_exp_mu1 = mu2 * exp_mu1  # s_0^-: mu2 e^mu1, prefix of its n^+_{mu1} term
         self.s0m_pre = tau0 / (mu1 - mu2)  # s_0^-
         # Deviation: s_0^+ is the min of 2(tau_0 e^k/p_k m_k^+ + delta) over
         # both intensities k; these are its two prefixes tau_0 e^k/p_k.
-        self.s0p_pre1 = tau0 * exp_mu1 / p1
+        self.s0p_pre1 = _finite_result("p_mu1", p1, "s_0^+ prefix", lambda: tau0 * exp_mu1 / p1)
         self.s0p_pre2 = tau0 * exp_mu2 / p2
-        self.s1m_pre = tau1 * mu1 / (mu2 * (mu1 - mu2))  # s_1^-
+        self.s1m_pre = _finite_result(  # s_1^-
+            "mu2", mu2, "s_1^- prefix", lambda: tau1 * mu1 / (mu2 * (mu1 - mu2))
+        )
         self.mu_ratio_sq_exp_mu1 = mu2**2 / mu1**2 * exp_mu1  # s_1^-: prefix of its n^+_{mu1} term
         self.s0_weight = (mu1**2 - mu2**2) / (mu1**2 * tau0)  # s_1^-: applied to s_0^+
         self.v1p_pre = tau1 / (mu1 - mu2)  # v_1^+
         # Both bases' n side, _n_terms at n = n_Z and n = n_X: the block size
-        # fixes them, so each rate pays only the m sides (_m_bounds).  d_nz is
-        # the Hoeffding deviation of n_Z, s1_nz the n^-_{mu2} and n^+_{mu1} terms
+        # fixes them, so each rate pays only the m sides.  d_nz is the
+        # Hoeffding deviation of n_Z, s1_nz the n^-_{mu2} and n^+_{mu1} terms
         # of s_1^- at n_Z, s0_z is s_0^- at n_Z, clipped to [0, n_Z]; d_nx and
         # s1_nx are the same at n_X.  n_X, the X detections while n_Z Z bits
         # are sifted, is n_Z p_XX/p_ZZ whatever the signal rate.
         self.d_nz, self.s1_nz, self.s0_z = _n_terms(self, self.n_z)
-        self.n_x = self.n_z * self.p_xx / self.p_zz
+        p_z = "p_z_alice" if session.p_z_alice <= session.p_z_bob else "p_z_bob"
+        self.n_x = _finite_result(
+            p_z, getattr(session, p_z), "n_X", lambda: self.n_z * self.p_xx / self.p_zz
+        )
         self.d_nx, self.s1_nx, _ = _n_terms(self, self.n_x)
 
 
@@ -269,12 +285,6 @@ def expected_qber(signal_rate: float, noise_rate: float, intrinsic_qber: float =
     return intrinsic_qber + (0.5 - intrinsic_qber) * (noise_rate / total)
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0:  # x <= 0.5 here: a checked QBER or a phase error clipped to 0.5
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
 # The bound's min/max clips are conditional expressions that pick what the
 # builtins pick, at a fraction of a call's cost: max(a, b) is a unless b > a,
 # min(a, b) is a unless b < a.  max(x, 0.0) and max(0.0, x) differ at -0.0
@@ -297,32 +307,6 @@ def _n_terms(c: _FiniteKeyConstants, n: float) -> tuple[float, float, float]:
     return d_n, s1_n, s0m if s0m > 0.0 else 0.0  # max(0.0, s0m)
 
 
-def _m_bounds(
-    c: _FiniteKeyConstants, n: float, d_n: float, s1_n: float, m: float
-) -> tuple[float, float]:
-    """(s1_minus, v1_plus) of one basis with n detections and m errors.
-
-    d_n and s1_n are :func:`_n_terms` at n.  s1_minus is clipped to [0, n],
-    v1_plus to [0, m].
-    """
-    d_m = math.sqrt(m / 2.0 * c.log_inv_eps0) if m > 0 else 0.0
-    m1p = m * c.w1 + d_m
-    m2 = m * c.w2
-    m2p = m2 + d_m
-    m2m = m2 - d_m
-    m2m = 0.0 if m2m < 0.0 else m2m  # max(m2m, 0.0)
-    s0p1 = 2.0 * (c.s0p_pre1 * m1p + d_n)
-    s0p = 2.0 * (c.s0p_pre2 * m2p + d_n)
-    s0p = s0p if s0p < s0p1 else s0p1  # min(s0p1, s0p)
-    s0p = s0p if s0p < n else n  # min(n, s0p)
-    s0p = s0p if s0p > 0.0 else 0.0  # max(0.0, s0p)
-    s1m = c.s1m_pre * (s1_n - c.s0_weight * s0p)
-    s1m = s1m if s1m < n else n  # min(n, s1m)
-    v1p = c.v1p_pre * (c.exp_mu1 * m1p / c.p1 - c.exp_mu2 * m2m / c.p2)
-    v1p = v1p if v1p < m else m  # min(m, v1p)
-    return s1m if s1m > 0.0 else 0.0, v1p if v1p > 0.0 else 0.0  # max(0.0, .)
-
-
 def secret_key_rate(
     session: QkdSessionModel,
     signal_rate: float,
@@ -337,7 +321,9 @@ def secret_key_rate(
     the phase error is transferred from the X basis with the usual
     random-sampling correction.  Negative bounds clamp to zero (logged).
     The factors that depend on the session alone, both bases' n side among
-    them, are computed once per session (see :class:`_FiniteKeyConstants`).
+    them, are computed once per session (see :class:`_FiniteKeyConstants`);
+    each point is one straight-line pass, in which the Z basis pays for
+    s_1^- only and the X basis for s_1^- and v_1^+.
     """
     _check_positive("signal_rate", signal_rate)
     _check_qber("qber_z", qber_z)
@@ -352,15 +338,44 @@ def secret_key_rate(
     if block_time == math.inf:  # decided inline: it runs once per key-rate point
         _check_result("signal_rate", signal_rate, "block time", block_time)
 
-    s_z1, _ = _m_bounds(c, n_z, c.d_nz, c.s1_nz, qber_z * n_z)
+    # Z basis: s_1^- alone, clipped to [0, n_Z]; d_m is the Hoeffding
+    # deviation of the m = qber n errors.
+    m = qber_z * n_z
+    d_m = math.sqrt(m / 2.0 * c.log_inv_eps0) if m > 0 else 0.0
+    s0p1 = 2.0 * (c.s0p_pre1 * (m * c.w1 + d_m) + c.d_nz)  # s_0^+ at mu1
+    s0p = 2.0 * (c.s0p_pre2 * (m * c.w2 + d_m) + c.d_nz)  # s_0^+ at mu2
+    s0p = s0p if s0p < s0p1 else s0p1  # min(s0p1, s0p)
+    s0p = s0p if s0p < n_z else n_z  # min(n, s0p)
+    s0p = s0p if s0p > 0.0 else 0.0  # max(0.0, s0p)
+    s_z1 = c.s1m_pre * (c.s1_nz - c.s0_weight * s0p)
+    s_z1 = s_z1 if s_z1 < n_z else n_z  # min(n, s1m)
+    s_z1 = s_z1 if s_z1 > 0.0 else 0.0  # max(0.0, s1m)
     if s_z1 <= 0:
         _log().info("secret_key_rate: single-photon bound vanished, clamping to 0")
         return 0.0
+
+    # X basis: s_1^- clipped to [0, n_X] and v_1^+ clipped to [0, m].
     n_x = c.n_x  # X detections per block
-    s_x1, v_x1 = _m_bounds(c, n_x, c.d_nx, c.s1_nx, qber_x * n_x)
+    m = qber_x * n_x
+    d_m = math.sqrt(m / 2.0 * c.log_inv_eps0) if m > 0 else 0.0
+    m1p = m * c.w1 + d_m
+    m2 = m * c.w2
+    m2m = m2 - d_m
+    m2m = 0.0 if m2m < 0.0 else m2m  # max(m2m, 0.0)
+    s0p1 = 2.0 * (c.s0p_pre1 * m1p + c.d_nx)
+    s0p = 2.0 * (c.s0p_pre2 * (m2 + d_m) + c.d_nx)
+    s0p = s0p if s0p < s0p1 else s0p1  # min(s0p1, s0p)
+    s0p = s0p if s0p < n_x else n_x  # min(n, s0p)
+    s0p = s0p if s0p > 0.0 else 0.0  # max(0.0, s0p)
+    s_x1 = c.s1m_pre * (c.s1_nx - c.s0_weight * s0p)
+    s_x1 = s_x1 if s_x1 < n_x else n_x  # min(n, s1m)
+    s_x1 = s_x1 if s_x1 > 0.0 else 0.0  # max(0.0, s1m)
     if s_x1 <= 0:
         _log().info("secret_key_rate: single-photon bound vanished, clamping to 0")
         return 0.0
+    v_x1 = c.v1p_pre * (c.exp_mu1 * m1p / c.p1 - c.exp_mu2 * m2m / c.p2)
+    v_x1 = v_x1 if v_x1 < m else m  # min(m, v1p)
+    v_x1 = v_x1 if v_x1 > 0.0 else 0.0  # max(0.0, v1p)
 
     phi_x = v_x1 / s_x1
     phi_x = 0.5 if phi_x > 0.5 else phi_x  # min(phi_x, 0.5)
@@ -374,8 +389,16 @@ def secret_key_rate(
     phi_z = phi_x + gamma
     phi_z = 0.5 if phi_z > 0.5 else phi_z  # min(phi_z, 0.5)
 
-    leak_ec = n_z * session.f_ec * _binary_entropy(qber_z)
-    key_len = c.s0_z + s_z1 * (1.0 - _binary_entropy(phi_z)) - leak_ec - c.pa_cost - c.ec_cost
+    # Binary entropies h(x), 0 at x <= 0; x <= 0.5 here, a checked QBER or a
+    # phase error clipped to 0.5.
+    h_z = 0.0 if qber_z <= 0.0 else (
+        -qber_z * math.log2(qber_z) - (1.0 - qber_z) * math.log2(1.0 - qber_z)
+    )
+    h_phi = 0.0 if phi_z <= 0.0 else (
+        -phi_z * math.log2(phi_z) - (1.0 - phi_z) * math.log2(1.0 - phi_z)
+    )
+    leak_ec = n_z * session.f_ec * h_z
+    key_len = c.s0_z + s_z1 * (1.0 - h_phi) - leak_ec - c.pa_cost - c.ec_cost
     if key_len <= 0:
         _log().info("secret_key_rate: bound non-positive (%.1f bits), clamping to 0", key_len)
         return 0.0

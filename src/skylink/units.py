@@ -12,7 +12,10 @@ Each input domain is decided here, once, by a predicate and a checker:
 
 The predicates combine comparisons with ``&``, so the same one takes a float
 or a numpy array (elementwise; ``linkbudget.sweep_columns`` builds its
-validity mask from them).  NaN and ±inf fail all four.  A checker raises
+validity mask from them).  The checkers take one scalar and write the same
+test as a chained comparison (``0 < value < math.inf``), which for a scalar
+accepts and rejects exactly what the ``&`` form does.  NaN and ±inf fail all
+four.  A checker raises
 ``ValueError(f"{name} must be <domain>, got {value!s}")``: ``str`` gives a
 Python number's usual digits and a numpy scalar its own (a float32 -0.05,
 which ``format`` would widen to -0.05000000074505806).
@@ -61,23 +64,23 @@ def _is_integer(v, minimum: int):
     return (v >= minimum) & (v % 1 == 0)
 
 
-# Each checker writes its predicate's expression out rather than calling it:
-# one Python call per check on the per-point paths.  _check_integer tests
+# Each checker writes its predicate's test out, chained, rather than calling
+# it: one Python call per check on the per-point paths.  _check_integer tests
 # value < inf first, so % never sees ±inf (numpy warns on inf % 1).
 
 
 def _check_positive(name: str, value) -> None:
-    if not ((value > 0) & (value < math.inf)):  # _is_positive
+    if not 0 < value < math.inf:  # _is_positive
         raise ValueError(f"{name} must be finite and positive, got {value!s}")
 
 
 def _check_non_negative(name: str, value) -> None:
-    if not ((value >= 0) & (value < math.inf)):  # _is_non_negative
+    if not 0 <= value < math.inf:  # _is_non_negative
         raise ValueError(f"{name} must be finite and >= 0, got {value!s}")
 
 
 def _check_ratio(name: str, value) -> None:
-    if not ((value > 0) & (value <= 1)):  # _is_ratio
+    if not 0 < value <= 1:  # _is_ratio
         raise ValueError(f"{name} must be in (0, 1], got {value!s}")
 
 

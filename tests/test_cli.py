@@ -65,6 +65,25 @@ def test_a_transmit_waist_no_r0_can_collect_exits_3_naming_w0(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ('{"eps_sec": 1e-300}', ["qkd", "--eta-ch", "-29"],
+         "eps_sec must give a finite, positive gamma factor, got 1e-300 (gamma factor = inf)"),
+        ('{"d_rx_m": 1e200, "d_obs_m": 1e199}', ["budget"],
+         "d_rx must give a finite, positive d_rx^2, got 1e+200 (d_rx^2 = inf)"),
+    ],
+    ids=["qkd-eps_sec", "budget-d_rx"],
+)
+def test_a_setting_past_the_float_range_exits_3_naming_it(tmp_path, capsys, config, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [["budget"], ["sweep", "--steps", "3"], ["predict-smf", "--ao-on", "on.csv", "--r0", "0.08"]],
     ids=["budget", "sweep", "predict-smf"],

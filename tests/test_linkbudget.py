@@ -384,3 +384,18 @@ def test_a_second_path_must_match_the_turbulence_state(call, chain):
     call(ts, chain, OpticalPath())  # an equal path is accepted
     with pytest.raises(ValueError, match=r"ts\.path OpticalPath\(.*18000\.0\) differs .*1000\.0\)"):
         call(ts, chain, _OTHER_PATH)
+
+
+def test_numpy_scalar_inputs_run_the_scalar_budget_in_float64():
+    path = OpticalPath(1.555e-6, 18e3)
+    chain = ReceiverChain()
+    geom = LinkGeometry(path, chain)
+
+    def eta_ch(r0, wind):
+        ts = TurbulenceState.from_r0(r0, path, wind)
+        assert type(ts.fried_r0) is float and type(ts.wind_speed) is float
+        return full_budget(geom, ts, 0.0, model_smf_breakdown(chain, ts, path)).eta_ch
+
+    r0 = float(np.float32(0.08))
+    assert eta_ch(np.float32(0.08), np.float32(0.556)) == eta_ch(r0, float(np.float32(0.556)))
+    assert eta_ch(np.float32(0.08), 0.556) == eta_ch(r0, 0.556) == 0.014533038647076339

@@ -93,6 +93,11 @@ def test_rejects_non_finite_input(name, call, value):
         call(value)
 
 
+def _first_key_rate(**fields):
+    """The first rate of a session: its finite-key constants are built there."""
+    return qkd.secret_key_rate(qkd.QkdSessionModel(qkd.SNSPD, **fields), 2e4, 0.01, 0.01)
+
+
 # (input name, call, a finite value in range whose result overflows or underflows)
 _OUT_OF_RANGE = [
     ("signal_rate", lambda v: qkd.secret_key_rate(_SESSION, v, 0.01, 0.01), 5e-324),
@@ -125,6 +130,15 @@ _OUT_OF_RANGE = [
     ("r0", lambda v: cn2_from_r0(v, _PATH), np.float32(1e-30)),  # numpy warns; the rule raises
     ("w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-150),  # no r0 gives an eta_coll
     ("w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-20),
+    ("eps_sec", lambda v: _first_key_rate(eps_sec=v), 1e-300),
+    ("mu1", lambda v: _first_key_rate(mu1=v), 800.0),
+    ("eps_sec", lambda v: _first_key_rate(eps_sec=v), 5e-324),
+    ("mu2", lambda v: _first_key_rate(mu1=1e-300, mu2=v), 5e-324),
+    ("eps_cor", lambda v: _first_key_rate(eps_cor=v), 1e-320),
+    ("p_mu1", lambda v: _first_key_rate(p_mu1=v), 1e-320),
+    ("p_z_alice", lambda v: _first_key_rate(p_z_alice=v), 1e-320),
+    ("d_rx", lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e200),  # d_rx^2 overflows
+    ("d_rx", lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e-200),  # d_rx^2 underflows
 ]
 
 

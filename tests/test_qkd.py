@@ -261,22 +261,26 @@ def test_skr_pinned_clamps(caplog, session, signal, qber, reason):
     assert reason in caplog.text
 
 
-def _reference_skr(session, signal_rate, qber_z, qber_x, per_point_n_x=False):
-    """The finite-key bound as one self-contained per-call formula.
+def _h(x):
+    """Binary entropy, 0 at x <= 0."""
+    if x <= 0.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
-    n_X is n_Z p_XX/p_ZZ, or with per_point_n_x the X detections in one
-    block's time at this signal rate, equal in exact arithmetic.
-    """
+
+def _sifted_counts(session):
+    """(n_Z, n_X): sifted Z bits per block and the X detections while they are sifted."""
+    p_zz = session.p_z_alice * session.p_z_bob
+    p_xx = (1.0 - session.p_z_alice) * (1.0 - session.p_z_bob)
+    n_z = float(session.block_size * 8)
+    return n_z, n_z * p_xx / p_zz
+
+
+def _decoy_bounds(session, n_tot, m_tot):
+    """(s_0^-, s_1^-, v_1^+) of one basis with n_tot detections and m_tot errors."""
     mu1, mu2 = session.mu1, session.mu2
     p1 = session.p_mu1
     p2 = 1.0 - p1
-    p_zz = session.p_z_alice * session.p_z_bob
-    p_xx = (1.0 - session.p_z_alice) * (1.0 - session.p_z_bob)
-    rate_z = signal_rate * p_zz
-    rate_x = signal_rate * p_xx
-    n_z = float(session.block_size * 8)
-    block_time = n_z / rate_z
-    n_x = block_time * rate_x if per_point_n_x else n_z * p_xx / p_zz
     eps0 = session.eps_sec / 19.0
 
     def tau(i):
@@ -293,44 +297,60 @@ def _reference_skr(session, signal_rate, qber_z, qber_x, per_point_n_x=False):
     def clip(x, hi):
         return max(0.0, min(hi, x))
 
-    def decoy_bounds(n_tot, m_tot):
-        d_n = hoeffding(n_tot)
-        d_m = hoeffding(m_tot) if m_tot > 0 else 0.0
-        n1p = n_tot * w1 + d_n
-        n2m = max(n_tot * w2 - d_n, 0.0)
-        m1p = m_tot * w1 + d_m
-        m2p = m_tot * w2 + d_m
-        m2m = max(m_tot * w2 - d_m, 0.0)
-        s0m = clip(
-            tau(0) / (mu1 - mu2) * (mu1 * math.exp(mu2) * n2m / p2 - mu2 * math.exp(mu1) * n1p / p1),
-            n_tot,
-        )
-        s0p = clip(
-            min(
-                2.0 * (tau(0) * math.exp(mu1) / p1 * m1p + d_n),
-                2.0 * (tau(0) * math.exp(mu2) / p2 * m2p + d_n),
-            ),
-            n_tot,
-        )
-        s1m = clip(
-            tau(1)
-            * mu1
-            / (mu2 * (mu1 - mu2))
-            * (
-                math.exp(mu2) * n2m / p2
-                - (mu2**2 / mu1**2) * math.exp(mu1) * n1p / p1
-                - (mu1**2 - mu2**2) / (mu1**2 * tau(0)) * s0p
-            ),
-            n_tot,
-        )
-        v1p = clip(
-            tau(1) / (mu1 - mu2) * (math.exp(mu1) * m1p / p1 - math.exp(mu2) * m2m / p2),
-            m_tot,
-        )
-        return s0m, s1m, v1p
+    d_n = hoeffding(n_tot)
+    d_m = hoeffding(m_tot) if m_tot > 0 else 0.0
+    n1p = n_tot * w1 + d_n
+    n2m = max(n_tot * w2 - d_n, 0.0)
+    m1p = m_tot * w1 + d_m
+    m2p = m_tot * w2 + d_m
+    m2m = max(m_tot * w2 - d_m, 0.0)
+    s0m = clip(
+        tau(0) / (mu1 - mu2) * (mu1 * math.exp(mu2) * n2m / p2 - mu2 * math.exp(mu1) * n1p / p1),
+        n_tot,
+    )
+    s0p = clip(
+        min(
+            2.0 * (tau(0) * math.exp(mu1) / p1 * m1p + d_n),
+            2.0 * (tau(0) * math.exp(mu2) / p2 * m2p + d_n),
+        ),
+        n_tot,
+    )
+    s1m = clip(
+        tau(1)
+        * mu1
+        / (mu2 * (mu1 - mu2))
+        * (
+            math.exp(mu2) * n2m / p2
+            - (mu2**2 / mu1**2) * math.exp(mu1) * n1p / p1
+            - (mu1**2 - mu2**2) / (mu1**2 * tau(0)) * s0p
+        ),
+        n_tot,
+    )
+    v1p = clip(
+        tau(1) / (mu1 - mu2) * (math.exp(mu1) * m1p / p1 - math.exp(mu2) * m2m / p2),
+        m_tot,
+    )
+    return s0m, s1m, v1p
 
-    s_z0, s_z1, _ = decoy_bounds(n_z, qber_z * n_z)
-    _, s_x1, v_x1 = decoy_bounds(n_x, qber_x * n_x)
+
+def _reference_skr(session, signal_rate, qber_z, qber_x, per_point_n_x=False):
+    """The finite-key bound as one self-contained per-call formula.
+
+    n_X is n_Z p_XX/p_ZZ, or with per_point_n_x the X detections in one
+    block's time at this signal rate, equal in exact arithmetic.
+    """
+    p_zz = session.p_z_alice * session.p_z_bob
+    p_xx = (1.0 - session.p_z_alice) * (1.0 - session.p_z_bob)
+    rate_z = signal_rate * p_zz
+    rate_x = signal_rate * p_xx
+    n_z, n_x = _sifted_counts(session)
+    block_time = n_z / rate_z
+    if per_point_n_x:
+        n_x = block_time * rate_x
+    eps0 = session.eps_sec / 19.0
+
+    s_z0, s_z1, _ = _decoy_bounds(session, n_z, qber_z * n_z)
+    _, s_x1, v_x1 = _decoy_bounds(session, n_x, qber_x * n_x)
     if s_z1 <= 0 or s_x1 <= 0:
         return 0.0
     phi_x = min(v_x1 / s_x1, 0.5)
@@ -341,10 +361,10 @@ def _reference_skr(session, signal_rate, qber_z, qber_x, per_point_n_x=False):
         * math.log2((s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * (21.0 / eps0) ** 2)
     )
     phi_z = min(phi_x + gamma, 0.5)
-    leak_ec = n_z * session.f_ec * qkd._binary_entropy(qber_z)
+    leak_ec = n_z * session.f_ec * _h(qber_z)
     key_len = (
         s_z0
-        + s_z1 * (1.0 - qkd._binary_entropy(phi_z))
+        + s_z1 * (1.0 - _h(phi_z))
         - leak_ec
         - 6.0 * math.log2(19.0 / session.eps_sec)
         - math.log2(2.0 / session.eps_cor)
@@ -413,12 +433,50 @@ def test_skr_matches_reference_formula_bit_for_bit(
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(  # the session fields of test_skr_matches_reference_formula_bit_for_bit
+    mu1=st.floats(0.05, 1.0),
+    mu2_share=st.floats(0.01, 0.95),
+    p_mu1=_unit,
+    p_z_alice=_unit,
+    p_z_bob=_unit,
+    block_exp=st.floats(0.0, 6.0),
+    f_ec=st.floats(1.0, 1.5),
+    eps_sec_exp=st.floats(-15.0, -2.0),
+    eps_cor_exp=st.floats(-20.0, -2.0),
+)
+def test_every_finite_key_constant_is_finite(
+    mu1, mu2_share, p_mu1, p_z_alice, p_z_bob, block_exp, f_ec, eps_sec_exp, eps_cor_exp
+):
+    session = qkd.QkdSessionModel(
+        qkd.SNSPD,
+        block_size=int(10**block_exp),
+        mu1=mu1,
+        mu2=mu1 * mu2_share,
+        p_mu1=p_mu1,
+        p_z_alice=p_z_alice,
+        p_z_bob=p_z_bob,
+        f_ec=f_ec,
+        eps_sec=10**eps_sec_exp,
+        eps_cor=10**eps_cor_exp,
+    )
+    constants = vars(session._finite_key)
+    assert {k: v for k, v in constants.items() if not math.isfinite(v)} == {}
+
+
+def test_block_size_past_the_float_range_names_block_size():
+    session = qkd.QkdSessionModel(qkd.SNSPD, block_size=10**400)
+    with pytest.raises(ValueError, match=r"^block_size must give a finite, positive n_Z, got 1000"):
+        qkd.secret_key_rate(session, 2e4, 0.01, 0.01)
+
+
 def _single_photon_bounds(session, signal, qber_z, qber_x):
-    """(s_Z1, s_X1) from the bound's helpers, with both bases evaluated."""
-    c = session._finite_key
-    s_z1, _ = qkd._m_bounds(c, c.n_z, c.d_nz, c.s1_nz, qber_z * c.n_z)
-    s_x1, _ = qkd._m_bounds(c, c.n_x, c.d_nx, c.s1_nx, qber_x * c.n_x)
-    return s_z1, s_x1
+    """(s_Z1, s_X1) from the reference bound, with both bases evaluated."""
+    n_z, n_x = _sifted_counts(session)
+    return (
+        _decoy_bounds(session, n_z, qber_z * n_z)[1],
+        _decoy_bounds(session, n_x, qber_x * n_x)[1],
+    )
 
 
 _VANISHED = "secret_key_rate: single-photon bound vanished, clamping to 0"
@@ -447,12 +505,12 @@ def test_skr_clamp_logs_one_record(
 
 
 def _gamma_log2_argument(session, signal, qber_z, qber_x):
-    """The argument of gamma's log2, from the bound's helpers."""
-    c = session._finite_key
-    s_z1, _ = qkd._m_bounds(c, c.n_z, c.d_nz, c.s1_nz, qber_z * c.n_z)
-    s_x1, v_x1 = qkd._m_bounds(c, c.n_x, c.d_nx, c.s1_nx, qber_x * c.n_x)
+    """The argument of gamma's log2, from the reference bound."""
+    n_z, n_x = _sifted_counts(session)
+    s_z1 = _decoy_bounds(session, n_z, qber_z * n_z)[1]
+    _, s_x1, v_x1 = _decoy_bounds(session, n_x, qber_x * n_x)
     b = min(max(min(v_x1 / s_x1, 0.5), 1e-12), 1.0 - 1e-12)
-    return (s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * c.gamma_eps_sq
+    return (s_z1 + s_x1) / (s_z1 * s_x1 * (1.0 - b) * b) * (21.0 / (session.eps_sec / 19.0)) ** 2
 
 
 @pytest.mark.parametrize(

@@ -11,14 +11,18 @@ _BASE = [0, -0.0, 5e-324, 0.5, 1, math.nextafter(1.0, 2.0), 1e308, -1, math.nan,
 
 
 def _values():
-    """Each base value as Python gave it, and as np.float32, np.float64 and np.int64."""
+    """Each base value as Python gave it, as np.float32, np.float64 and np.int64,
+    and as a 0-d array; then the two bools."""
     with np.errstate(all="ignore"):  # float32 of 1e308 is inf, of 5e-324 is 0
         for v in _BASE:
             yield v
             yield np.float32(v)
             yield np.float64(v)
+            yield np.array(v)
             if abs(v) < 2**63 and v == int(v):
                 yield np.int64(v)
+    yield True
+    yield False
 
 
 # (checker, predicate, message after "NAME must be ")
