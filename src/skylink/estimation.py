@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from .atmosphere import OpticalPath, TurbulenceState
-from .coupling import ReceiverChain, SmfCouplingBreakdown, eta_phi_on
+from .coupling import ReceiverChain, SmfCouplingBreakdown, compose_smf, eta_phi_on
 from .linkbudget import model_smf_breakdown
 from .units import _check_positive, _is_positive
 from .zernike import ModeVarianceSet, ZernikeSeries, empirical_variances, noll_weight, radial_order
@@ -113,13 +113,14 @@ def predict_eta_smf(
 ) -> SmfCouplingBreakdown:
     """Predict the SMF coupling from AO-ON data plus the AO-OFF Fried estimate.
 
-    eta_phi_on comes from the measured closed-loop variances, the residual and
-    temporal terms from the fitted r0, scintillation from the turbulence state
-    implied by r0, and the mode mismatch from the receiver chain.
+    The measured closed-loop eta_phi_on meets the design model's other terms
+    (residual, temporal and scintillation at the fitted r0, mode mismatch from
+    the chain) in :func:`compose_smf`.
     """
     e_on = eta_phi_on(empirical_variances(ao_on), chain.ao_modes)
     ts = TurbulenceState.from_r0(fried.r0_hat, path, wind_speed)
-    return model_smf_breakdown(chain, ts, path, eta_phi_on=e_on)
+    m = model_smf_breakdown(chain, ts, path)
+    return compose_smf(m.eta0, m.eta_s, e_on, m.eta_phi_residual, m.eta_tau)
 
 
 def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:

@@ -37,7 +37,7 @@ from .coupling import (
     obscuration_ratio,
 )
 from .units import _check_integer, _check_non_negative, _check_positive, _check_result
-from .units import _finite_result, _is_integer, _is_non_negative, _is_positive, _is_ratio, to_db
+from .units import _finite_result, _is_integer, _is_non_negative, _is_positive, to_db
 
 __all__ = [
     "LinkGeometry",
@@ -150,33 +150,29 @@ def collection_efficiency(w_l: float, chain: ReceiverChain) -> float:
     return _finite_result("w_l", w_l, "eta_coll", _collection, math, w_l, chain, on_error=0.0)
 
 
-def _smf_factors(xp, chain: ReceiverChain, path: OpticalPath, r0, cn2, wind, J, e_on):
-    """(eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau), in compose_smf order."""
+def _smf_factors(xp, chain: ReceiverChain, path: OpticalPath, r0, cn2, wind, J):
+    """(eta0, eta_s, eta_phi_on = 1.0, eta_phi_residual, eta_tau), in compose_smf order."""
     e0 = eta0(mode_match_beta(chain, path.wavelength), obscuration_ratio(chain))
     e_s = _aperture_averaged(xp, cn2, path, chain.d_rx)[-1]
     e_phi_j = _eta_phi_residual(xp, J, chain.d_rx, r0)
     e_tau = _eta_tau(xp, _greenwood(wind, r0), chain.f_3db)
-    return e0, e_s, e_on, e_phi_j, e_tau
+    return e0, e_s, 1.0, e_phi_j, e_tau
 
 
 def model_smf_breakdown(
-    chain: ReceiverChain,
-    ts: TurbulenceState,
-    path: OpticalPath,
-    J: int | None = None,
-    eta_phi_on: float = 1.0,
+    chain: ReceiverChain, ts: TurbulenceState, path: OpticalPath, J: int | None = None
 ) -> SmfCouplingBreakdown:
     """Design-model coupling breakdown (ideal correction of the first J modes).
 
-    The closed-loop term eta_phi_on is 1 for the design model; the estimation
-    pipeline passes the value measured from AO-ON variances.  path must be
-    ts.path.
+    The design model's eta_phi_on is 1; measured terms meet it in compose_smf.
+    path must be ts.path.  An eta_smf that underflows raises ValueError naming r0.
     """
     _check_same_path(ts, path)
     J = chain.ao_modes if J is None else J
     _check_integer("J", J, 1)  # chain and ts checked d_rx and r0 when they were built
-    factors = _smf_factors(math, chain, path, ts.fried_r0, ts.cn2, ts.wind_speed, J, eta_phi_on)
-    return compose_smf(*factors)
+    smf = compose_smf(*_smf_factors(math, chain, path, ts.fried_r0, ts.cn2, ts.wind_speed, J))
+    _check_result("r0", ts.fried_r0, "eta_smf", smf.eta_smf)
+    return smf
 
 
 @dataclass(frozen=True)
@@ -223,14 +219,15 @@ def full_budget(
     """Compose the channel budget from geometry, turbulence and coupling.
 
     eta_smf is injected rather than recomputed so measured and modeled terms
-    can be mixed.  geom.path must be ts.path.  An eta_a or eta_coll that
-    underflows to 0 raises ValueError naming a_coeff_db_km or r0.
+    can be mixed.  geom.path must be ts.path.  An eta_a, eta_coll or eta_ch
+    that underflows to 0 raises ValueError naming a_coeff_db_km or r0.
     """
     _check_same_path(ts, geom.path, "geom.path")
     _check_non_negative("a_coeff_db_km", a_coeff_db_km)
     report = BudgetReport(*_budget_terms(math, geom, ts.fried_r0, a_coeff_db_km, smf.eta_smf))
     _check_result("a_coeff_db_km", a_coeff_db_km, "eta_a", report.eta_a)
     _check_result("r0", ts.fried_r0, "eta_coll", report.eta_coll)
+    _check_result("r0", ts.fried_r0, "eta_ch", report.eta_ch)
     return report
 
 
@@ -265,15 +262,15 @@ def sweep_columns(
     r0, wind, a_coeff, modes = (x if x.shape == shape else np.repeat(x, shape[0]) for x in arrays)
     with np.errstate(all="ignore"):
         cn2 = _cn2_from_r0(r0, path)
-        factors = _smf_factors(np, chain, path, r0, cn2, wind, modes, 1.0)
+        factors = _smf_factors(np, chain, path, r0, cn2, wind, modes)
         eta_smf = _smf_products(*factors)[1]
         _, _, _, w_l, eta_a, eta_coll, eta_focus, _, _, _, eta_ch = _budget_terms(
             np, geom, r0, a_coeff, eta_smf
         )
-        ok = _is_positive(r0) & _is_positive(cn2) & _is_non_negative(wind) & _is_integer(modes, 1)
-        ok &= _is_non_negative(a_coeff) & _is_positive(eta_a) & _is_positive(eta_coll)
-        for factor in factors:  # compose_smf's (0, 1] check
-            ok &= _is_ratio(factor)
+        # The inputs (r0's domain: a finite, positive Cn2) and eta_ch: every term
+        # lies in [0, 1] or is nan, so eta_ch > 0 exactly where each is in range.
+        ok = _is_positive(cn2) & _is_non_negative(wind) & _is_integer(modes, 1)
+        ok &= _is_non_negative(a_coeff) & _is_positive(eta_ch)
     if not ok.all():
         i = int(np.argmin(ok))
         # The raw element as the number it is (a Python or numpy scalar), so that

@@ -261,7 +261,7 @@ def _reference_sweep_budget(geom, r0_values, wind_speed, a_coeff_db_km, J=None):
     raw = np.broadcast_arrays(*(np.atleast_1d(x) for x in inputs))
     r0, wind, a_coeff, modes = (x.astype(float) for x in raw)
     cn2 = _cn2_from_r0(r0, path)
-    factors = _smf_factors(np, chain, path, r0, cn2, wind, modes, 1.0)
+    factors = _smf_factors(np, chain, path, r0, cn2, wind, modes)
     eta_smf = _smf_products(*factors)[1]
     _, _, _, w_l, eta_a, eta_coll, eta_focus, _, _, _, eta_ch = _budget_terms(
         np, geom, r0, a_coeff, eta_smf
