@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import _check_non_negative, _check_positive, _finite_result
+from .units import _check_non_negative, _check_positive, _check_result, _finite_result
 
 __all__ = [
     "OpticalPath",
@@ -169,17 +169,26 @@ def _aperture_averaged(xp, cn2, path: OpticalPath, d_rx: float):
     return sigma_r2, beta0, d, t1, t2, sigma_i2, sigma_chi2, xp.exp(-sigma_chi2)
 
 
+def _eta_s(xp, cn2, path: OpticalPath, d_rx: float):
+    return _aperture_averaged(xp, cn2, path, d_rx)[-1]
+
+
 def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) -> ScintillationReport:
     """Aperture-averaged scintillation for a receiver of diameter d_rx.
 
     beta0 = 0.4065*sigma_R^2 is the spherical-wave Rytov variance; T1/T2 are
     the aperture-averaging terms; both weak- and strong-regime correlation
     widths are reported (the caller picks the branch via sigma_R^2 <= 1).
-    path must be ts.path.
+    path must be ts.path.  An eta_s that leaves the float range raises
+    ValueError naming r0.
     """
     _check_same_path(ts, path)
     _check_positive("d_rx", d_rx)
-    terms = _aperture_averaged(math, ts.cn2, path, d_rx)
+    try:
+        terms = _aperture_averaged(math, ts.cn2, path, d_rx)
+    except OverflowError:  # a power of beta0 past the float range: eta_s counts as 0.0
+        terms = (0.0,)
+    _check_result("r0", ts.fried_r0, "eta_s", terms[-1])
     sqrt_ll = math.sqrt(path.wavelength * path.path_length)
     rho_strong = 0.36 * terms[0] ** (-3.0 / 10.0) * sqrt_ll  # sigma_R^(-3/5) on the amplitude
     return ScintillationReport(*terms, rho_c_weak=sqrt_ll, rho_c_strong=rho_strong)

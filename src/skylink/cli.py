@@ -314,9 +314,14 @@ def cmd_predict_smf(args, cfg: dict) -> dict:
     return terms
 
 
+_INTRINSIC_QBER = 0.005  # qkd --eta-ch's intrinsic QBER unless --intrinsic-qber sets it
+
+
 def cmd_qkd(args, cfg: dict) -> dict:
     if (args.log is None) == (args.eta_ch is None):
         raise ConfigError("provide exactly one of --log or --eta-ch")
+    if args.log is not None and args.intrinsic_qber is not None:
+        raise ConfigError("--intrinsic-qber applies to --eta-ch; a session log has its own QBER")
     session = build_session(cfg)
     names = ("mu1", "mu2", "p_mu1", "p_z_alice", "p_z_bob", "f_ec", "eps_sec", "eps_cor")
     protocol = " ".join(f"{name}={getattr(session, name)}" for name in names)
@@ -351,7 +356,8 @@ def cmd_qkd(args, cfg: dict) -> dict:
         noise = qkd.windowed_noise_rate(
             session.detector.noise_rate, session.detector.window, cfg["pulse_rate_hz"]
         )
-        qber_z = qber_x = qkd.expected_qber(signal, noise, args.intrinsic_qber)
+        intrinsic = _INTRINSIC_QBER if args.intrinsic_qber is None else args.intrinsic_qber
+        qber_z = qber_x = qkd.expected_qber(signal, noise, intrinsic)
         skr = qkd.secret_key_rate(session, signal, qber_z, qber_x)
         lines += [
             f"  expected signal    {signal:10.1f} Hz",
@@ -439,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="session-log CSV")
     p.add_argument("--eta-ch", type=float, help="channel efficiency in dB")
     p.add_argument("--detector", choices=sorted(_DETECTORS), help="detector model")
-    p.add_argument("--intrinsic-qber", type=float, default=0.005, help="intrinsic QBER")
+    p.add_argument(
+        "--intrinsic-qber", type=float, help=f"intrinsic QBER for --eta-ch (default {_INTRINSIC_QBER})"
+    )
     p.set_defaults(func=cmd_qkd)
 
     p = sub.add_parser("sweep", help="sweep one variable, emit all efficiency terms")

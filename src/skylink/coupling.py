@@ -202,7 +202,7 @@ def compose_smf(
     eta_phi_residual: float,
     eta_tau: float,
 ) -> SmfCouplingBreakdown:
-    """Compose the coupling terms; fixed left-to-right evaluation order."""
+    """Compose the coupling terms, measured or modelled; fixed left-to-right evaluation order."""
     factors = (eta0, eta_s, eta_phi_on, eta_phi_residual, eta_tau)
     for name, v in zip(("eta0", "eta_s", "eta_phi_on", "eta_phi_residual", "eta_tau"), factors):
         _check_ratio(name, v)

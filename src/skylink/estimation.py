@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .atmosphere import OpticalPath, TurbulenceState
 from .coupling import ReceiverChain, SmfCouplingBreakdown, compose_smf, eta_phi_on
 from .linkbudget import model_smf_breakdown
-from .units import _check_positive, _is_positive
+from .units import _check_positive, _check_result, _is_positive
 from .zernike import ModeVarianceSet, ZernikeSeries, empirical_variances, noll_weight, radial_order
 
 __all__ = [
@@ -120,7 +120,9 @@ def predict_eta_smf(
     e_on = eta_phi_on(empirical_variances(ao_on), chain.ao_modes)
     ts = TurbulenceState.from_r0(fried.r0_hat, path, wind_speed)
     m = model_smf_breakdown(chain, ts, path)
-    return compose_smf(m.eta0, m.eta_s, e_on, m.eta_phi_residual, m.eta_tau)
+    smf = compose_smf(m.eta0, m.eta_s, e_on, m.eta_phi_residual, m.eta_tau)
+    _check_result("eta_phi_on", e_on, "eta_smf", smf.eta_smf)
+    return smf
 
 
 def write_wfs_log(series: ZernikeSeries, d_rx: float, path) -> None:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from .atmosphere import (
     OpticalPath,
     TurbulenceState,
-    _aperture_averaged,
     _check_same_path,
     _cn2_from_r0,
+    _eta_s,
     _greenwood,
 )
 from .coupling import (
@@ -150,12 +150,23 @@ def collection_efficiency(w_l: float, chain: ReceiverChain) -> float:
     return _finite_result("w_l", w_l, "eta_coll", _collection, math, w_l, chain, on_error=0.0)
 
 
+def _unchecked(name, value, what, compute, *args, on_error=None):
+    """compute(*args), called as :func:`_finite_result` is but without its check."""
+    return compute(*args)
+
+
 def _smf_factors(xp, chain: ReceiverChain, path: OpticalPath, r0, cn2, wind, J):
-    """(eta0, eta_s, eta_phi_on = 1.0, eta_phi_residual, eta_tau), in compose_smf order."""
+    """(eta0, eta_s, eta_phi_on = 1.0, eta_phi_residual, eta_tau), in compose_smf order.
+
+    At one point (xp is math) each modelled term follows the range rule,
+    naming r0, or wind_speed for eta_tau; a sweep tests its eta_ch instead.
+    """
+    term = _finite_result if xp is math else _unchecked
+    d_rx, f_g = chain.d_rx, _greenwood(wind, r0)
     e0 = eta0(mode_match_beta(chain, path.wavelength), obscuration_ratio(chain))
-    e_s = _aperture_averaged(xp, cn2, path, chain.d_rx)[-1]
-    e_phi_j = _eta_phi_residual(xp, J, chain.d_rx, r0)
-    e_tau = _eta_tau(xp, _greenwood(wind, r0), chain.f_3db)
+    e_s = term("r0", r0, "eta_s", _eta_s, xp, cn2, path, d_rx, on_error=0.0)
+    e_phi_j = term("r0", r0, "eta_phi_residual", _eta_phi_residual, xp, J, d_rx, r0, on_error=0.0)
+    e_tau = term("wind_speed", wind, "eta_tau", _eta_tau, xp, f_g, chain.f_3db, on_error=0.0)
     return e0, e_s, 1.0, e_phi_j, e_tau
 
 
@@ -165,7 +176,8 @@ def model_smf_breakdown(
     """Design-model coupling breakdown (ideal correction of the first J modes).
 
     The design model's eta_phi_on is 1; measured terms meet it in compose_smf.
-    path must be ts.path.  An eta_smf that underflows raises ValueError naming r0.
+    path must be ts.path.  A term or an eta_smf that leaves the float range
+    raises ValueError naming r0 (wind_speed for eta_tau).
     """
     _check_same_path(ts, path)
     J = chain.ao_modes if J is None else J

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .atmosphere import OpticalPath, _greenwood
 from .coupling import ReceiverChain, _servo_lag_variance
-from .units import _check_integer, _check_non_negative, _check_positive
+from .units import _check_integer, _check_non_negative, _check_positive, _finite_result
 from .zernike import ZernikeSeries, turbulence_variance
 
 __all__ = ["SynthConfig", "generate_series"]
@@ -42,6 +42,10 @@ class SynthConfig:
         _check_non_negative("wind_speed", self.wind_speed)
         for name, minimum in (("n_samples", 2), ("j_max", 2), ("ao_modes", 0), ("seed", 0)):
             _check_integer(name, getattr(self, name), minimum)
+        _finite_result(  # the last timestamp, (n - 1) / sample_rate
+            "sample_rate", self.sample_rate, "last timestamp",
+            lambda: (int(self.n_samples) - 1) / self.sample_rate,
+        )
 
 
 def generate_series(cfg: SynthConfig) -> ZernikeSeries:
@@ -56,7 +60,8 @@ def generate_series(cfg: SynthConfig) -> ZernikeSeries:
 
     f_g = _greenwood(cfg.wind_speed, cfg.r0)
     phi = math.exp(-2.0 * math.pi * f_g / cfg.sample_rate) if f_g > 0 else 0.0
-    rejection = min(1.0, _servo_lag_variance(f_g, cfg.f_3db)) if cfg.ao_on else 1.0
+    # min(1, (f_G/f_3dB)^(5/3)): at f_G >= f_3dB the power is not needed (and may overflow)
+    rejection = _servo_lag_variance(f_g, cfg.f_3db) if cfg.ao_on and f_g < cfg.f_3db else 1.0
 
     n, j_max, seed = int(cfg.n_samples), int(cfg.j_max), int(cfg.seed)
     sigma = np.empty(j_max)

@@ -83,6 +83,54 @@ def test_a_setting_past_the_float_range_exits_3_naming_it(tmp_path, capsys, conf
     assert err == f"error: {message}\n"
 
 
+def _range(name, value, what, result="0.0"):
+    return f"{name} must give a finite, positive {what}, got {value} ({what} = {result})"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["budget", "--r0", "1e-80"], _range("r0", "1e-80", "eta_s")),
+        (["budget", "--r0", "1e-4"], _range("r0", "0.0001", "eta_phi_residual")),
+        (["budget", "--r0", "7.8e-4", "--wind", "0.72"], _range("r0", "0.00078", "eta_smf")),
+        (["budget", "--wind", "1e300"], _range("wind_speed", "1e+300", "eta_tau")),
+        (["budget", "--wind", "1e5"], _range("wind_speed", "100000.0", "eta_tau")),
+        (
+            ["sweep", "--var", "wind", "--min", "1e300", "--max", "1e300", "--steps", "1"],
+            _range("wind_speed", "1e+300", "eta_tau") + " (sweep point 0)",
+        ),
+        (
+            ["predict-smf", "--ao-on", "on.csv", "--r0", "0.08", "--wind", "1e300"],
+            _range("wind_speed", "1e+300", "eta_tau"),
+        ),
+        (
+            ["synth", "o.csv", "--r0", "0.08", "--n", "3", "--rate", "1e-320"],
+            _range("sample_rate", "1e-320", "last timestamp", "inf"),
+        ),
+    ],
+    ids=["r0-eta_s", "r0-eta_phi_residual", "r0-eta_smf", "wind-overflow", "wind-eta_tau",
+         "sweep-wind", "predict-smf-wind", "synth-rate"],
+)
+def test_an_operating_point_past_the_float_range_exits_3_naming_its_input(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    """No traceback, table line or numpy warning: the range rule's message names the flag's input."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "synth", "on.csv", "--r0", "0.08", "--n", "300", "--ao-on")
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_synth_at_a_greenwood_frequency_past_the_float_range_writes_an_uncorrected_log(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    common = ["--r0", "0.08", "--n", "50", "--wind", "1e300"]
+    assert run(capsys, "synth", "on.csv", *common, "--ao-on")[0] == 0
+    assert run(capsys, "synth", "off.csv", *common)[0] == 0
+    assert (tmp_path / "on.csv").read_text() == (tmp_path / "off.csv").read_text()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["budget"], ["sweep", "--steps", "3"], ["predict-smf", "--ao-on", "on.csv", "--r0", "0.08"]],
@@ -386,6 +434,24 @@ def test_qkd_checks_its_operating_point_before_printing(
     assert (code, out) == (3, "")
     assert message in err
     assert not out_file.exists()
+
+
+def test_qkd_intrinsic_qber_defaults_to_0_005_with_eta_ch(capsys):
+    default = run(capsys, "qkd", "--eta-ch", "-29")
+    assert default[0] == 0
+    assert run(capsys, "qkd", "--eta-ch", "-29", "--intrinsic-qber", "0.005") == default
+    assert run(capsys, "qkd", "--eta-ch", "-29", "--intrinsic-qber", "0.02")[1] != default[1]
+
+
+def test_qkd_from_a_log_rejects_the_intrinsic_qber_flag(tmp_path, capsys):
+    """A session log carries its own QBER, so the flag would be silently ignored."""
+    from skylink import qkd as qkd_mod
+
+    log = tmp_path / "session.csv"
+    qkd_mod.write_session_log([qkd_mod.RateObservation(0.0, 20400.0, 2000.0, 0.008, 0.011)], log)
+    code, out, err = run(capsys, "qkd", "--log", str(log), "--intrinsic-qber", "7")
+    assert (code, out) == (2, "")
+    assert "--intrinsic-qber applies to --eta-ch" in err
 
 
 def test_qkd_from_log(tmp_path, capsys):

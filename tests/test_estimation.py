@@ -130,6 +130,15 @@ def test_predict_eta_smf_composition(path, chain):
     )
 
 
+def test_predict_eta_smf_names_the_measured_term_when_the_product_underflows(path, chain):
+    """eta_phi_on ~1e-215 (AO-ON variances of 1e12 rad^2) times a design eta_smf ~1e-206."""
+    ao_on = series_with_exact_variances({j: 1e12 for j in range(1, 36)}, n=256, seed=7)
+    fit = estimation.FriedFit(0.001, 0.0, 1.0, 0.0, tuple(range(1, 36)))
+    form = r"^eta_phi_on must give a finite, positive eta_smf, got .+ \(eta_smf = 0\.0\)$"
+    with pytest.raises(ValueError, match=form):
+        estimation.predict_eta_smf(ao_on, fit, 0.5, chain, path)
+
+
 def test_wfs_log_round_trip_bit_identical(tmp_path):
     cfg = synth.SynthConfig(r0=0.08, j_max=6, n_samples=50, seed=3, wind_speed=1.0)
     series = synth.generate_series(cfg)

@@ -194,6 +194,8 @@ def test_sweep_mixed_scalar_and_array_arguments(points, which):
         [
             ("r0", float("nan")), ("r0", 1e-300), ("J", 0), ("wind", -0.5), ("a", float("inf")),
             ("a", 1e3),  # eta_a underflows to 0
+            ("r0", 1e-80), ("wind", 1e300),  # an overflowed power in eta_s, in eta_tau
+            ("r0", 1e-4), ("wind", 1e5),  # eta_phi_residual, eta_tau underflow to 0
         ]
     ),
 )
@@ -244,6 +246,44 @@ def test_sweep_none_in_a_list_raises_a_value_error_naming_the_point(at, value, m
     with pytest.raises(ValueError) as exc:
         sweep_columns(GEOM, *args)
     assert str(exc.value) == message
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+_wide_points = st.lists(
+    st.tuples(
+        _log_uniform(1e-5, 10.0),
+        st.one_of(st.just(0.0), _log_uniform(1e-3, 1e4)),
+        st.one_of(st.just(0.0), _log_uniform(1e-3, 3000.0)),
+        _log_uniform(1, 1e4).map(round),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_wide_points)
+def test_sweep_raises_exactly_where_the_scalar_path_raises(points):
+    """Far past the link's range the sweep's mask, its inputs and eta_ch > 0, accepts
+    just the points the scalar path accepts, and names the first one it rejects."""
+    want = None
+    for i, point in enumerate(points):
+        try:
+            _scalar_row(GEOM, *point)
+        except ValueError as exc:
+            want = f"{exc} (sweep point {i})"
+            break
+    cols = [np.array(col) for col in zip(*points)]
+    if want is None:
+        eta_ch = sweep_columns(GEOM, *cols)["eta_ch"]
+        assert ((eta_ch > 0) & (eta_ch <= 1)).all()
+    else:
+        with pytest.raises(ValueError) as got:
+            sweep_columns(GEOM, *cols)
+        assert str(got.value) == want
 
 
 _REFERENCE_KEYS = ("r0_m", "w_l_m", "eta_a", "eta_coll", "eta_focus", "eta0", "eta_s",

@@ -11,7 +11,7 @@ from skylink.atmosphere import OpticalPath, TurbulenceState, scale_r0_to_wavelen
 from skylink.atmosphere import cn2_from_r0, r0_from_cn2, scintillation_report
 from skylink.coupling import ReceiverChain, coupling_from_power, eta0, eta_phi_residual, eta_tau
 from skylink.coupling import mode_match_beta
-from skylink.estimation import FriedFit, fit_fried, write_wfs_log
+from skylink.estimation import FriedFit, fit_fried, predict_eta_smf, write_wfs_log
 from skylink.linkbudget import LinkGeometry, absorption_efficiency, beam_divergence
 from skylink.linkbudget import collection_efficiency, full_budget, model_smf_breakdown
 from skylink.linkbudget import received_waist, sweep_columns
@@ -28,6 +28,8 @@ _SESSION = qkd.QkdSessionModel(qkd.SNSPD)
 _VARIANCES = ModeVarianceSet({j: turbulence_variance(j, 0.41, 0.1) for j in range(1, 8)})
 _SERIES = ZernikeSeries(np.arange(3.0), np.zeros((3, 4)), np.ones(3, dtype=bool), 1.555e-6)
 _OBSERVATION = dict(timestamp=0.0, signal_rate=1e4, noise_rate=1e2, qber_z=0.01, qber_x=0.01)
+_AO_ON = synth.generate_series(synth.SynthConfig(r0=0.08, n_samples=50, wind_speed=0.5, ao_on=True))
+_FIT = FriedFit(0.08, 0.0, 1.0, 0.0, ("manual",))
 
 # (input name, call with the bad value in that input's place)
 _ENTRY_POINTS = [
@@ -139,7 +141,29 @@ _OUT_OF_RANGE = [
     ("p_z_alice", lambda v: _first_key_rate(p_z_alice=v), 1e-320),
     ("d_rx", lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e200),  # d_rx^2 overflows
     ("d_rx", lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e-200),  # d_rx^2 underflows
+    ("r0", lambda v: _smf_at(v, 0.0), 1e-80),  # a beta0 power overflows in eta_s
+    ("r0", lambda v: scintillation_report(TurbulenceState.from_r0(v, _PATH), _PATH, 0.41), 1e-80),
+    ("r0", lambda v: sweep_columns(_GEOM, [v], 0.5, 0.2), 1e-80),
+    ("r0", lambda v: _smf_at(v, 0.556), 1e-4),  # eta_phi_residual
+    ("r0", lambda v: _smf_at(v, 0.72), 7.8e-4),  # eta_smf
+    ("r0", lambda v: _budget_at(v, 0.556), 7.97e-4),  # eta_ch
+    ("wind_speed", lambda v: _smf_at(0.0875, v), 1e300),  # the servo-lag power overflows
+    ("wind_speed", lambda v: _smf_at(0.0875, v), 1e5),  # eta_tau underflows
+    ("wind_speed", lambda v: sweep_columns(_GEOM, 0.0875, [v], 0.2), 1e300),
+    ("wind_speed", lambda v: predict_eta_smf(_AO_ON, _FIT, v, _CHAIN, _PATH), 1e300),
+    ("sample_rate", lambda v: synth.SynthConfig(r0=0.08, n_samples=3, sample_rate=v), 1e-320),
 ]
+
+
+def _smf_at(r0, wind):
+    """The design coupling breakdown at r0 and wind on the default path."""
+    return model_smf_breakdown(_CHAIN, TurbulenceState.from_r0(r0, _PATH, wind), _PATH)
+
+
+def _budget_at(r0, wind):
+    """The design budget at r0 and wind, 0.2 dB/km, on the default geometry."""
+    ts = TurbulenceState.from_r0(r0, _PATH, wind)
+    return full_budget(_GEOM, ts, 0.2, model_smf_breakdown(_CHAIN, ts, _PATH))
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,14 @@ def test_ao_on_rejection_clamps_at_unity():
     assert np.array_equal(off.coefficients, on.coefficients)
 
 
+def test_ao_on_at_a_greenwood_frequency_past_the_float_range_is_uncorrected():
+    """(f_G/f_3dB)^(5/3) would overflow at this wind; above f_3dB the rejection is 1 unevaluated."""
+    common = dict(r0=0.08, j_max=3, n_samples=50, seed=4, wind_speed=1e300)
+    off = synth.generate_series(synth.SynthConfig(ao_on=False, **common))
+    on = synth.generate_series(synth.SynthConfig(ao_on=True, **common))
+    assert np.array_equal(off.coefficients, on.coefficients)
+
+
 def test_timestamps_and_mask():
     cfg = synth.SynthConfig(r0=0.06, j_max=2, n_samples=100, sample_rate=250.0, seed=1)
     series = synth.generate_series(cfg)
