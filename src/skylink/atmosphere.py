@@ -22,7 +22,6 @@ __all__ = [
     "ScintillationReport",
     "r0_from_cn2",
     "cn2_from_r0",
-    "rytov_variance",
     "scintillation_report",
     "greenwood_frequency",
     "scale_r0_to_wavelength",
@@ -33,7 +32,8 @@ __all__ = [
 class OpticalPath:
     """Wavelength and length of the free-space propagation path.
 
-    Defaults are the field trial's 1555 nm over 18 km.
+    Defaults are the field trial's 1555 nm over 18 km.  ``wavenumber``,
+    k = 2*pi/lambda in 1/m, is set when the path is built, outside the fields.
     """
 
     wavelength: float = 1.555e-6  # m
@@ -42,12 +42,9 @@ class OpticalPath:
     def __post_init__(self) -> None:
         for name in ("wavelength", "path_length"):
             _check_positive(name, getattr(self, name))
-        _finite_result("wavelength", self.wavelength, "wavenumber", lambda: self.wavenumber)
-
-    @property
-    def wavenumber(self) -> float:
-        """k = 2*pi/lambda, in 1/m."""
-        return 2.0 * math.pi / self.wavelength
+        lam = self.wavelength
+        k = _finite_result("wavelength", lam, "wavenumber", lambda: 2.0 * math.pi / lam)
+        object.__setattr__(self, "wavenumber", k)
 
 
 def _r0_from_cn2(cn2, path: OpticalPath):
@@ -89,7 +86,8 @@ def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: flo
 class TurbulenceState:
     """Turbulence strength as the Fried parameter on a path, plus wind.
 
-    Cn2 is derived from r0 and the path, so the two cannot disagree.
+    ``cn2``, the refractive-index structure constant in m^(-2/3), is set
+    from r0 and the path when the state is built, so the two cannot disagree.
     """
 
     fried_r0: float  # m, at path.wavelength
@@ -103,6 +101,7 @@ class TurbulenceState:
         # numpy scalar's own digits), so a float32 r0 runs the budget in float64.
         object.__setattr__(self, "fried_r0", float(self.fried_r0))
         object.__setattr__(self, "wind_speed", float(self.wind_speed))
+        object.__setattr__(self, "cn2", _cn2_from_r0(self.fried_r0, self.path))
 
     @classmethod
     def from_r0(cls, r0: float, path: OpticalPath, wind_speed: float = 0.0) -> "TurbulenceState":
@@ -112,11 +111,6 @@ class TurbulenceState:
     def from_cn2(cls, cn2: float, path: OpticalPath, wind_speed: float = 0.0) -> "TurbulenceState":
         return cls(r0_from_cn2(cn2, path), wind_speed, path)
 
-    @property
-    def cn2(self) -> float:
-        """Refractive-index structure constant, in m^(-2/3)."""
-        return _cn2_from_r0(self.fried_r0, self.path)
-
 
 def _check_same_path(ts: TurbulenceState, path: OpticalPath, name: str = "path") -> None:
     """ValueError unless the path given beside a turbulence state is the state's own."""
@@ -125,14 +119,9 @@ def _check_same_path(ts: TurbulenceState, path: OpticalPath, name: str = "path")
 
 
 def _rytov(cn2, path: OpticalPath):
+    """sigma_R^2 = 1.23 * Cn2 * k^(7/6) * L^(11/6); cn2 may be an array."""
     k = path.wavenumber
     return 1.23 * cn2 * k ** (7.0 / 6.0) * path.path_length ** (11.0 / 6.0)
-
-
-def rytov_variance(ts: TurbulenceState, path: OpticalPath) -> float:
-    """sigma_R^2 = 1.23 * Cn2 * k^(7/6) * L^(11/6); path must be ts.path."""
-    _check_same_path(ts, path)
-    return _rytov(ts.cn2, path)
 
 
 @dataclass(frozen=True)
@@ -199,5 +188,11 @@ def _greenwood(wind_speed, r0):
 
 
 def greenwood_frequency(ts: TurbulenceState) -> float:
-    """f_G = 0.43 * w / r0, in Hz."""
-    return _greenwood(ts.wind_speed, ts.fried_r0)
+    """f_G = 0.43 * w / r0, in Hz.
+
+    An f_G past the float range raises ValueError naming wind_speed.
+    """
+    f_g = _greenwood(ts.wind_speed, ts.fried_r0)
+    if f_g == math.inf:  # f_G = 0 at no wind is in range
+        _check_result("wind_speed", ts.wind_speed, "f_G", f_g)
+    return f_g

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio
-from .units import _finite_result, from_db
+from .units import _check_result, _finite_result, from_db
 from .zernike import ModeVarianceSet, _check_residual_args, _residual_variance
 
 __all__ = [
@@ -145,13 +145,18 @@ def eta_phi_on(variances: ModeVarianceSet, J: int) -> float:
     """Closed-loop spatial efficiency of the first J modes.
 
     Product over j = 1..J of (1 + 2*sigma_j^2)^(-1/2) using the measured
-    AO-ON variances.
+    AO-ON variances.  A product that underflows to 0 raises ValueError
+    naming the variance of the mode with the largest, the smallest factor.
     """
     _check_integer("J", J, 1)
     log_sum = 0.0
     for j in range(1, int(J) + 1):
         log_sum += math.log1p(2.0 * variances[j])
-    return math.exp(-0.5 * log_sum)
+    e_on = math.exp(-0.5 * log_sum)
+    if not e_on > 0:
+        j = max(range(1, int(J) + 1), key=variances.__getitem__)
+        _check_result(f"variance of mode {j}", variances[j], "eta_phi_on", e_on)
+    return e_on
 
 
 def _eta_phi_residual(xp, J, d_rx: float, r0):
@@ -225,11 +230,16 @@ def coupling_from_power(p_in: float, p_focus: float, eta_focus_to_fiber: float) 
     _check_positive("p_focus", p_focus)
     _check_ratio("eta_focus_to_fiber", eta_focus_to_fiber)
     _check_non_negative("p_in", p_in)
-    p_front = p_focus * eta_focus_to_fiber
+    # An underflowed p_front names the smaller factor; an overflowed ratio, p_in.
+    low = min(("p_focus", p_focus), ("eta_focus_to_fiber", eta_focus_to_fiber), key=lambda f: f[1])
+    p_front = _finite_result(*low, "p_front", lambda: p_focus * eta_focus_to_fiber)
+    coupling = p_in / p_front
+    if coupling == math.inf:  # p_in = 0 gives a coupling of 0, in range
+        _check_result("p_in", p_in, "coupling", coupling)
     if p_in > p_front:
         warnings.warn(
             f"fiber power {p_in} W exceeds reconstructed power in front of the "
             f"fiber {p_front} W; measurement inconsistency",
             stacklevel=2,
         )
-    return p_in / p_front
+    return coupling

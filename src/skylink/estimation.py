@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .atmosphere import OpticalPath, TurbulenceState
 from .coupling import ReceiverChain, SmfCouplingBreakdown, compose_smf, eta_phi_on
-from .linkbudget import model_smf_breakdown
+from .linkbudget import _smf_input, model_smf_breakdown
 from .units import _check_positive, _check_result, _is_positive
 from .zernike import ModeVarianceSet, ZernikeSeries, empirical_variances, noll_weight, radial_order
 
@@ -121,7 +121,8 @@ def predict_eta_smf(
     ts = TurbulenceState.from_r0(fried.r0_hat, path, wind_speed)
     m = model_smf_breakdown(chain, ts, path)
     smf = compose_smf(m.eta0, m.eta_s, e_on, m.eta_phi_residual, m.eta_tau)
-    _check_result("eta_phi_on", e_on, "eta_smf", smf.eta_smf)
+    if not smf.eta_smf > 0:
+        _check_result(*_smf_input(ts, smf), "eta_smf", smf.eta_smf)
     return smf
 
 

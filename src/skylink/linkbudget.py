@@ -60,8 +60,9 @@ _DB_PER_NAT = 10.0 / math.log(10.0)
 class LinkGeometry:
     """Transmit waist plus path and receiver chain.
 
-    A w0 whose Rayleigh range leaves the float range, or for which no r0
-    gives a positive eta_coll, raises ValueError naming w0.
+    ``rayleigh_range``, z0 = pi * w0^2 / lambda, is set when the geometry is
+    built.  A w0 whose Rayleigh range leaves the float range, or for which no
+    r0 gives a positive eta_coll, raises ValueError naming w0.
     """
 
     path: OpticalPath
@@ -70,17 +71,14 @@ class LinkGeometry:
 
     def __post_init__(self) -> None:
         _check_positive("w0", self.w0)
-        _finite_result("w0", self.w0, "rayleigh range", lambda: self.rayleigh_range)
+        w0, lam = self.w0, self.path.wavelength
+        z0 = _finite_result("w0", w0, "rayleigh range", lambda: math.pi * w0 * w0 / lam)
+        object.__setattr__(self, "rayleigh_range", z0)
         # Every r0 gives a received radius above its r0 -> inf limit L*theta0, so
         # the best eta_coll any r0 can give is at max(L*theta0, w*).
         theta0 = _divergence(math, self, math.inf)[0]
         w_l = max(_received_waist(theta0, self.path), _peak_collection_radius(self.chain))
         _finite_result("w0", self.w0, "eta_coll", _collection, math, w_l, self.chain, on_error=0.0)
-
-    @property
-    def rayleigh_range(self) -> float:
-        """z0 = pi * w0^2 / lambda."""
-        return math.pi * self.w0 * self.w0 / self.path.wavelength
 
 
 def _divergence(xp, geom: LinkGeometry, r0):
@@ -183,8 +181,25 @@ def model_smf_breakdown(
     J = chain.ao_modes if J is None else J
     _check_integer("J", J, 1)  # chain and ts checked d_rx and r0 when they were built
     smf = compose_smf(*_smf_factors(math, chain, path, ts.fried_r0, ts.cn2, ts.wind_speed, J))
-    _check_result("r0", ts.fried_r0, "eta_smf", smf.eta_smf)
+    if not smf.eta_smf > 0:
+        _check_result(*_smf_input(ts, smf), "eta_smf", smf.eta_smf)
     return smf
+
+
+def _smf_input(ts: TurbulenceState, smf: SmfCouplingBreakdown) -> tuple[str, float]:
+    """(name, value) of the input behind the smallest factor of smf.eta_smf.
+
+    eta_s and eta_phi_residual name r0, eta_tau wind_speed; eta0 and a
+    measured eta_phi_on name themselves, and so does an eta_smf that its
+    terms do not compose to, set apart from them (``budget --eta-smf``).
+    """
+    terms = (smf.eta0, smf.eta_s, smf.eta_phi_on, smf.eta_phi_residual, smf.eta_tau)
+    if _smf_products(*terms)[1] != smf.eta_smf:
+        return "eta_smf", smf.eta_smf
+    r0 = ts.fried_r0
+    inputs = (("eta0", smf.eta0), ("r0", r0), ("eta_phi_on", smf.eta_phi_on), ("r0", r0),
+              ("wind_speed", ts.wind_speed))
+    return inputs[terms.index(min(terms))]
 
 
 @dataclass(frozen=True)
@@ -231,15 +246,21 @@ def full_budget(
     """Compose the channel budget from geometry, turbulence and coupling.
 
     eta_smf is injected rather than recomputed so measured and modeled terms
-    can be mixed.  geom.path must be ts.path.  An eta_a, eta_coll or eta_ch
-    that underflows to 0 raises ValueError naming a_coeff_db_km or r0.
+    can be mixed.  geom.path must be ts.path.  An eta_a or eta_coll that
+    underflows to 0 raises ValueError naming a_coeff_db_km or r0; an eta_ch
+    names the input behind its smallest factor (eta_smf's: see _smf_input).
     """
     _check_same_path(ts, geom.path, "geom.path")
     _check_non_negative("a_coeff_db_km", a_coeff_db_km)
     report = BudgetReport(*_budget_terms(math, geom, ts.fried_r0, a_coeff_db_km, smf.eta_smf))
     _check_result("a_coeff_db_km", a_coeff_db_km, "eta_a", report.eta_a)
     _check_result("r0", ts.fried_r0, "eta_coll", report.eta_coll)
-    _check_result("r0", ts.fried_r0, "eta_ch", report.eta_ch)
+    if not report.eta_ch > 0:  # named for its smallest factor
+        c = geom.chain
+        terms = (report.eta_a, report.eta_coll, c.eta_optics, report.eta_smf, c.eta_fiber)
+        inputs = (("a_coeff_db_km", a_coeff_db_km), ("r0", ts.fried_r0),
+                  ("eta_optics", c.eta_optics), _smf_input(ts, smf), ("eta_fiber", c.eta_fiber))
+        _check_result(*inputs[terms.index(min(terms))], "eta_ch", report.eta_ch)
     return report
 
 

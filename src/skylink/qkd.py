@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 
 from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio, _check_result
 from .units import _finite_result, from_db
@@ -83,7 +83,9 @@ class QkdSessionModel:
     block_size is in bytes of sifted key, matching how the platform logs it;
     left at None it becomes the detector's field-trial ``BLOCK_SIZE``.
     The protocol defaults (mu, basis and intensity probabilities, epsilons)
-    reproduce the field-trial throughput and are all overridable.
+    reproduce the field-trial throughput and are all overridable.  The
+    finite-key constants (:class:`_FiniteKeyConstants`) are built and
+    range-checked with the session, so a bad protocol setting is named here.
     """
 
     detector: DetectorModel
@@ -115,12 +117,8 @@ class QkdSessionModel:
         _check_positive("r_ref", self.r_ref)
         if not 1 <= self.f_ec < math.inf:
             raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
-
-    @cached_property
-    def _finite_key(self) -> "_FiniteKeyConstants":
-        # Kept in the instance __dict__, outside the dataclass fields, so
-        # ==, hash, repr and asdict ignore it and replace() builds afresh.
-        return _FiniteKeyConstants(self)
+        # Outside the fields: ==, hash, repr and asdict ignore it; replace() rebuilds it.
+        object.__setattr__(self, "_finite_key", _FiniteKeyConstants(self))
 
 
 class _FiniteKeyConstants:
@@ -239,7 +237,10 @@ def expected_signal_rate(session: QkdSessionModel, eta_ch: float) -> float:
 def channel_efficiency_from_rate(session: QkdSessionModel, measured_rate: float) -> float:
     """Invert :func:`expected_signal_rate` for a measured detection rate."""
     _check_positive("measured_rate", measured_rate)
-    eta = measured_rate / (session.r_ref * session.internal_loss * session.detector.efficiency)
+    rate_per_eta = session.r_ref * session.internal_loss * session.detector.efficiency
+    eta = _finite_result(
+        "measured_rate", measured_rate, "eta_ch", lambda: measured_rate / rate_per_eta
+    )
     if eta > 1:
         warnings.warn(
             f"measured rate implies channel efficiency {eta:.3g} > 1; "
@@ -252,10 +253,22 @@ def channel_efficiency_from_rate(session: QkdSessionModel, measured_rate: float)
 def calibrate_r_ref(
     session: QkdSessionModel, measured_rate: float, eta_ch: float
 ) -> QkdSessionModel:
-    """Return a session whose r_ref maps eta_ch onto the measured rate."""
+    """Return a session whose r_ref maps eta_ch onto the measured rate.
+
+    An r_ref past the float range raises ValueError naming its larger factor
+    in dB: measured_rate, or eta_ch through 1/(eta_ch*internal_loss*efficiency).
+    """
     _check_positive("measured_rate", measured_rate)
     _check_ratio("eta_ch", eta_ch)
-    r_ref = measured_rate / (eta_ch * session.internal_loss * session.detector.efficiency)
+    eta_sys = _finite_result(
+        "eta_ch", eta_ch, "system efficiency",
+        lambda: eta_ch * session.internal_loss * session.detector.efficiency,
+    )
+    r_ref = measured_rate / eta_sys
+    if r_ref == math.inf:
+        if measured_rate * eta_sys >= 1.0:  # measured_rate >= 1/eta_sys
+            _check_result("measured_rate", measured_rate, "r_ref", r_ref)
+        _check_result("eta_ch", eta_ch, "r_ref", r_ref)
     return replace(session, r_ref=r_ref)
 
 

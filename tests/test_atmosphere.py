@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -12,7 +13,6 @@ from skylink.atmosphere import (
     cn2_from_r0,
     greenwood_frequency,
     r0_from_cn2,
-    rytov_variance,
     scale_r0_to_wavelength,
     scintillation_report,
 )
@@ -20,7 +20,18 @@ from skylink.atmosphere import (
 
 def test_wavenumber():
     path = OpticalPath(1.555e-6, 18e3)
-    assert path.wavenumber == pytest.approx(2 * math.pi / 1.555e-6, rel=1e-15)
+    assert path.wavenumber == 2 * math.pi / 1.555e-6
+
+
+def test_derived_values_are_set_once_outside_the_fields(path):
+    """wavenumber and cn2 are instance attributes set when built, not fields or properties."""
+    ts = TurbulenceState.from_r0(0.0875, path, 1.0)
+    for obj, name in ((path, "wavenumber"), (ts, "cn2")):
+        assert name in vars(obj)
+        assert name not in {f.name for f in dataclasses.fields(obj)}
+        assert not hasattr(type(obj), name)
+    assert ts == TurbulenceState.from_r0(0.0875, OpticalPath(1.555e-6, 18e3), 1.0)
+    assert "cn2" not in repr(ts) and "wavenumber" not in repr(path)
 
 
 def test_path_validation():
@@ -52,7 +63,8 @@ def test_rytov_against_mpmath_oracle(path):
             * k ** (mpmath.mpf(7) / 6)
             * mpmath.mpf(18000) ** (mpmath.mpf(11) / 6)
         )
-    assert rytov_variance(ts, path) == pytest.approx(float(expected), rel=1e-12)
+    sigma_r2 = scintillation_report(ts, path, 0.41).rytov_sigmaR2
+    assert sigma_r2 == pytest.approx(float(expected), rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

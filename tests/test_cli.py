@@ -107,9 +107,13 @@ def _range(name, value, what, result="0.0"):
             ["synth", "o.csv", "--r0", "0.08", "--n", "3", "--rate", "1e-320"],
             _range("sample_rate", "1e-320", "last timestamp", "inf"),
         ),
+        (["budget", "--a-coeff", "179"], _range("a_coeff_db_km", "179.0", "eta_ch")),
+        (["budget", "--eta-smf", "-3230"], _range("eta_smf", "1e-323", "eta_ch")),
+        (["budget", "--wind", "107.53"], _range("wind_speed", "107.53", "eta_smf")),
     ],
     ids=["r0-eta_s", "r0-eta_phi_residual", "r0-eta_smf", "wind-overflow", "wind-eta_tau",
-         "sweep-wind", "predict-smf-wind", "synth-rate"],
+         "sweep-wind", "predict-smf-wind", "synth-rate", "a_coeff-eta_ch", "eta_smf-eta_ch",
+         "wind-eta_smf"],
 )
 def test_an_operating_point_past_the_float_range_exits_3_naming_its_input(
     tmp_path, capsys, monkeypatch, argv, message

@@ -2,15 +2,16 @@
 result would leave the float range, naming the input."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from skylink import qkd, synth
 from skylink.atmosphere import OpticalPath, TurbulenceState, scale_r0_to_wavelength
-from skylink.atmosphere import cn2_from_r0, r0_from_cn2, scintillation_report
-from skylink.coupling import ReceiverChain, coupling_from_power, eta0, eta_phi_residual, eta_tau
-from skylink.coupling import mode_match_beta
+from skylink.atmosphere import cn2_from_r0, greenwood_frequency, r0_from_cn2, scintillation_report
+from skylink.coupling import ReceiverChain, coupling_from_power, eta0, eta_phi_on, eta_phi_residual
+from skylink.coupling import eta_tau, mode_match_beta
 from skylink.estimation import FriedFit, fit_fried, predict_eta_smf, write_wfs_log
 from skylink.linkbudget import LinkGeometry, absorption_efficiency, beam_divergence
 from skylink.linkbudget import collection_efficiency, full_budget, model_smf_breakdown
@@ -18,6 +19,8 @@ from skylink.linkbudget import received_waist, sweep_columns
 from skylink.units import to_db
 from skylink.zernike import ModeVarianceSet, ZernikeSeries, noll_weight, radial_order
 from skylink.zernike import residual_variance, turbulence_variance
+
+from conftest import series_with_exact_variances
 
 _PATH = OpticalPath(1.555e-6, 18e3)
 _CHAIN = ReceiverChain()
@@ -96,7 +99,8 @@ def test_rejects_non_finite_input(name, call, value):
 
 
 def _first_key_rate(**fields):
-    """The first rate of a session: its finite-key constants are built there."""
+    """The first rate of a session; the session builds and checks its
+    finite-key constants when it is built, so a bad field raises there."""
     return qkd.secret_key_rate(qkd.QkdSessionModel(qkd.SNSPD, **fields), 2e4, 0.01, 0.01)
 
 
@@ -152,7 +156,28 @@ _OUT_OF_RANGE = [
     ("wind_speed", lambda v: sweep_columns(_GEOM, 0.0875, [v], 0.2), 1e300),
     ("wind_speed", lambda v: predict_eta_smf(_AO_ON, _FIT, v, _CHAIN, _PATH), 1e300),
     ("sample_rate", lambda v: synth.SynthConfig(r0=0.08, n_samples=3, sample_rate=v), 1e-320),
+    ("a_coeff_db_km", lambda v: full_budget(_GEOM, _TURB, v, _SMF), 179.0),  # eta_a ~6e-323
+    ("eta_smf", lambda v: full_budget(_GEOM, _TURB, 0.2, replace(_SMF, eta_smf=v)), 1e-323),
+    ("wind_speed", lambda v: _smf_at(0.0875, v), 107.53),  # eta_tau, in eta_smf
+    ("wind_speed", lambda v: _budget_at(0.0875, v), 107.5),  # eta_tau, in eta_ch
+    ("variance of mode 7", lambda v: eta_phi_on(_variances_1e30(v), 35), 1e31),
+    ("variance of mode 7", lambda v: predict_eta_smf(
+        series_with_exact_variances(_variances_1e30(v), n=64), _FIT, 0.5, _CHAIN, _PATH), 1e31),
+    ("wind_speed", lambda v: greenwood_frequency(TurbulenceState.from_r0(0.0875, _PATH, v)),
+     1.7e308),
+    ("p_in", lambda v: coupling_from_power(v, 1e-3, 0.5), 1.7e308),
+    ("p_focus", lambda v: coupling_from_power(1e-4, v, 0.5), 5e-324),
+    ("eta_focus_to_fiber", lambda v: coupling_from_power(1e-4, 1e-3, v), 5e-324),
+    ("eta_ch", lambda v: qkd.calibrate_r_ref(_SESSION, 2e4, v), 5e-324),  # r_ref = inf
+    ("eta_ch", lambda v: qkd.calibrate_r_ref(qkd.QkdSessionModel(qkd.SPAD), 2e4, v), 5e-324),
+    ("measured_rate", lambda v: qkd.calibrate_r_ref(_SESSION, v, 1e-3), 1.7e308),
+    ("measured_rate", lambda v: qkd.channel_efficiency_from_rate(_SESSION, v), 5e-324),
 ]
+
+
+def _variances_1e30(variance_of_mode_7):
+    """AO-ON variances of 1e30 rad^2 for modes 1-35, mode 7's the largest."""
+    return ModeVarianceSet({j: 1e30 for j in range(1, 36)} | {7: variance_of_mode_7})
 
 
 def _smf_at(r0, wind):

@@ -464,10 +464,15 @@ def test_every_finite_key_constant_is_finite(
     assert {k: v for k, v in constants.items() if not math.isfinite(v)} == {}
 
 
+def test_a_protocol_setting_past_the_float_range_is_named_when_the_session_is_built():
+    form = r"^eps_sec must give a finite, positive gamma factor, got 1e-300 \(gamma factor = inf\)$"
+    with pytest.raises(ValueError, match=form):
+        qkd.QkdSessionModel(qkd.SNSPD, eps_sec=1e-300)
+
+
 def test_block_size_past_the_float_range_names_block_size():
-    session = qkd.QkdSessionModel(qkd.SNSPD, block_size=10**400)
     with pytest.raises(ValueError, match=r"^block_size must give a finite, positive n_Z, got 1000"):
-        qkd.secret_key_rate(session, 2e4, 0.01, 0.01)
+        qkd.QkdSessionModel(qkd.SNSPD, block_size=10**400)
 
 
 def _single_photon_bounds(session, signal, qber_z, qber_x):
@@ -582,8 +587,7 @@ def test_session_constants_leave_the_dataclass_alone():
     a = qkd.QkdSessionModel(qkd.SNSPD)
     b = qkd.QkdSessionModel(qkd.SNSPD)
     before = (repr(a), hash(a), dataclasses.asdict(a))
-    rate = qkd.secret_key_rate(a, 20.4e3, 0.01, 0.01)  # fills a's record only
-    assert "_finite_key" in vars(a) and "_finite_key" not in vars(b)
+    rate = qkd.secret_key_rate(a, 20.4e3, 0.01, 0.01)
     assert a == b
     assert (repr(a), hash(a), dataclasses.asdict(a)) == before
     assert (repr(b), hash(b), dataclasses.asdict(b)) == before
@@ -591,7 +595,6 @@ def test_session_constants_leave_the_dataclass_alone():
 
     replaced = dataclasses.replace(a, eps_sec=1e-6)
     fresh = qkd.QkdSessionModel(qkd.SNSPD, eps_sec=1e-6)
-    assert "_finite_key" not in vars(replaced)
     assert qkd.secret_key_rate(replaced, 20.4e3, 0.01, 0.01) == qkd.secret_key_rate(
         fresh, 20.4e3, 0.01, 0.01
     )
