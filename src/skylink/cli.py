@@ -13,16 +13,18 @@ Exit codes: 0 success, 2 usage/config, 3 domain/model, 4 I/O.
 from __future__ import annotations
 
 import argparse
-from dataclasses import asdict, replace
+from dataclasses import asdict
 import itertools
 import json
+import math
 import os
 import sys
 from typing import NamedTuple
 
 from . import estimation, qkd, synth
 from .atmosphere import OpticalPath, TurbulenceState
-from .coupling import ReceiverChain, eta0, mode_match_beta, obscuration_ratio
+from .coupling import ReceiverChain, SmfCouplingBreakdown, eta0, mode_match_beta
+from .coupling import obscuration_ratio
 from .estimation import FriedFit
 from .linkbudget import LinkGeometry, full_budget, model_smf_breakdown, sweep_columns
 from .units import _check_positive, _is_ratio, from_db, to_db
@@ -246,10 +248,11 @@ def cmd_budget(args, cfg: dict) -> dict:
     geom = build_geometry(cfg)
     r0, a_coeff, wind = cfg["r0_m"], cfg["a_coeff_db_per_km"], cfg["wind_mps"]
     ts = TurbulenceState.from_r0(r0, geom.path, wind)
-    smf = model_smf_breakdown(geom.chain, ts, geom.path)
-    if args.eta_smf is not None:
-        # replace the modeled coupling with the supplied (measured) value
-        smf = replace(smf, eta_smf=_ratio_from_db("eta_smf", args.eta_smf))
+    if args.eta_smf is None:
+        smf = model_smf_breakdown(geom.chain, ts, geom.path)
+    else:  # the measured coupling alone, so no modelled term can reject the point;
+        # its nan terms do not compose to eta_smf, so an eta_ch out of range names it
+        smf = SmfCouplingBreakdown(*[math.nan] * 6, eta_smf=_ratio_from_db("eta_smf", args.eta_smf))
     report = full_budget(geom, ts, a_coeff, smf)
     print(f"link budget  (r0 = {r0:.4g} m, A = {a_coeff:.3g} dB/km, wind = {wind:.3g} m/s)")
     print(f"  beam radius W_L    {report.w_l:8.3f} m")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio
 from .units import _check_result, _finite_result, from_db
-from .zernike import ModeVarianceSet, _check_residual_args, _residual_variance
+from .zernike import ModeVarianceSet, _residual_variance
 
 __all__ = [
     "ReceiverChain",
@@ -24,8 +24,6 @@ __all__ = [
     "eta0",
     "optimize_beta",
     "eta_phi_on",
-    "eta_phi_residual",
-    "eta_tau",
     "compose_smf",
     "coupling_from_power",
 ]
@@ -160,15 +158,8 @@ def eta_phi_on(variances: ModeVarianceSet, J: int) -> float:
 
 
 def _eta_phi_residual(xp, J, d_rx: float, r0):
-    return xp.exp(-_residual_variance(J, d_rx, r0))
-
-
-def eta_phi_residual(J: int, d_rx: float, r0: float) -> float:
     """Efficiency lost to uncorrected modes j > J: exp(-sigma_J^2)."""
-    _check_residual_args(J, d_rx, r0)
-    return _finite_result(
-        "r0", r0, "eta_phi_residual", _eta_phi_residual, math, J, d_rx, r0, on_error=0.0
-    )
+    return xp.exp(-_residual_variance(J, d_rx, r0))
 
 
 def _servo_lag_variance(f_g, f_3db: float):
@@ -177,14 +168,8 @@ def _servo_lag_variance(f_g, f_3db: float):
 
 
 def _eta_tau(xp, f_g, f_3db: float):
-    return xp.exp(-_servo_lag_variance(f_g, f_3db))
-
-
-def eta_tau(f_g: float, f_3db: float) -> float:
     """Temporal AO efficiency exp(-(f_G/f_3dB)^(5/3))."""
-    _check_positive("f_3db", f_3db)
-    _check_non_negative("f_g", f_g)
-    return _finite_result("f_g", f_g, "eta_tau", _eta_tau, math, f_g, f_3db, on_error=0.0)
+    return xp.exp(-_servo_lag_variance(f_g, f_3db))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ Beam divergence under turbulence, atmospheric absorption, telescope
 collection with central obstruction, and the full channel efficiency
 eta_ch = eta_focus * eta_optics * eta_smf * eta_fiber.
 
-Each term is written once, as a function of the array module ``xp``: the
-scalar entry points pass ``math`` and :func:`sweep_columns` passes numpy, so
-a sweep evaluates all of its points in one pass with the same formulas and
-returns one array per term; :func:`sweep_budget` gives the same sweep as
-one row per point.
+Each term is written once, as a function of the array module ``xp``, and
+is read from the report built on it: :func:`full_budget` (a
+:class:`BudgetReport`) and :func:`model_smf_breakdown` (a
+``SmfCouplingBreakdown``) pass ``math``, and :func:`sweep_columns` passes
+numpy, so a sweep evaluates all of its points in one pass with the same
+formulas and returns one array per term; :func:`sweep_budget` gives the same
+sweep as one row per point.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ from .units import _finite_result, _is_integer, _is_non_negative, _is_positive, 
 __all__ = [
     "LinkGeometry",
     "BudgetReport",
-    "beam_divergence",
-    "received_waist",
-    "absorption_efficiency",
-    "collection_efficiency",
     "model_smf_breakdown",
     "full_budget",
     "sweep_columns",
@@ -82,6 +80,7 @@ class LinkGeometry:
 
 
 def _divergence(xp, geom: LinkGeometry, r0):
+    """(theta0, theta_turb, theta): lambda/(pi*w0) and lambda/(pi*r0/2.1) in quadrature."""
     lam = geom.path.wavelength
     theta0 = lam / (math.pi * geom.w0)
     rho0 = r0 / 2.1
@@ -89,45 +88,18 @@ def _divergence(xp, geom: LinkGeometry, r0):
     return theta0, theta_turb, xp.hypot(theta0, theta_turb)
 
 
-def beam_divergence(geom: LinkGeometry, r0: float) -> tuple[float, float, float]:
-    """(theta0, theta_turb, theta) half-angle divergences in radians.
-
-    theta0 = lambda/(pi*w0), theta_turb = lambda/(pi*rho0) with rho0 = r0/2.1,
-    combined in quadrature.
-    """
-    _check_positive("r0", r0)
-    theta = _finite_result("r0", r0, "theta", lambda: _divergence(math, geom, r0)[2])
-    return *_divergence(math, geom, r0)[:2], theta
-
-
 def _received_waist(theta, path: OpticalPath):
     return theta * path.path_length
 
 
-def received_waist(theta: float, path: OpticalPath) -> float:
-    """Beam radius at the receiver, W_L = theta * L."""
-    _check_positive("theta", theta)
-    return _finite_result("theta", theta, "w_l", _received_waist, theta, path)
-
-
 def _absorption(xp, a_coeff_db_km, path: OpticalPath):
+    """eta_A = exp(-A*L), A given in dB/km and taken in nat/m."""
     a_nat_per_m = a_coeff_db_km / _DB_PER_NAT / 1e3
     return xp.exp(-a_nat_per_m * path.path_length)
 
 
-def absorption_efficiency(a_coeff_db_km: float, path: OpticalPath) -> float:
-    """Atmospheric absorption eta_A over the path.
-
-    The coefficient is taken in dB/km (engineering convention); internally
-    this is the same as exp(-A*L) with A converted to nat/m.
-    """
-    _check_non_negative("a_coeff_db_km", a_coeff_db_km)
-    return _finite_result(
-        "a_coeff_db_km", a_coeff_db_km, "eta_a", _absorption, math, a_coeff_db_km, path
-    )
-
-
 def _collection(xp, w_l, chain: ReceiverChain):
+    """Obstructed-aperture collection of a Gaussian beam of radius w_l."""
     two_wl2 = 2.0 * w_l * w_l
     return chain.eta_tel * (xp.exp(-chain.d_obs**2 / two_wl2) - xp.exp(-chain.d_rx**2 / two_wl2))
 
@@ -140,12 +112,6 @@ def _peak_collection_radius(chain: ReceiverChain) -> float:
     """
     d_rx, d_obs = chain.d_rx, chain.d_obs
     return math.sqrt((d_rx - d_obs) * (d_rx + d_obs) / (4.0 * math.log(d_rx / d_obs)))
-
-
-def collection_efficiency(w_l: float, chain: ReceiverChain) -> float:
-    """Obstructed-aperture collection of a Gaussian beam of radius w_l."""
-    _check_positive("w_l", w_l)
-    return _finite_result("w_l", w_l, "eta_coll", _collection, math, w_l, chain, on_error=0.0)
 
 
 def _unchecked(name, value, what, compute, *args, on_error=None):

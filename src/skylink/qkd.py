@@ -115,6 +115,10 @@ class QkdSessionModel:
             if not 0 < v < 1:
                 raise ValueError(f"{name} must be in (0, 1), got {v}")
         _check_positive("r_ref", self.r_ref)
+        # The detected rate at eta_ch = 1, channel_efficiency_from_rate's divisor:
+        # a finite r_ref times two ratios, it can only underflow.
+        r_ref, loss, eff = self.r_ref, self.internal_loss, self.detector.efficiency
+        _finite_result("r_ref", r_ref, "rate per eta_ch", lambda: r_ref * loss * eff)
         if not 1 <= self.f_ec < math.inf:
             raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
         # Outside the fields: ==, hash, repr and asdict ignore it; replace() rebuilds it.

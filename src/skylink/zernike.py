@@ -66,12 +66,6 @@ def turbulence_variance(j: int, d_rx: float, r0: float) -> float:
     )
 
 
-def _check_residual_args(J: int, d_rx: float, r0: float) -> None:
-    _check_integer("J", J, 1)
-    _check_positive("d_rx", d_rx)
-    _check_positive("r0", r0)
-
-
 def _residual_variance(J, d_rx, r0):
     """Unchecked residual variance; J and r0 may be arrays."""
     return 0.2944 * J ** (-math.sqrt(3.0) / 2.0) * (d_rx / r0) ** (5.0 / 3.0)
@@ -79,7 +73,9 @@ def _residual_variance(J, d_rx, r0):
 
 def residual_variance(J: int, d_rx: float, r0: float) -> float:
     """Phase variance left after perfect correction of modes 1..J, in rad^2."""
-    _check_residual_args(J, d_rx, r0)
+    _check_integer("J", J, 1)
+    _check_positive("d_rx", d_rx)
+    _check_positive("r0", r0)
     return _finite_result("r0", r0, "phase variance", _residual_variance, J, d_rx, r0)
 
 

@@ -22,23 +22,24 @@ WORKLOADS = ROOT / "bench" / "workloads.py"
 
 # The public names of ``skylink`` before each module's __all__ fed it, plus
 # BLOCK_SIZE, which qkd.__all__ already listed, less rytov_variance, which gave
-# what scintillation_report's rytov_sigmaR2 holds.
+# what scintillation_report's rytov_sigmaR2 holds, and less the six budget
+# terms that BudgetReport, SmfCouplingBreakdown and sweep_columns hold
+# (beam_divergence, received_waist, absorption_efficiency,
+# collection_efficiency, eta_phi_residual, eta_tau).
 _PUBLIC = {
     "BLOCK_SIZE", "BudgetReport", "DetectorModel", "FriedFit", "LinkGeometry",
     "ModeVarianceSet", "OpticalPath", "QkdSessionModel", "RateObservation", "ReceiverChain",
     "SNSPD", "SPAD", "ScintillationReport", "SmfCouplingBreakdown", "SynthConfig",
-    "TurbulenceState", "ZernikeSeries", "absorption_efficiency", "analyze_session_log",
-    "atmosphere", "beam_divergence", "calibrate_r_ref", "channel_efficiency_from_rate",
-    "cn2_from_r0", "collection_efficiency", "compose_smf", "coupling", "coupling_from_power",
-    "empirical_variances", "estimation", "eta0", "eta_phi_on", "eta_phi_residual", "eta_tau",
-    "expected_qber", "expected_signal_rate", "fit_fried", "format_db", "from_db",
-    "full_budget", "generate_series", "greenwood_frequency", "linkbudget", "load_session_log",
-    "load_wfs_log", "mode_match_beta", "model_smf_breakdown", "noll_weight",
-    "obscuration_ratio", "optimize_beta", "predict_eta_smf", "qkd", "r0_from_cn2",
-    "radial_order", "received_waist", "residual_variance",
-    "scale_r0_to_wavelength", "scintillation_report", "secret_key_rate", "sweep_budget",
-    "sweep_columns", "synth", "to_db", "turbulence_variance", "units", "windowed_noise_rate",
-    "write_session_log", "write_wfs_log", "zernike",
+    "TurbulenceState", "ZernikeSeries", "analyze_session_log", "atmosphere", "calibrate_r_ref",
+    "channel_efficiency_from_rate", "cn2_from_r0", "compose_smf", "coupling",
+    "coupling_from_power", "empirical_variances", "estimation", "eta0", "eta_phi_on",
+    "expected_qber", "expected_signal_rate", "fit_fried", "format_db", "from_db", "full_budget",
+    "generate_series", "greenwood_frequency", "linkbudget", "load_session_log", "load_wfs_log",
+    "mode_match_beta", "model_smf_breakdown", "noll_weight", "obscuration_ratio",
+    "optimize_beta", "predict_eta_smf", "qkd", "r0_from_cn2", "radial_order",
+    "residual_variance", "scale_r0_to_wavelength", "scintillation_report", "secret_key_rate",
+    "sweep_budget", "sweep_columns", "synth", "to_db", "turbulence_variance", "units",
+    "windowed_noise_rate", "write_session_log", "write_wfs_log", "zernike",
 }
 
 
@@ -55,7 +56,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 def test_public_names_are_the_pinned_set():
     # In a fresh interpreter: a test that imports skylink.cli adds "cli" here.
     out = _python("-c", "import skylink; print(*dir(skylink))").stdout
-    assert len(_PUBLIC) == 69
+    assert len(_PUBLIC) == 63
     assert {n for n in out.split() if not n.startswith("_")} == _PUBLIC
 
 

@@ -545,7 +545,9 @@ def test_sweep_other_variable(tmp_path, capsys):
 
 
 def test_sweep_j_rows_hold_the_evaluated_j(tmp_path, capsys):
-    from skylink.coupling import eta_phi_residual
+    import math
+
+    from skylink.zernike import residual_variance
 
     out_file = tmp_path / "sweep.json"
     code, out, _ = run(
@@ -558,7 +560,7 @@ def test_sweep_j_rows_hold_the_evaluated_j(tmp_path, capsys):
     assert [line.split(",")[0] for line in out.splitlines()] == ["J", "1", "13", "24", "36"]
     d = cli.DEFAULT_CONFIG
     for row in rows:
-        want = eta_phi_residual(row["J"], d["d_rx_m"], d["r0_m"])
+        want = math.exp(-residual_variance(row["J"], d["d_rx_m"], d["r0_m"]))
         assert row["eta_phi_residual"] == pytest.approx(want, rel=1e-12)
 
 
@@ -609,6 +611,12 @@ def test_budget_eta_smf_override(tmp_path, capsys):
         payload["eta_focus"] * payload["eta_optics"] * payload["eta_smf"] * payload["eta_fiber"],
         rel=1e-12,
     )
+    # A supplied eta_smf replaces the modelled terms, so none that leaves the
+    # float range (eta_smf at this r0, eta_tau at this wind) rejects the point.
+    for argv in (["--r0", "7.8e-4", "--wind", "0.72"], ["--wind", "1e5"]):
+        code, out, err = run(capsys, "budget", *argv, "--eta-smf", "-3")
+        assert (code, err) == (0, "")
+        assert out.startswith("link budget") and "eta_smf                -3.0 dB" in out
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "3"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skylink.atmosphere import TurbulenceState, greenwood_frequency
 from skylink.coupling import (
     ReceiverChain,
     _u_start,
@@ -12,12 +13,11 @@ from skylink.coupling import (
     coupling_from_power,
     eta0,
     eta_phi_on,
-    eta_phi_residual,
-    eta_tau,
     mode_match_beta,
     obscuration_ratio,
     optimize_beta,
 )
+from skylink.linkbudget import model_smf_breakdown
 from skylink.units import from_db, to_db
 from skylink.zernike import ModeVarianceSet, residual_variance
 
@@ -199,19 +199,25 @@ def test_eta_phi_on_monotone_in_variance():
     assert hi < lo
 
 
-def test_eta_phi_residual_definition():
-    assert eta_phi_residual(35, 0.41, 0.0875) == pytest.approx(
+def _smf_at(chain, path, wind=0.556, J=None):
+    """The design coupling breakdown at r0 = 0.0875 m."""
+    return model_smf_breakdown(chain, TurbulenceState.from_r0(0.0875, path, wind), path, J)
+
+
+def test_eta_phi_residual_definition(chain, path):
+    assert _smf_at(chain, path, J=35).eta_phi_residual == pytest.approx(
         math.exp(-residual_variance(35, 0.41, 0.0875)), rel=1e-12
     )
 
 
-def test_eta_tau():
-    assert eta_tau(0.0, 10.0) == 1.0
-    assert eta_tau(10.0, 10.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    grid = [eta_tau(f, 10.0) for f in np.linspace(0.0, 50.0, 40)]
+def test_eta_tau(chain, path):
+    assert _smf_at(chain, path, wind=0.0).eta_tau == 1.0
+    # a loop bandwidth equal to f_G leaves exp(-1)
+    f_g = greenwood_frequency(TurbulenceState.from_r0(0.0875, path, 0.556))
+    at_f_g = _smf_at(ReceiverChain(f_3db=f_g), path).eta_tau
+    assert at_f_g == pytest.approx(math.exp(-1.0), rel=1e-12)
+    grid = [_smf_at(chain, path, wind).eta_tau for wind in np.linspace(0.0, 10.0, 40)]
     assert all(a >= b for a, b in zip(grid, grid[1:]))
-    with pytest.raises(ValueError):
-        eta_tau(-1.0, 10.0)
 
 
 @settings(max_examples=200, deadline=None)

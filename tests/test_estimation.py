@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from skylink import estimation, synth
 from skylink.atmosphere import TurbulenceState, greenwood_frequency, scintillation_report
-from skylink.coupling import eta_phi_on, eta_phi_residual, eta_tau
-from skylink.zernike import ZernikeSeries, empirical_variances
+from skylink.coupling import eta_phi_on
+from skylink.zernike import ZernikeSeries, empirical_variances, residual_variance
 
 from conftest import analytic_variances, series_with_exact_variances
 
@@ -121,10 +121,12 @@ def test_predict_eta_smf_composition(path, chain):
     assert out.eta_phi_on == pytest.approx(
         eta_phi_on(empirical_variances(ao_on), 35), rel=1e-12
     )
-    assert out.eta_phi_residual == pytest.approx(eta_phi_residual(35, chain.d_rx, r0), rel=1e-12)
+    residual = math.exp(-residual_variance(35, chain.d_rx, r0))
+    assert out.eta_phi_residual == pytest.approx(residual, rel=1e-12)
     ts = TurbulenceState.from_r0(r0, path, wind)
     assert out.eta_s == pytest.approx(scintillation_report(ts, path, chain.d_rx).eta_s, rel=1e-12)
-    assert out.eta_tau == pytest.approx(eta_tau(greenwood_frequency(ts), chain.f_3db), rel=1e-12)
+    servo_lag = (greenwood_frequency(ts) / chain.f_3db) ** (5 / 3)
+    assert out.eta_tau == pytest.approx(math.exp(-servo_lag), rel=1e-12)
     assert out.eta_smf == pytest.approx(
         out.eta0 * out.eta_s * out.eta_phi_on * out.eta_phi_residual * out.eta_tau, rel=1e-12
     )

@@ -9,16 +9,18 @@ from skylink.atmosphere import OpticalPath, TurbulenceState, scintillation_repor
 from skylink.coupling import ReceiverChain
 from skylink.linkbudget import (
     LinkGeometry,
-    absorption_efficiency,
-    beam_divergence,
-    collection_efficiency,
     full_budget,
     model_smf_breakdown,
-    received_waist,
     sweep_budget,
     sweep_columns,
 )
 from skylink.units import to_db
+
+
+def _budget(geom, r0, a_coeff=0.2):
+    """The modelled budget report at r0 on geom's path."""
+    ts = TurbulenceState.from_r0(r0, geom.path)
+    return full_budget(geom, ts, a_coeff, model_smf_breakdown(geom.chain, ts, geom.path))
 
 
 def test_rayleigh_range(geom):
@@ -28,51 +30,49 @@ def test_rayleigh_range(geom):
 
 
 def test_beam_divergence_quadrature(geom):
-    theta0, theta_turb, theta = beam_divergence(geom, 0.15)
+    rep = _budget(geom, 0.15)
     lam = geom.path.wavelength
-    assert theta0 == pytest.approx(lam / (math.pi * 0.025), rel=1e-12)
-    assert theta_turb == pytest.approx(lam / (math.pi * (0.15 / 2.1)), rel=1e-12)
-    assert theta == pytest.approx(math.hypot(theta0, theta_turb), rel=1e-12)
-    with pytest.raises(ValueError):
-        beam_divergence(geom, 0.0)
+    assert rep.theta0 == pytest.approx(lam / (math.pi * 0.025), rel=1e-12)
+    assert rep.theta_turb == pytest.approx(lam / (math.pi * (0.15 / 2.1)), rel=1e-12)
+    assert rep.theta == pytest.approx(math.hypot(rep.theta0, rep.theta_turb), rel=1e-12)
+    assert rep.w_l == rep.theta * geom.path.path_length
 
 
 def test_stronger_turbulence_spreads_beam(geom):
-    _, _, weak = beam_divergence(geom, 0.15)
-    _, _, strong = beam_divergence(geom, 0.03)
-    assert strong > weak
-    assert received_waist(strong, geom.path) > received_waist(weak, geom.path)
+    weak, strong = _budget(geom, 0.15), _budget(geom, 0.03)
+    assert strong.theta > weak.theta
+    assert strong.w_l > weak.w_l
 
 
-def test_received_waist_band(geom, path):
+def test_received_waist_band(geom):
     """Design discussion: W_L spans roughly 0.4 m to 1 m over the r0 band."""
-    _, _, theta_hi = beam_divergence(geom, 0.15)
-    _, _, theta_lo = beam_divergence(geom, 0.03)
-    assert received_waist(theta_hi, path) == pytest.approx(0.38, rel=0.10)
-    assert 0.6 < received_waist(theta_lo, path) < 1.1
+    assert _budget(geom, 0.15).w_l == pytest.approx(0.38, rel=0.10)
+    assert 0.6 < _budget(geom, 0.03).w_l < 1.1
 
 
-def test_absorption_efficiency(path):
+def test_absorption_efficiency(geom):
     # dB/km times km must come back out exactly in dB
-    assert to_db(absorption_efficiency(0.2, path)) == pytest.approx(-3.6, abs=1e-12)
-    assert absorption_efficiency(0.0, path) == 1.0
-    with pytest.raises(ValueError):
-        absorption_efficiency(-0.1, path)
+    assert to_db(_budget(geom, 0.15, 0.2).eta_a) == pytest.approx(-3.6, abs=1e-12)
+    assert _budget(geom, 0.15, 0.0).eta_a == 1.0
+    with pytest.raises(ValueError, match="a_coeff_db_km must be finite and >= 0"):
+        _budget(geom, 0.15, -0.1)
 
 
-def test_collection_efficiency_formula(chain):
-    w_l = 0.38
+def test_collection_efficiency_formula(geom, chain):
+    w_l = _budget(geom, 0.15).w_l
     expected = chain.eta_tel * (
         math.exp(-(0.168**2) / (2 * w_l**2)) - math.exp(-(0.41**2) / (2 * w_l**2))
     )
-    assert collection_efficiency(w_l, chain) == pytest.approx(expected, rel=1e-12)
+    assert _budget(geom, 0.15).eta_coll == pytest.approx(expected, rel=1e-12)
 
 
-def test_collection_reference_points(geom, path, chain):
-    _, _, theta = beam_divergence(geom, 0.15)
-    w_l = received_waist(theta, path)
-    assert to_db(collection_efficiency(w_l, chain)) == pytest.approx(-6.0, abs=0.5)
-    assert to_db(collection_efficiency(1.0, chain)) == pytest.approx(-13.2, abs=0.5)
+def test_collection_reference_points(geom, path):
+    assert to_db(_budget(geom, 0.15).eta_coll) == pytest.approx(-6.0, abs=0.5)
+    # the r0 whose received radius is W_L = 1 m
+    theta_turb = math.sqrt((1.0 / path.path_length) ** 2 - _budget(geom, 0.15).theta0**2)
+    one_metre = _budget(geom, 2.1 * path.wavelength / (math.pi * theta_turb))
+    assert one_metre.w_l == pytest.approx(1.0, rel=1e-12)
+    assert to_db(one_metre.eta_coll) == pytest.approx(-13.2, abs=0.5)
 
 
 def test_model_breakdown_design_route(geom, path, chain):
@@ -374,8 +374,6 @@ def test_sweep_budget_shapes(geom):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_inputs_name_the_input(path, chain, bad):
-    with pytest.raises(ValueError, match="a_coeff_db_km must be finite"):
-        absorption_efficiency(bad, path)
     with pytest.raises(ValueError, match="w0 must be finite"):
         LinkGeometry(path, chain, w0=bad)
     for field in ("wavelength", "path_length"):
@@ -387,10 +385,6 @@ def test_non_finite_inputs_name_the_input(path, chain, bad):
     for field in ("eta_tel", "eta_optics", "eta_fiber"):
         with pytest.raises(ValueError, match=field):
             ReceiverChain(**{field: bad})
-    with pytest.raises(ValueError, match="wind_speed must be finite"):
-        TurbulenceState.from_r0(0.09, path, bad)
-    with pytest.raises(ValueError, match="r0 must be finite"):
-        TurbulenceState.from_r0(bad, path, 0.5)
 
 
 def test_a_waist_that_no_r0_can_collect_is_named_as_w0(path, chain):

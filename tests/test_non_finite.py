@@ -10,12 +10,9 @@ import pytest
 from skylink import qkd, synth
 from skylink.atmosphere import OpticalPath, TurbulenceState, scale_r0_to_wavelength
 from skylink.atmosphere import cn2_from_r0, greenwood_frequency, r0_from_cn2, scintillation_report
-from skylink.coupling import ReceiverChain, coupling_from_power, eta0, eta_phi_on, eta_phi_residual
-from skylink.coupling import eta_tau, mode_match_beta
+from skylink.coupling import ReceiverChain, coupling_from_power, eta0, eta_phi_on, mode_match_beta
 from skylink.estimation import FriedFit, fit_fried, predict_eta_smf, write_wfs_log
-from skylink.linkbudget import LinkGeometry, absorption_efficiency, beam_divergence
-from skylink.linkbudget import collection_efficiency, full_budget, model_smf_breakdown
-from skylink.linkbudget import received_waist, sweep_columns
+from skylink.linkbudget import LinkGeometry, full_budget, model_smf_breakdown, sweep_columns
 from skylink.units import to_db
 from skylink.zernike import ModeVarianceSet, ZernikeSeries, noll_weight, radial_order
 from skylink.zernike import residual_variance, turbulence_variance
@@ -56,8 +53,8 @@ _ENTRY_POINTS = [
     ("noise_rate", lambda v: qkd.expected_qber(1e4, v)),
     ("intrinsic_qber", lambda v: qkd.expected_qber(1e4, 1e2, v)),
     ("ratio", to_db),
-    ("f_g", lambda v: eta_tau(v, 10.0)),
-    ("f_3db", lambda v: eta_tau(1.0, v)),
+    ("J", lambda v: model_smf_breakdown(_CHAIN, _TURB, _PATH, v)),
+    ("f_3db", lambda v: ReceiverChain(f_3db=v)),
     ("d_rx", lambda v: residual_variance(35, v, 0.1)),
     ("r0", lambda v: residual_variance(35, 0.41, v)),
     ("r0", lambda v: scale_r0_to_wavelength(v, 1.5e-6, 1.6e-6)),
@@ -66,9 +63,9 @@ _ENTRY_POINTS = [
     ("d_rx", lambda v: scintillation_report(_TURB, _PATH, v)),
     ("wavelength", lambda v: mode_match_beta(_CHAIN, v)),
     ("beta", lambda v: eta0(v, 0.2)),
-    ("r0", lambda v: beam_divergence(_GEOM, v)),
-    ("theta", lambda v: received_waist(v, _PATH)),
-    ("w_l", lambda v: collection_efficiency(v, _CHAIN)),
+    ("r0", lambda v: TurbulenceState.from_r0(v, _PATH)),
+    ("a_coeff_db_km", lambda v: full_budget(_GEOM, _TURB, v, _SMF)),
+    ("wind_speed", lambda v: TurbulenceState.from_r0(0.0875, _PATH, v)),
     ("p_in", lambda v: coupling_from_power(v, 1e-3, 0.5)),
     ("p_focus", lambda v: coupling_from_power(1e-4, v, 0.5)),
     ("eta_focus_to_fiber", lambda v: coupling_from_power(1e-4, 1e-3, v)),
@@ -108,11 +105,11 @@ def _first_key_rate(**fields):
 _OUT_OF_RANGE = [
     ("signal_rate", lambda v: qkd.secret_key_rate(_SESSION, v, 0.01, 0.01), 5e-324),
     ("signal_rate", lambda v: qkd.secret_key_rate(_SESSION, v, 0.01, 0.01), 1e-305),
-    ("r0", lambda v: beam_divergence(_GEOM, v), 5e-324),
-    ("r0", lambda v: beam_divergence(_GEOM, v), 1e-315),
-    ("w_l", lambda v: collection_efficiency(v, _CHAIN), 1e-300),
+    ("r0", lambda v: TurbulenceState.from_r0(v, _PATH), 5e-324),
+    ("r0", lambda v: _budget_at(v, 0.556), 1e-315),
+    ("r_ref", lambda v: qkd.QkdSessionModel(qkd.SPAD, r_ref=v), 5e-324),  # r_ref * 0.11 -> 0
     ("r0", lambda v: residual_variance(35, 0.41, v), 1e-300),
-    ("r0", lambda v: eta_phi_residual(35, 0.41, v), 1e-300),
+    ("r0", lambda v: _smf_at(v, 0.556), 1e-300),
     ("r0", lambda v: turbulence_variance(2, 0.41, v), 1e-300),
     ("wavelength", lambda v: mode_match_beta(_CHAIN, v), 1e-320),
     ("r0", lambda v: scale_r0_to_wavelength(v, 1e-9, 1.0), 1e300),
@@ -120,13 +117,13 @@ _OUT_OF_RANGE = [
     ("r0", lambda v: turbulence_variance(2, 0.41, v), 1e300),
     ("cn2", lambda v: r0_from_cn2(v, _PATH), 1e300),
     ("cn2", lambda v: r0_from_cn2(v, _PATH), 5e-324),
-    ("theta", lambda v: received_waist(v, _PATH), 1e305),
+    ("r_ref", lambda v: qkd.QkdSessionModel(qkd.SNSPD, internal_loss=1e-300, r_ref=v), 1e-30),
     ("wavelength", lambda v: OpticalPath(wavelength=v), 1e-320),
-    ("r0", lambda v: eta_phi_residual(35, 0.41, v), 1e-5),
-    ("f_g", lambda v: eta_tau(v, 10.0), 1e6),
-    ("f_g", lambda v: eta_tau(v, 1.0), 1e300),
-    ("a_coeff_db_km", lambda v: absorption_efficiency(v, _PATH), 1e3),
-    ("w_l", lambda v: collection_efficiency(v, _CHAIN), 1e-3),
+    ("r0", lambda v: _smf_at(v, 0.556), 1e-5),
+    ("wind_speed", lambda v: sweep_columns(_GEOM, 0.0875, [v], 0.2), 1e5),  # eta_tau underflows
+    ("wind_speed", lambda v: sweep_columns(_GEOM, 0.0875, [0.5, v], 0.2), 107.5),  # in eta_ch
+    ("a_coeff_db_km", lambda v: sweep_columns(_GEOM, 0.0875, 0.556, v), 1e3),
+    ("r0", lambda v: sweep_columns(_GEOM, [0.0875, v], 0.556, 0.2), 1e-180),  # eta_coll
     ("beta", lambda v: eta0(v, 0.4), 100.0),
     ("a_coeff_db_km", lambda v: full_budget(_GEOM, _TURB, v, _SMF), 1e3),
     ("r0", lambda v: full_budget(_GEOM, TurbulenceState.from_r0(v, _PATH), 0.2, _SMF), 1e-180),
