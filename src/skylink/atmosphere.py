@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import _check_non_negative, _check_positive, _check_result, _finite_result
+from .units import _check_non_negative, _check_positive, _check_result, _finite_product
+from .units import _finite_result
 
 __all__ = [
     "OpticalPath",
@@ -77,8 +78,10 @@ def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: flo
     args = (("r0", r0), ("wavelength_from", wavelength_from), ("wavelength_to", wavelength_to))
     for name, v in args:
         _check_positive(name, v)
-    return _finite_result(
-        "r0", r0, "rescaled r0", lambda: r0 * (wavelength_to / wavelength_from) ** (6.0 / 5.0)
+    factors = (("r0", r0, 1.0), ("wavelength_from", wavelength_from, -6.0 / 5.0),
+               ("wavelength_to", wavelength_to, 6.0 / 5.0))
+    return _finite_product(
+        "rescaled r0", factors, lambda: r0 * (wavelength_to / wavelength_from) ** (6.0 / 5.0)
     )
 
 
@@ -151,7 +154,11 @@ def _aperture_averaged(xp, cn2, path: OpticalPath, d_rx: float):
     d = math.sqrt(path.wavenumber * d_rx * d_rx / (4.0 * path.path_length))
     beta0_sq = beta0**2
     beta0_12_5 = beta0 ** (12.0 / 5.0)
-    t1 = 0.49 * beta0_sq / (1.0 + 0.18 * d * d + 0.56 * beta0_12_5) ** (7.0 / 6.0)
+    t1_base = 1.0 + 0.18 * d * d + 0.56 * beta0_12_5
+    try:  # a float power past the range (math only: numpy gives inf) leaves t1 at 0
+        t1 = 0.49 * beta0_sq / t1_base ** (7.0 / 6.0)
+    except OverflowError:
+        t1 = 0.0
     t2 = 0.51 * beta0_sq / (1.0 + 0.90 * d * d + 0.69 * beta0_12_5) ** (5.0 / 6.0)
     sigma_i2 = xp.exp(t1 + t2) - 1.0
     sigma_chi2 = 0.25 * xp.log(sigma_i2 + 1.0)
@@ -169,7 +176,9 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     the aperture-averaging terms; both weak- and strong-regime correlation
     widths are reported (the caller picks the branch via sigma_R^2 <= 1).
     path must be ts.path.  An eta_s that leaves the float range raises
-    ValueError naming r0.
+    ValueError naming r0, a sigma_R^2 that underflows names path_length (its
+    factor L^(11/6) the smallest), and an aperture_d out of the float range
+    names d_rx.
     """
     _check_same_path(ts, path)
     _check_positive("d_rx", d_rx)
@@ -178,6 +187,8 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     except OverflowError:  # a power of beta0 past the float range: eta_s counts as 0.0
         terms = (0.0,)
     _check_result("r0", ts.fried_r0, "eta_s", terms[-1])
+    _check_result("path_length", path.path_length, "sigma_R^2", terms[0])
+    _check_result("d_rx", d_rx, "aperture_d", terms[2])
     sqrt_ll = math.sqrt(path.wavelength * path.path_length)
     rho_strong = 0.36 * terms[0] ** (-3.0 / 10.0) * sqrt_ll  # sigma_R^(-3/5) on the amplitude
     return ScintillationReport(*terms, rho_c_weak=sqrt_ll, rho_c_strong=rho_strong)

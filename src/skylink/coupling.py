@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio
-from .units import _check_result, _finite_result, from_db
+from .units import _check_result, _finite_product, _finite_result, from_db
 from .zernike import ModeVarianceSet, _residual_variance
 
 __all__ = [
@@ -216,8 +216,8 @@ def coupling_from_power(p_in: float, p_focus: float, eta_focus_to_fiber: float) 
     _check_ratio("eta_focus_to_fiber", eta_focus_to_fiber)
     _check_non_negative("p_in", p_in)
     # An underflowed p_front names the smaller factor; an overflowed ratio, p_in.
-    low = min(("p_focus", p_focus), ("eta_focus_to_fiber", eta_focus_to_fiber), key=lambda f: f[1])
-    p_front = _finite_result(*low, "p_front", lambda: p_focus * eta_focus_to_fiber)
+    factors = (("p_focus", p_focus, 1.0), ("eta_focus_to_fiber", eta_focus_to_fiber, 1.0))
+    p_front = _finite_product("p_front", factors, lambda: p_focus * eta_focus_to_fiber)
     coupling = p_in / p_front
     if coupling == math.inf:  # p_in = 0 gives a coupling of 0, in range
         _check_result("p_in", p_in, "coupling", coupling)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .atmosphere import OpticalPath, TurbulenceState
 from .coupling import ReceiverChain, SmfCouplingBreakdown, compose_smf, eta_phi_on
 from .linkbudget import _smf_input, model_smf_breakdown
-from .units import _check_positive, _check_result, _is_positive
+from .units import _check_positive, _check_result, _finite_result, _is_positive
 from .zernike import ModeVarianceSet, ZernikeSeries, empirical_variances, noll_weight, radial_order
 
 __all__ = [
@@ -49,7 +49,8 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
     least-squares solution is closed form; non-positive variances are
     excluded with a warning.  A mode listed twice raises ValueError, since
     it would count twice in the mean, and so do usable modes of one radial
-    order, which leave the exponent check without a slope.
+    order, which leave the exponent check without a slope.  An r0_hat out of
+    the float range raises ValueError naming d_rx.
     """
     import numpy as np
 
@@ -78,7 +79,7 @@ def fit_fried(variances: ModeVarianceSet, d_rx: float, modes=None) -> FriedFit:
     log_resid = log_s - log_g
     # offset c = (5/3) log(d_rx/r0)
     c = float(np.mean(log_resid))
-    r0_hat = d_rx * math.exp(-0.6 * c)
+    r0_hat = _finite_result("d_rx", d_rx, "r0_hat", lambda: d_rx * math.exp(-0.6 * c))
     residual_rms = float(np.sqrt(np.mean((log_resid - c) ** 2)))
 
     per_mode_r0 = d_rx * np.exp(-0.6 * log_resid)
@@ -122,7 +123,7 @@ def predict_eta_smf(
     m = model_smf_breakdown(chain, ts, path)
     smf = compose_smf(m.eta0, m.eta_s, e_on, m.eta_phi_residual, m.eta_tau)
     if not smf.eta_smf > 0:
-        _check_result(*_smf_input(ts, smf), "eta_smf", smf.eta_smf)
+        _check_result(*_smf_input(chain, ts, smf), "eta_smf", smf.eta_smf)
     return smf
 
 

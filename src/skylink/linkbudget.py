@@ -38,8 +38,8 @@ from .coupling import (
     mode_match_beta,
     obscuration_ratio,
 )
-from .units import _check_integer, _check_non_negative, _check_positive, _check_result
-from .units import _finite_result, _is_integer, _is_non_negative, _is_positive, to_db
+from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio
+from .units import _check_result, _finite_result, _is_integer, _is_non_negative, _is_positive, to_db
 
 __all__ = [
     "LinkGeometry",
@@ -123,15 +123,26 @@ def _smf_factors(xp, chain: ReceiverChain, path: OpticalPath, r0, cn2, wind, J):
     """(eta0, eta_s, eta_phi_on = 1.0, eta_phi_residual, eta_tau), in compose_smf order.
 
     At one point (xp is math) each modelled term follows the range rule,
-    naming r0, or wind_speed for eta_tau; a sweep tests its eta_ch instead.
+    naming r0, or for eta_tau the input _tau_input names; a sweep tests its
+    eta_ch instead.
     """
-    term = _finite_result if xp is math else _unchecked
     d_rx, f_g = chain.d_rx, _greenwood(wind, r0)
+    term = _finite_result if xp is math else _unchecked
+    tau = _tau_input(wind, f_g, chain) if xp is math else (None, None)
     e0 = eta0(mode_match_beta(chain, path.wavelength), obscuration_ratio(chain))
     e_s = term("r0", r0, "eta_s", _eta_s, xp, cn2, path, d_rx, on_error=0.0)
     e_phi_j = term("r0", r0, "eta_phi_residual", _eta_phi_residual, xp, J, d_rx, r0, on_error=0.0)
-    e_tau = term("wind_speed", wind, "eta_tau", _eta_tau, xp, f_g, chain.f_3db, on_error=0.0)
+    e_tau = term(*tau, "eta_tau", _eta_tau, xp, f_g, chain.f_3db, on_error=0.0)
     return e0, e_s, 1.0, e_phi_j, e_tau
+
+
+def _tau_input(wind: float, f_g: float, chain: ReceiverChain) -> tuple[str, float]:
+    """(name, value) of the input behind eta_tau = exp(-(f_G/f_3dB)^(5/3)).
+
+    The larger factor of f_G*(1/f_3dB): wind_speed (through f_G) where
+    f_G*f_3dB >= 1, else f_3db.
+    """
+    return ("wind_speed", wind) if f_g * chain.f_3db >= 1.0 else ("f_3db", chain.f_3db)
 
 
 def model_smf_breakdown(
@@ -141,30 +152,32 @@ def model_smf_breakdown(
 
     The design model's eta_phi_on is 1; measured terms meet it in compose_smf.
     path must be ts.path.  A term or an eta_smf that leaves the float range
-    raises ValueError naming r0 (wind_speed for eta_tau).
+    raises ValueError naming r0 (for eta_tau, wind_speed or f_3db).
     """
     _check_same_path(ts, path)
     J = chain.ao_modes if J is None else J
     _check_integer("J", J, 1)  # chain and ts checked d_rx and r0 when they were built
     smf = compose_smf(*_smf_factors(math, chain, path, ts.fried_r0, ts.cn2, ts.wind_speed, J))
     if not smf.eta_smf > 0:
-        _check_result(*_smf_input(ts, smf), "eta_smf", smf.eta_smf)
+        _check_result(*_smf_input(chain, ts, smf), "eta_smf", smf.eta_smf)
     return smf
 
 
-def _smf_input(ts: TurbulenceState, smf: SmfCouplingBreakdown) -> tuple[str, float]:
+def _smf_input(
+    chain: ReceiverChain, ts: TurbulenceState, smf: SmfCouplingBreakdown
+) -> tuple[str, float]:
     """(name, value) of the input behind the smallest factor of smf.eta_smf.
 
-    eta_s and eta_phi_residual name r0, eta_tau wind_speed; eta0 and a
-    measured eta_phi_on name themselves, and so does an eta_smf that its
-    terms do not compose to, set apart from them (``budget --eta-smf``).
+    eta_s and eta_phi_residual name r0, eta_tau the input _tau_input names;
+    eta0 and a measured eta_phi_on name themselves, and so does an eta_smf
+    that its terms do not compose to, set apart from them (``budget --eta-smf``).
     """
     terms = (smf.eta0, smf.eta_s, smf.eta_phi_on, smf.eta_phi_residual, smf.eta_tau)
     if _smf_products(*terms)[1] != smf.eta_smf:
         return "eta_smf", smf.eta_smf
-    r0 = ts.fried_r0
+    r0, wind = ts.fried_r0, ts.wind_speed
     inputs = (("eta0", smf.eta0), ("r0", r0), ("eta_phi_on", smf.eta_phi_on), ("r0", r0),
-              ("wind_speed", ts.wind_speed))
+              _tau_input(wind, _greenwood(wind, r0), chain))
     return inputs[terms.index(min(terms))]
 
 
@@ -191,12 +204,18 @@ class BudgetReport:
 
 
 def _budget_terms(xp, geom: LinkGeometry, r0, a_coeff_db_km, eta_smf):
-    """The BudgetReport fields, in order."""
+    """The BudgetReport fields, in order.
+
+    At one point (xp is math) eta_a and eta_coll follow the range rule,
+    naming a_coeff_db_km and r0; a sweep tests its eta_ch instead.
+    """
+    term = _finite_result if xp is math else _unchecked
     chain = geom.chain
     theta0, theta_turb, theta = _divergence(xp, geom, r0)
     w_l = _received_waist(theta, geom.path)
-    eta_a = _absorption(xp, a_coeff_db_km, geom.path)
-    eta_coll = _collection(xp, w_l, chain)
+    eta_a = term("a_coeff_db_km", a_coeff_db_km, "eta_a", _absorption, xp, a_coeff_db_km, geom.path)
+    # a w_l whose square underflows divides by 0: eta_coll counts as 0.0
+    eta_coll = term("r0", r0, "eta_coll", _collection, xp, w_l, chain, on_error=0.0)
     eta_focus = eta_a * eta_coll
     eta_ch = eta_focus * chain.eta_optics * eta_smf * chain.eta_fiber
     return (theta0, theta_turb, theta, w_l, eta_a, eta_coll, eta_focus,
@@ -212,20 +231,20 @@ def full_budget(
     """Compose the channel budget from geometry, turbulence and coupling.
 
     eta_smf is injected rather than recomputed so measured and modeled terms
-    can be mixed.  geom.path must be ts.path.  An eta_a or eta_coll that
-    underflows to 0 raises ValueError naming a_coeff_db_km or r0; an eta_ch
-    names the input behind its smallest factor (eta_smf's: see _smf_input).
+    can be mixed, and must be in (0, 1].  geom.path must be ts.path.  An eta_a
+    or eta_coll that underflows to 0 raises ValueError naming a_coeff_db_km
+    or r0; an eta_ch names the input behind its smallest factor (eta_smf's:
+    see _smf_input).
     """
     _check_same_path(ts, geom.path, "geom.path")
     _check_non_negative("a_coeff_db_km", a_coeff_db_km)
+    _check_ratio("eta_smf", smf.eta_smf)  # a breakdown compose_smf did not build
     report = BudgetReport(*_budget_terms(math, geom, ts.fried_r0, a_coeff_db_km, smf.eta_smf))
-    _check_result("a_coeff_db_km", a_coeff_db_km, "eta_a", report.eta_a)
-    _check_result("r0", ts.fried_r0, "eta_coll", report.eta_coll)
     if not report.eta_ch > 0:  # named for its smallest factor
         c = geom.chain
         terms = (report.eta_a, report.eta_coll, c.eta_optics, report.eta_smf, c.eta_fiber)
         inputs = (("a_coeff_db_km", a_coeff_db_km), ("r0", ts.fried_r0),
-                  ("eta_optics", c.eta_optics), _smf_input(ts, smf), ("eta_fiber", c.eta_fiber))
+                  ("eta_optics", c.eta_optics), _smf_input(c, ts, smf), ("eta_fiber", c.eta_fiber))
         _check_result(*inputs[terms.index(min(terms))], "eta_ch", report.eta_ch)
     return report
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio, _check_result
-from .units import _finite_result, from_db
+from .units import _finite_product, _finite_result, from_db
 
 __all__ = [
     "DetectorModel",
@@ -118,11 +118,18 @@ class QkdSessionModel:
         # The detected rate at eta_ch = 1, channel_efficiency_from_rate's divisor:
         # a finite r_ref times two ratios, it can only underflow.
         r_ref, loss, eff = self.r_ref, self.internal_loss, self.detector.efficiency
-        _finite_result("r_ref", r_ref, "rate per eta_ch", lambda: r_ref * loss * eff)
+        factors = (("r_ref", r_ref, 1.0), *_loss_factors(self, 1.0))
+        _finite_product("rate per eta_ch", factors, lambda: r_ref * loss * eff)
         if not 1 <= self.f_ec < math.inf:
             raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
         # Outside the fields: ==, hash, repr and asdict ignore it; replace() rebuilds it.
         object.__setattr__(self, "_finite_key", _FiniteKeyConstants(self))
+
+
+def _loss_factors(session: QkdSessionModel, exponent: float) -> tuple:
+    """The receiver's factors internal_loss and efficiency, to a power, for _finite_product."""
+    return (("internal_loss", session.internal_loss, exponent),
+            ("efficiency", session.detector.efficiency, exponent))
 
 
 class _FiniteKeyConstants:
@@ -259,20 +266,20 @@ def calibrate_r_ref(
 ) -> QkdSessionModel:
     """Return a session whose r_ref maps eta_ch onto the measured rate.
 
-    An r_ref past the float range raises ValueError naming its larger factor
-    in dB: measured_rate, or eta_ch through 1/(eta_ch*internal_loss*efficiency).
+    r_ref = measured_rate / (eta_ch*internal_loss*efficiency).  A system
+    efficiency that underflows names its smallest factor, and an r_ref past
+    the float range its largest: measured_rate, or the inverse of eta_ch,
+    internal_loss or efficiency.
     """
     _check_positive("measured_rate", measured_rate)
     _check_ratio("eta_ch", eta_ch)
-    eta_sys = _finite_result(
-        "eta_ch", eta_ch, "system efficiency",
+    eta_sys = _finite_product(
+        "system efficiency", (("eta_ch", eta_ch, 1.0), *_loss_factors(session, 1.0)),
         lambda: eta_ch * session.internal_loss * session.detector.efficiency,
     )
-    r_ref = measured_rate / eta_sys
-    if r_ref == math.inf:
-        if measured_rate * eta_sys >= 1.0:  # measured_rate >= 1/eta_sys
-            _check_result("measured_rate", measured_rate, "r_ref", r_ref)
-        _check_result("eta_ch", eta_ch, "r_ref", r_ref)
+    factors = (("measured_rate", measured_rate, 1.0), ("eta_ch", eta_ch, -1.0),
+               *_loss_factors(session, -1.0))
+    r_ref = _finite_product("r_ref", factors, lambda: measured_rate / eta_sys)
     return replace(session, r_ref=r_ref)
 
 

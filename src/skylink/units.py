@@ -23,6 +23,8 @@ which ``format`` would widen to -0.05000000074505806).
 The one range rule of the scalar leaves is here too: :func:`_check_result`
 raises ``ValueError(f"{name} must give a finite, positive {what}, got {value}
 ({what} = {result})")``, naming the input, unless its result is finite and > 0.
+A product names the input behind its factor smallest in dB, or largest where
+it overflows (:func:`_finite_product`).
 ``value`` is formatted as an f-string does: a float32 r0 of 1e-30 reads
 1.0000000031710769e-30.
 """
@@ -98,18 +100,37 @@ def _finite_result(name: str, value, what: str, compute, *args, on_error: float 
     scalar input computes with numpy's warnings off, so its overflow is this
     rule's ValueError too.
     """
+    result = _computed(compute, args, type(value).__module__ == "numpy", on_error)
+    _check_result(name, value, what, result)
+    return result
+
+
+def _finite_product(what: str, factors, compute, *args, on_error: float = math.inf):
+    """compute(*args), a product of value**exponent over its (name, value,
+    exponent) factors, computed as :func:`_finite_result` computes.
+
+    Out of range, it names the input behind its factor smallest in dB, or
+    largest where the product overflows; of equal factors, the first.
+    """
+    numpy_input = any(type(value).__module__ == "numpy" for _, value, _ in factors)
+    result = _computed(compute, args, numpy_input, on_error)
+    if not 0 < result < math.inf:
+        pick = max if result == math.inf else min
+        name, value, _ = pick(factors, key=lambda f: f[2] * math.log(f[1]))
+        _check_result(name, value, what, result)
+    return result
+
+
+def _computed(compute, args, numpy_input: bool, on_error: float):
     try:
-        if type(value).__module__ == "numpy":  # numpy is loaded already
+        if numpy_input:  # numpy is loaded already
             import numpy as np
 
             with np.errstate(all="ignore"):
-                result = compute(*args)
-        else:
-            result = compute(*args)
+                return compute(*args)
+        return compute(*args)
     except (OverflowError, ZeroDivisionError):
-        result = on_error
-    _check_result(name, value, what, result)
-    return result
+        return on_error
 
 
 def _check_result(name: str, value, what: str, result) -> None:

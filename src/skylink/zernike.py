@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .units import _check_integer, _check_non_negative, _check_positive, _finite_result
+from .units import _check_integer, _check_non_negative, _check_positive, _finite_product
 
 __all__ = [
     "radial_order",
@@ -61,9 +61,15 @@ def turbulence_variance(j: int, d_rx: float, r0: float) -> float:
     """Open-loop variance of mode j: (D/r0)^(5/3) * g(j), in rad^2."""
     _check_positive("d_rx", d_rx)
     _check_positive("r0", r0)
-    return _finite_result(
-        "r0", r0, "phase variance", lambda: (d_rx / r0) ** (5.0 / 3.0) * noll_weight(j)
+    return _finite_product(
+        "phase variance", _aperture_factors(d_rx, r0),
+        lambda: (d_rx / r0) ** (5.0 / 3.0) * noll_weight(j),
     )
+
+
+def _aperture_factors(d_rx, r0):
+    """The factors r0^(-5/3) and D^(5/3) of (D/r0)^(5/3), for _finite_product."""
+    return ("r0", r0, -5.0 / 3.0), ("d_rx", d_rx, 5.0 / 3.0)
 
 
 def _residual_variance(J, d_rx, r0):
@@ -76,7 +82,9 @@ def residual_variance(J: int, d_rx: float, r0: float) -> float:
     _check_integer("J", J, 1)
     _check_positive("d_rx", d_rx)
     _check_positive("r0", r0)
-    return _finite_result("r0", r0, "phase variance", _residual_variance, J, d_rx, r0)
+    return _finite_product(
+        "phase variance", _aperture_factors(d_rx, r0), _residual_variance, J, d_rx, r0
+    )
 
 
 @dataclass(frozen=True)
@@ -115,12 +123,6 @@ class ZernikeSeries:
     @property
     def j_max(self) -> int:
         return int(self.coefficients.shape[1])
-
-    def to_wavelength(self, wavelength: float) -> "ZernikeSeries":
-        """Re-express phase coefficients at another wavelength."""
-        _check_positive("wavelength", wavelength)
-        scale = self.wavelength_tag / wavelength
-        return ZernikeSeries(self.timestamps, self.coefficients * scale, self.valid_mask, wavelength)
 
 
 class ModeVarianceSet(dict):

@@ -151,6 +151,9 @@ def test_aperture_averaging_helps(path):
     large = scintillation_report(ts, path, 0.41)
     assert large.sigmaI2 < small.sigmaI2
     assert large.eta_s > small.eta_s
+    # so wide that (1 + 0.18 d^2)^(7/6) leaves the float range: T1 is 0, as numpy gives it
+    widest = scintillation_report(ts, path, 1e140)
+    assert widest.T1 == 0.0 and widest.eta_s == 1.0
 
 
 def test_greenwood_frequency(path):

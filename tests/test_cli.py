@@ -71,8 +71,14 @@ def test_a_transmit_waist_no_r0_can_collect_exits_3_naming_w0(tmp_path, capsys):
          "eps_sec must give a finite, positive gamma factor, got 1e-300 (gamma factor = inf)"),
         ('{"d_rx_m": 1e200, "d_obs_m": 1e199}', ["budget"],
          "d_rx must give a finite, positive d_rx^2, got 1e+200 (d_rx^2 = inf)"),
+        ('{"path_length_m": 1e-158}', ["budget"],
+         "r0 must give a finite, positive eta_coll, got 0.0875 (eta_coll = 0.0)"),
+        ('{"path_length_m": 1e-158}', ["sweep", "--steps", "2"],
+         "r0 must give a finite, positive eta_coll, got 0.03 (eta_coll = 0.0) (sweep point 0)"),
+        ('{"f_3db_hz": 0.001}', ["budget"],
+         "f_3db must give a finite, positive eta_tau, got 0.001 (eta_tau = 0.0)"),
     ],
-    ids=["qkd-eps_sec", "budget-d_rx"],
+    ids=["qkd-eps_sec", "budget-d_rx", "budget-path_length", "sweep-path_length", "budget-f_3db"],
 )
 def test_a_setting_past_the_float_range_exits_3_naming_it(tmp_path, capsys, config, argv, message):
     cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,6 +377,12 @@ def test_sweep_budget_shapes(geom):
 def test_non_finite_inputs_name_the_input(path, chain, bad):
     with pytest.raises(ValueError, match="w0 must be finite"):
         LinkGeometry(path, chain, w0=bad)
+    # an eta_smf that compose_smf did not build, as the bad value or above 1
+    ts = TurbulenceState.from_r0(0.09, path, 0.556)
+    smf = model_smf_breakdown(chain, ts, path)
+    for eta_smf in (bad, 2.0):
+        with pytest.raises(ValueError, match=r"^eta_smf must be in \(0, 1\], got"):
+            full_budget(LinkGeometry(path, chain), ts, 0.2, replace(smf, eta_smf=eta_smf))
     for field in ("wavelength", "path_length"):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             OpticalPath(**{"wavelength": 1.555e-6, "path_length": 18e3, field: bad})

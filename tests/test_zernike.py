@@ -147,15 +147,6 @@ def test_series_validation():
     assert wide.n_samples == 2
 
 
-def test_to_wavelength_scales_phase():
-    series = make_series([[1.0, -2.0], [3.0, 4.0]])
-    rescaled = series.to_wavelength(0.7775e-6)
-    assert np.allclose(rescaled.coefficients, 2.0 * series.coefficients)
-    assert rescaled.wavelength_tag == 0.7775e-6
-    back = rescaled.to_wavelength(1.555e-6)
-    assert np.allclose(back.coefficients, series.coefficients)
-
-
 def test_empirical_variances_unbiased():
     data = np.array([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0], [5.0, 0.0]])
     out = empirical_variances(make_series(data))
