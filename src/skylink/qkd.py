@@ -239,9 +239,16 @@ class RateObservation:
             _check_non_negative("skr", self.skr)
 
 
+# The key-rate point path (expected_signal_rate, windowed_noise_rate,
+# expected_qber, secret_key_rate) tests all of an entry point's inputs in one
+# chained condition, each as its checker writes it, and calls the checkers
+# only to raise, in argument order (see skylink.units).
+
+
 def expected_signal_rate(session: QkdSessionModel, eta_ch: float) -> float:
     """Detected signal rate for a given channel efficiency."""
-    _check_ratio("eta_ch", eta_ch)
+    if not 0 < eta_ch <= 1:  # _check_ratio
+        _check_ratio("eta_ch", eta_ch)
     return session.r_ref * eta_ch * session.internal_loss * session.detector.efficiency
 
 
@@ -285,10 +292,12 @@ def calibrate_r_ref(
 
 def windowed_noise_rate(raw_rate: float, window: float, pulse_rate: float) -> float:
     """Background rate accepted inside the gating window (duty-factor model)."""
-    _check_non_negative("raw_rate", raw_rate)
-    _check_positive("window", window)
-    _check_positive("pulse_rate", pulse_rate)
-    duty = min(window * pulse_rate, 1.0)
+    if not (0 <= raw_rate < math.inf and 0 < window < math.inf and 0 < pulse_rate < math.inf):
+        _check_non_negative("raw_rate", raw_rate)
+        _check_positive("window", window)
+        _check_positive("pulse_rate", pulse_rate)
+    duty = window * pulse_rate
+    duty = 1.0 if 1.0 < duty else duty  # min(duty, 1.0)
     return raw_rate * duty
 
 
@@ -298,9 +307,11 @@ def expected_qber(signal_rate: float, noise_rate: float, intrinsic_qber: float =
     noise_rate is the accepted in-window noise; use
     :func:`windowed_noise_rate` first if the log carries the raw rate.
     """
-    _check_non_negative("signal_rate", signal_rate)
-    _check_non_negative("noise_rate", noise_rate)
-    _check_qber("intrinsic_qber", intrinsic_qber)
+    if not (0 <= signal_rate < math.inf and 0 <= noise_rate < math.inf
+            and 0 <= intrinsic_qber <= 0.5):
+        _check_non_negative("signal_rate", signal_rate)
+        _check_non_negative("noise_rate", noise_rate)
+        _check_qber("intrinsic_qber", intrinsic_qber)
     total = signal_rate + noise_rate
     if total == 0:
         raise ValueError("signal and noise rates are both zero; QBER undefined")
@@ -309,10 +320,11 @@ def expected_qber(signal_rate: float, noise_rate: float, intrinsic_qber: float =
     return intrinsic_qber + (0.5 - intrinsic_qber) * (noise_rate / total)
 
 
-# The bound's min/max clips are conditional expressions that pick what the
-# builtins pick, at a fraction of a call's cost: max(a, b) is a unless b > a,
-# min(a, b) is a unless b < a.  max(x, 0.0) and max(0.0, x) differ at -0.0
-# and nan, so each clip keeps the argument order of the call it replaces.
+# The bound's min/max clips, and windowed_noise_rate's duty clip, are
+# conditional expressions that pick what the builtins pick, at a fraction of a
+# call's cost: max(a, b) is a unless b > a, min(a, b) is a unless b < a.
+# max(x, 0.0) and max(0.0, x) differ at -0.0 and nan, so each clip keeps the
+# argument order of the call it replaces.
 
 
 def _n_terms(c: _FiniteKeyConstants, n: float) -> tuple[float, float, float]:
@@ -349,9 +361,10 @@ def secret_key_rate(
     each point is one straight-line pass, in which the Z basis pays for
     s_1^- only and the X basis for s_1^- and v_1^+.
     """
-    _check_positive("signal_rate", signal_rate)
-    _check_qber("qber_z", qber_z)
-    _check_qber("qber_x", qber_x)
+    if not (0 < signal_rate < math.inf and 0 <= qber_z <= 0.5 and 0 <= qber_x <= 0.5):
+        _check_positive("signal_rate", signal_rate)
+        _check_qber("qber_z", qber_z)
+        _check_qber("qber_x", qber_x)
     c = session._finite_key
 
     n_z = c.n_z  # sifted Z bits per block

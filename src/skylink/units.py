@@ -15,7 +15,11 @@ or a numpy array (elementwise; ``linkbudget.sweep_columns`` builds its
 validity mask from them).  The checkers take one scalar and write the same
 test as a chained comparison (``0 < value < math.inf``), which for a scalar
 accepts and rejects exactly what the ``&`` form does.  NaN and ±inf fail all
-four.  A checker raises
+four.  The key-rate point path of :mod:`skylink.qkd` (signal rate, windowed
+noise, QBER, secret key rate) goes one step further: each entry point tests
+all of its inputs in one chained condition, each written as its checker writes
+it, and calls the checkers only to raise, in argument order, when that fails;
+a valid point makes no checker call.  A checker raises
 ``ValueError(f"{name} must be <domain>, got {value!s}")``: ``str`` gives a
 Python number's usual digits and a numpy scalar its own (a float32 -0.05,
 which ``format`` would widen to -0.05000000074505806).

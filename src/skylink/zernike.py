@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .units import _check_integer, _check_non_negative, _check_positive, _finite_product
+from .units import _check_integer, _check_non_negative, _check_positive, _check_result
+from .units import _finite_product
 
 __all__ = [
     "radial_order",
@@ -39,8 +40,18 @@ def radial_order(j: int) -> int:
     return n
 
 
+# Above this radial order (j > 11475, past any sensor's modes) the weight's
+# Gamma ratio comes from Stirling's series: lgamma(n - 5/6) - lgamma(n + 23/6)
+# loses digits to two large logs (1e-12 relative from n ~ 500, 1.8e-7 at
+# j = 1e15) and gives 0.49999999999999994 from j ~ 1e35.  Up to it (j <= 1e4
+# among them) the lgamma form keeps its bits.
+_STIRLING_ORDER = 150
+
+
 @lru_cache(maxsize=None)
 def _weight_for_order(n: int) -> float:
+    if n > _STIRLING_ORDER:
+        return _weight_for_large_order(n)
     log_g = (
         math.log(n + 1.0)
         - math.log(math.pi)
@@ -52,9 +63,38 @@ def _weight_for_order(n: int) -> float:
     return math.exp(log_g) * math.sin(5.0 * math.pi / 6.0)
 
 
+def _weight_for_large_order(n: int) -> float:
+    """The weight at order n > _STIRLING_ORDER, as y^(1 - h) times O(1) factors.
+
+    Gamma(x)/Gamma(x + h), x = n - 5/6, h = 14/3, y = x + h, from Stirling's
+    series lnGamma(v) = (v - 1/2) ln v - v + ln(2 pi)/2 + s(v), is
+    y^(-h) exp(h - (x - 1/2) log1p(h/x) + s(x) - s(y)), and n + 1 is
+    y (1 + d/y) with d = -17/6.  The power carries the magnitude, so no large
+    logs cancel; within 1e-13 of the Gamma expression up to j = 1e150.
+    """
+    if n > 1e90:  # g < 1e-330 rounds to 0.0; past ~1e308, n has no float
+        return 0.0
+    x, h = n - 5.0 / 6.0, 14.0 / 3.0
+    y = x + h
+
+    def s(v):  # Stirling's tail in w = 1/v; its next term, w^7/1680, is below 4e-19 here
+        w = 1.0 / v
+        return w * (1.0 / 12.0 - w * w * (1.0 / 360.0 - w * w / 1260.0))
+
+    log_rest = (h - (x - 0.5) * math.log1p(h / x) + math.log1p(-17.0 / 6.0 / y) + s(x) - s(y)
+                + math.lgamma(23.0 / 6.0) + math.lgamma(11.0 / 6.0))
+    return y ** (1.0 - h) * math.exp(log_rest) / math.pi * math.sin(5.0 * math.pi / 6.0)
+
+
 def noll_weight(j: int) -> float:
-    """Per-mode variance weight g(j); depends on j only through its radial order."""
-    return _weight_for_order(radial_order(j))
+    """Per-mode variance weight g(j); depends on j only through its radial order.
+
+    From j ~ 1e177 g(j) underflows to 0: that j raises ValueError naming it.
+    """
+    weight = _weight_for_order(radial_order(j))
+    if weight == 0.0:
+        _check_result("j", j, "weight", weight)
+    return weight
 
 
 def turbulence_variance(j: int, d_rx: float, r0: float) -> float:

@@ -326,6 +326,8 @@ _OUT_OF_RANGE = [
      lambda v: model_smf_breakdown(ReceiverChain(f_3db=v), _TURB, _PATH), 1e-3),
     ("calibrate_r_ref", "internal_loss", lambda v: qkd.calibrate_r_ref(
         qkd.QkdSessionModel(qkd.SNSPD, internal_loss=v), 2e4, 1e-30), 1e-300),
+    ("noll_weight", "j", noll_weight, 1e200),  # g(j) ~ 1e-367
+    ("turbulence_variance", "j", lambda v: turbulence_variance(v, 0.41, 0.1), 1e200),
 ]
 
 

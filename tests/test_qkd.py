@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skylink import qkd
+from skylink import qkd, units
 from skylink.units import from_db
 
 
@@ -610,3 +610,126 @@ def test_block_size_defaults_to_the_detectors():
     assert qkd.QkdSessionModel(custom, block_size=1000).block_size == 1000
     with pytest.raises(ValueError, match="'ingaas'"):
         qkd.QkdSessionModel(custom)
+
+
+# Each key-rate entry point tests all of its inputs in one chained condition
+# and calls its checkers only when that fails.  The reference calls the
+# checkers in argument order, then evaluates the formula: the guard must
+# decide exactly what the checkers decide, on every kind of number.
+
+_EDGES = (0.0, -0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), 1.0, math.nextafter(1.0, 2.0),
+          math.nan, math.inf, -math.inf)
+_KINDS = (float, np.float64, np.float32)
+_SESSION = qkd.QkdSessionModel(qkd.SNSPD)
+
+
+def _drawn(domain):
+    """One argument: in its domain, an edge value, nan, ±inf or a negative, as a
+    Python float or a numpy float64 or float32 scalar."""
+    value = st.one_of(domain, st.sampled_from(_EDGES), st.floats(max_value=-5e-324))
+
+    def as_kind(value_kind):
+        value, kind = value_kind
+        with np.errstate(over="ignore"):  # 1e300 as float32 is inf
+            return kind(value)
+
+    return st.tuples(value, st.sampled_from(_KINDS)).map(as_kind)
+
+
+_POSITIVE = _drawn(st.floats(0.0, 1.7976931348623157e308, exclude_min=True))
+_NON_NEGATIVE = _drawn(st.floats(0.0, 1.7976931348623157e308))
+_RATIO = _drawn(st.floats(0.0, 1.0, exclude_min=True))
+_QBER_ARG = _drawn(st.floats(0.0, 0.5))
+
+
+def _outcome(call):
+    """The call's result with its type and bits, or its ValueError's text."""
+    with np.errstate(all="ignore"):  # float32 arithmetic may overflow in both
+        try:
+            result = call()
+        except ValueError as exc:
+            return "raises", str(exc)
+    return type(result), np.array(result).tobytes()
+
+
+def _checked(checks, formula):
+    for check, name, value in checks:
+        check(name, value)
+    return formula()
+
+
+@settings(max_examples=300, deadline=None)
+@given(eta_ch=_RATIO)
+def test_expected_signal_rate_guard_decides_as_its_checker(eta_ch):
+    s = _SESSION
+    reference = _outcome(lambda: _checked(
+        [(units._check_ratio, "eta_ch", eta_ch)],
+        lambda: s.r_ref * eta_ch * s.internal_loss * s.detector.efficiency,
+    ))
+    assert _outcome(lambda: qkd.expected_signal_rate(s, eta_ch)) == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_rate=_NON_NEGATIVE, window=_POSITIVE, pulse_rate=_POSITIVE)
+def test_windowed_noise_rate_guard_decides_as_its_checkers(raw_rate, window, pulse_rate):
+    reference = _outcome(lambda: _checked(
+        [(units._check_non_negative, "raw_rate", raw_rate),
+         (units._check_positive, "window", window),
+         (units._check_positive, "pulse_rate", pulse_rate)],
+        lambda: raw_rate * min(window * pulse_rate, 1.0),
+    ))
+    assert _outcome(lambda: qkd.windowed_noise_rate(raw_rate, window, pulse_rate)) == reference
+
+
+def _qber_formula(signal_rate, noise_rate, intrinsic_qber):
+    total = signal_rate + noise_rate
+    if total == 0:
+        raise ValueError("signal and noise rates are both zero; QBER undefined")
+    return intrinsic_qber + (0.5 - intrinsic_qber) * (noise_rate / total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signal_rate=_NON_NEGATIVE, noise_rate=_NON_NEGATIVE, intrinsic_qber=_QBER_ARG)
+def test_expected_qber_guard_decides_as_its_checkers(signal_rate, noise_rate, intrinsic_qber):
+    reference = _outcome(lambda: _checked(
+        [(units._check_non_negative, "signal_rate", signal_rate),
+         (units._check_non_negative, "noise_rate", noise_rate),
+         (qkd._check_qber, "intrinsic_qber", intrinsic_qber)],
+        lambda: _qber_formula(signal_rate, noise_rate, intrinsic_qber),
+    ))
+    assert _outcome(
+        lambda: qkd.expected_qber(signal_rate, noise_rate, intrinsic_qber)
+    ) == reference
+
+
+def _skr_formula(session, signal_rate, qber_z, qber_x):
+    """_reference_skr behind the block-time range rule of secret_key_rate."""
+    n_z, _ = _sifted_counts(session)
+    try:
+        block_time = n_z / (signal_rate * (session.p_z_alice * session.p_z_bob))
+    except ZeroDivisionError:
+        block_time = math.inf
+    units._check_result("signal_rate", signal_rate, "block time", block_time)
+    return _reference_skr(session, signal_rate, qber_z, qber_x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signal_rate=_POSITIVE, qber_z=_QBER_ARG, qber_x=_QBER_ARG)
+def test_secret_key_rate_guard_decides_as_its_checkers(signal_rate, qber_z, qber_x):
+    s = _SESSION
+    reference = _outcome(lambda: _checked(
+        [(units._check_positive, "signal_rate", signal_rate),
+         (qkd._check_qber, "qber_z", qber_z),
+         (qkd._check_qber, "qber_x", qber_x)],
+        lambda: _skr_formula(s, signal_rate, qber_z, qber_x),
+    ))
+    assert _outcome(lambda: qkd.secret_key_rate(s, signal_rate, qber_z, qber_x)) == reference
+
+
+def test_duty_clip_is_exact_at_one_and_takes_an_overflowing_product_as_one():
+    assert 0.5 * 2.0 == 1.0
+    assert qkd.windowed_noise_rate(3.0, 0.5, 2.0) == 3.0
+    below = math.nextafter(1.0, 0.0)
+    assert qkd.windowed_noise_rate(3.0, below, 1.0) == 3.0 * below
+    assert 1e200 * 1e200 == math.inf
+    assert qkd.windowed_noise_rate(2e3, 1e200, 1e200) == 2e3 == 2e3 * min(1e200 * 1e200, 1.0)

@@ -53,21 +53,43 @@ def test_radial_order_is_minimal(j):
     assert (n - 1) * (n + 2) // 2 < j
 
 
+def _gamma_weight(n, digits):
+    """The Gamma-function expression of the weight at order n, at digits digits."""
+    with mpmath.workdps(digits):
+        return float(
+            (n + 1)
+            / mpmath.pi
+            * mpmath.gamma(n - mpmath.mpf(5) / 6)
+            * mpmath.gamma(mpmath.mpf(23) / 6)
+            * mpmath.gamma(mpmath.mpf(11) / 6)
+            * mpmath.sin(5 * mpmath.pi / 6)
+            / mpmath.gamma(n + mpmath.mpf(23) / 6)
+        )
+
+
 def test_weight_against_mpmath_oracle():
     """Gamma-function expression evaluated at 50 digits."""
     for j in (1, 3, 6, 10, 36, 300):
-        n = radial_order(j)
-        with mpmath.workdps(50):
-            expected = (
-                (n + 1)
-                / mpmath.pi
-                * mpmath.gamma(n - mpmath.mpf(5) / 6)
-                * mpmath.gamma(mpmath.mpf(23) / 6)
-                * mpmath.gamma(mpmath.mpf(11) / 6)
-                * mpmath.sin(5 * mpmath.pi / 6)
-                / mpmath.gamma(n + mpmath.mpf(23) / 6)
-            )
-        assert noll_weight(j) == pytest.approx(float(expected), rel=1e-12)
+        expected = _gamma_weight(radial_order(j), 50)
+        assert noll_weight(j) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", range(6, 151))
+def test_weight_at_large_j_against_mpmath_oracle(k):
+    """At j = 10^k, with more working digits than n has, so that n - 5/6 is
+    exact: the difference of two huge lgamma values would lose digits here
+    (1.8e-7 relative at 1e15, a weight of 0.5 from 1e35)."""
+    n = radial_order(10**k)
+    expected = _gamma_weight(n, len(str(n)) + 30)
+    assert noll_weight(10**k) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("j", [10**177, 1e200, 1.7e308, 10**700])
+def test_weight_below_the_float_range_names_j(j):
+    """g(j) underflows to 0 from j ~ 1e177; past ~1e616 the order has no float."""
+    message = r"^j must give a finite, positive weight, got .* \(weight = 0\.0\)$"
+    with pytest.raises(ValueError, match=message):
+        noll_weight(j)
 
 
 def test_weight_depends_only_on_radial_order():
