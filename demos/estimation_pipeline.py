@@ -55,10 +55,6 @@ ts = TurbulenceState.from_r0(fit.r0_hat, path, WIND)
 budget = full_budget(geom, ts, a_coeff_db_km=0.2, smf=smf)
 print(f"predicted channel efficiency: {format_db(budget.eta_ch)}")
 
-session = qkd.QkdSessionModel(qkd.SNSPD)
-signal = qkd.expected_signal_rate(session, budget.eta_ch)
-noise = qkd.windowed_noise_rate(session.detector.noise_rate, session.detector.window, 1e8)
-qber = qkd.expected_qber(signal, noise, intrinsic_qber=0.005)
-skr = qkd.secret_key_rate(session, signal, qber, qber)
-print(f"expected SNSPD rate {signal / 1e3:.1f} kHz, QBER {qber * 100:.2f}%, "
-      f"secret key rate {skr:.0f} bit/s")
+point = qkd.key_rate_point(qkd.QkdSessionModel(qkd.SNSPD), budget.eta_ch)
+print(f"expected SNSPD rate {point.signal_hz / 1e3:.1f} kHz, QBER {point.qber * 100:.2f}%, "
+      f"secret key rate {point.skr_bps:.0f} bit/s")

@@ -147,19 +147,24 @@ class ScintillationReport:
     rho_c_strong: float  # m
 
 
-def _aperture_averaged(xp, cn2, path: OpticalPath, d_rx: float):
+def _aperture_averaged(xp, cn2, path: OpticalPath, d_rx: float, beta0_limit: bool = False):
     """ScintillationReport's first eight fields, in order; cn2 may be an array."""
     sigma_r2 = _rytov(cn2, path)
     beta0 = 0.4065 * sigma_r2
     d = math.sqrt(path.wavenumber * d_rx * d_rx / (4.0 * path.path_length))
-    beta0_sq = beta0**2
-    beta0_12_5 = beta0 ** (12.0 / 5.0)
-    t1_base = 1.0 + 0.18 * d * d + 0.56 * beta0_12_5
-    try:  # a float power past the range (math only: numpy gives inf) leaves t1 at 0
-        t1 = 0.49 * beta0_sq / t1_base ** (7.0 / 6.0)
+    try:  # a float power past the range (math only: numpy gives inf)
+        beta0_sq, beta0_12_5 = beta0**2, beta0 ** (12.0 / 5.0)
     except OverflowError:
-        t1 = 0.0
-    t2 = 0.51 * beta0_sq / (1.0 + 0.90 * d * d + 0.69 * beta0_12_5) ** (5.0 / 6.0)
+        if not beta0_limit:
+            raise
+        t1, t2 = 0.0, 0.51 / 0.69 ** (5.0 / 6.0)  # beta0 -> inf, exact to float precision here
+    else:
+        t1_base = 1.0 + 0.18 * d * d + 0.56 * beta0_12_5
+        try:  # t1_base's power past the range (math only) leaves t1 at 0
+            t1 = 0.49 * beta0_sq / t1_base ** (7.0 / 6.0)
+        except OverflowError:
+            t1 = 0.0
+        t2 = 0.51 * beta0_sq / (1.0 + 0.90 * d * d + 0.69 * beta0_12_5) ** (5.0 / 6.0)
     sigma_i2 = xp.exp(t1 + t2) - 1.0
     sigma_chi2 = 0.25 * xp.log(sigma_i2 + 1.0)
     return sigma_r2, beta0, d, t1, t2, sigma_i2, sigma_chi2, xp.exp(-sigma_chi2)
@@ -175,16 +180,17 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     beta0 = 0.4065*sigma_R^2 is the spherical-wave Rytov variance; T1/T2 are
     the aperture-averaging terms; both weak- and strong-regime correlation
     widths are reported (the caller picks the branch via sigma_R^2 <= 1).
-    path must be ts.path.  An eta_s that leaves the float range raises
-    ValueError naming r0, a sigma_R^2 that underflows names path_length (its
-    factor L^(11/6) the smallest), and an aperture_d out of the float range
-    names d_rx.
+    path must be ts.path.  Past a beta0 whose powers leave the float range
+    (r0 ~ 1e-78 m on the default path) it takes the beta0 -> inf limit: T1 = 0,
+    T2 = 0.51/0.69^(5/6).  An eta_s out of the float range raises ValueError
+    naming r0, a sigma_R^2 that underflows names path_length (its factor
+    L^(11/6) the smallest), and an aperture_d out of the float range names d_rx.
     """
     _check_same_path(ts, path)
     _check_positive("d_rx", d_rx)
     try:
-        terms = _aperture_averaged(math, ts.cn2, path, d_rx)
-    except OverflowError:  # a power of beta0 past the float range: eta_s counts as 0.0
+        terms = _aperture_averaged(math, ts.cn2, path, d_rx, beta0_limit=True)
+    except OverflowError:  # L^(11/6) of sigma_R^2 past the float range: eta_s counts as 0.0
         terms = (0.0,)
     _check_result("r0", ts.fried_r0, "eta_s", terms[-1])
     _check_result("path_length", path.path_length, "sigma_R^2", terms[0])

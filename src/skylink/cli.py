@@ -69,13 +69,13 @@ _FIELD_KEYS = {
     "f_ec": _Field(qkd.QkdSessionModel, "f_ec"),
     "eps_sec": _Field(qkd.QkdSessionModel, "eps_sec"),
     "eps_cor": _Field(qkd.QkdSessionModel, "eps_cor"),
+    "pulse_rate_hz": _Field(qkd.QkdSessionModel, "pulse_rate"),
 }
 _OPERATING_POINT = {
     "r0_m": 0.0875,
     "wind_mps": 0.556,
     "a_coeff_db_per_km": 0.2,
     "detector": "snspd",
-    "pulse_rate_hz": 1e8,
 }
 _KINDS = {str: "a string", float: "a number", int: "a whole number"}
 # The keys of the fields that set the mode-match beta and the obscuration alpha
@@ -171,11 +171,13 @@ def build_geometry(cfg: dict) -> LinkGeometry:
     return LinkGeometry(*_build_optics(cfg), **_fields(cfg, LinkGeometry))
 
 
-def build_session(cfg: dict) -> qkd.QkdSessionModel:
+def build_session(cfg: dict, **flags) -> qkd.QkdSessionModel:
+    """The session the config sets, with each flag given (not None) as its field."""
     name = cfg["detector"].lower()
     if name not in _DETECTORS:
         raise ConfigError(f"unknown detector {name!r}; choose from {sorted(_DETECTORS)}")
-    return qkd.QkdSessionModel(_DETECTORS[name], **_fields(cfg, qkd.QkdSessionModel))
+    given = {field: value for field, value in flags.items() if value is not None}
+    return qkd.QkdSessionModel(_DETECTORS[name], **_fields(cfg, qkd.QkdSessionModel), **given)
 
 
 def _write_csv(fh, record) -> None:
@@ -317,15 +319,12 @@ def cmd_predict_smf(args, cfg: dict) -> dict:
     return terms
 
 
-_INTRINSIC_QBER = 0.005  # qkd --eta-ch's intrinsic QBER unless --intrinsic-qber sets it
-
-
 def cmd_qkd(args, cfg: dict) -> dict:
     if (args.log is None) == (args.eta_ch is None):
         raise ConfigError("provide exactly one of --log or --eta-ch")
     if args.log is not None and args.intrinsic_qber is not None:
         raise ConfigError("--intrinsic-qber applies to --eta-ch; a session log has its own QBER")
-    session = build_session(cfg)
+    session = build_session(cfg, intrinsic_qber=args.intrinsic_qber)
     names = ("mu1", "mu2", "p_mu1", "p_z_alice", "p_z_bob", "f_ec", "eps_sec", "eps_cor")
     protocol = " ".join(f"{name}={getattr(session, name)}" for name in names)
     tail = f"n_z={session.block_size} bytes detector={session.detector.label}"
@@ -355,26 +354,14 @@ def cmd_qkd(args, cfg: dict) -> dict:
         }
     else:
         eta_ch = _ratio_from_db("eta_ch", args.eta_ch)
-        signal = qkd.expected_signal_rate(session, eta_ch)
-        noise = qkd.windowed_noise_rate(
-            session.detector.noise_rate, session.detector.window, cfg["pulse_rate_hz"]
-        )
-        intrinsic = _INTRINSIC_QBER if args.intrinsic_qber is None else args.intrinsic_qber
-        qber_z = qber_x = qkd.expected_qber(signal, noise, intrinsic)
-        skr = qkd.secret_key_rate(session, signal, qber_z, qber_x)
+        point = qkd.key_rate_point(session, eta_ch)
         lines += [
-            f"  expected signal    {signal:10.1f} Hz",
-            f"  noise (in window)  {noise:10.1f} Hz",
-            f"  expected QBER      {qber_z:10.4f}",
-            f"  secret key rate    {skr:10.1f} bit/s",
+            f"  expected signal    {point.signal_hz:10.1f} Hz",
+            f"  noise (in window)  {point.noise_hz:10.1f} Hz",
+            f"  expected QBER      {point.qber:10.4f}",
+            f"  secret key rate    {point.skr_bps:10.1f} bit/s",
         ]
-        payload = {
-            "eta_ch": eta_ch,
-            "signal_hz": signal,
-            "noise_hz": noise,
-            "qber": qber_z,
-            "skr_bps": skr,
-        }
+        payload = {"eta_ch": eta_ch, **point._asdict()}
     print("\n".join(lines))
     return payload
 
@@ -449,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-ch", type=float, help="channel efficiency in dB")
     p.add_argument("--detector", choices=sorted(_DETECTORS), help="detector model")
     p.add_argument(
-        "--intrinsic-qber", type=float, help=f"intrinsic QBER for --eta-ch (default {_INTRINSIC_QBER})"
+        "--intrinsic-qber", type=float,
+        help=f"intrinsic QBER for --eta-ch (default {qkd.QkdSessionModel.intrinsic_qber})",
     )
     p.set_defaults(func=cmd_qkd)
 

@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cache
+from typing import NamedTuple
 
 from .units import _check_integer, _check_non_negative, _check_positive, _check_ratio, _check_result
 from .units import _finite_product, _finite_result, from_db
@@ -24,6 +25,8 @@ __all__ = [
     "BLOCK_SIZE",
     "QkdSessionModel",
     "RateObservation",
+    "KeyRatePoint",
+    "key_rate_point",
     "expected_signal_rate",
     "channel_efficiency_from_rate",
     "calibrate_r_ref",
@@ -100,6 +103,8 @@ class QkdSessionModel:
     f_ec: float = 1.16
     eps_sec: float = 1e-9
     eps_cor: float = 1e-15
+    pulse_rate: float = 1e8  # Hz, source pulses: key_rate_point's noise gate
+    intrinsic_qber: float = 0.005  # key_rate_point's QBER of the signal alone
 
     def __post_init__(self) -> None:
         _check_ratio("internal_loss", self.internal_loss)
@@ -119,10 +124,13 @@ class QkdSessionModel:
         # a finite r_ref times two ratios, it can only underflow.
         r_ref, loss, eff = self.r_ref, self.internal_loss, self.detector.efficiency
         factors = (("r_ref", r_ref, 1.0), *_loss_factors(self, 1.0))
-        _finite_product("rate per eta_ch", factors, lambda: r_ref * loss * eff)
+        rate_per_eta = _finite_product("rate per eta_ch", factors, lambda: r_ref * loss * eff)
         if not 1 <= self.f_ec < math.inf:
             raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec}")
-        # Outside the fields: ==, hash, repr and asdict ignore it; replace() rebuilds it.
+        _check_positive("pulse_rate", self.pulse_rate)
+        _check_qber("intrinsic_qber", self.intrinsic_qber)
+        # Outside the fields: ==, hash, repr and asdict ignore them; replace() rebuilds them.
+        object.__setattr__(self, "_rate_per_eta", rate_per_eta)
         object.__setattr__(self, "_finite_key", _FiniteKeyConstants(self))
 
 
@@ -255,9 +263,8 @@ def expected_signal_rate(session: QkdSessionModel, eta_ch: float) -> float:
 def channel_efficiency_from_rate(session: QkdSessionModel, measured_rate: float) -> float:
     """Invert :func:`expected_signal_rate` for a measured detection rate."""
     _check_positive("measured_rate", measured_rate)
-    rate_per_eta = session.r_ref * session.internal_loss * session.detector.efficiency
     eta = _finite_result(
-        "measured_rate", measured_rate, "eta_ch", lambda: measured_rate / rate_per_eta
+        "measured_rate", measured_rate, "eta_ch", lambda: measured_rate / session._rate_per_eta
     )
     if eta > 1:
         warnings.warn(
@@ -440,6 +447,29 @@ def secret_key_rate(
         _log().info("secret_key_rate: bound non-positive (%.1f bits), clamping to 0", key_len)
         return 0.0
     return key_len / block_time
+
+
+class KeyRatePoint(NamedTuple):
+    """Detected signal and in-window noise (Hz), QBER of both bases, key rate (bit/s)."""
+
+    signal_hz: float
+    noise_hz: float
+    qber: float
+    skr_bps: float
+
+
+def key_rate_point(session: QkdSessionModel, eta_ch: float) -> KeyRatePoint:
+    """The four key-rate leaves at channel efficiency eta_ch, in order, at the
+    session's pulse rate and intrinsic QBER; an eta_ch whose block time leaves
+    the float range raises ValueError naming it."""
+    signal = expected_signal_rate(session, eta_ch)
+    c = session._finite_key
+    # secret_key_rate's block time, checked here so that its message names eta_ch
+    _finite_result("eta_ch", eta_ch, "block time", lambda: c.n_z / (signal * c.p_zz))
+    det = session.detector
+    noise = windowed_noise_rate(det.noise_rate, det.window, session.pulse_rate)
+    qber = expected_qber(signal, noise, session.intrinsic_qber)
+    return KeyRatePoint(signal, noise, qber, secret_key_rate(session, signal, qber, qber))
 
 
 def analyze_session_log(records: list[RateObservation]) -> dict[str, dict[str, float]]:

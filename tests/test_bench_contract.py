@@ -25,21 +25,22 @@ WORKLOADS = ROOT / "bench" / "workloads.py"
 # what scintillation_report's rytov_sigmaR2 holds, and less the six budget
 # terms that BudgetReport, SmfCouplingBreakdown and sweep_columns hold
 # (beam_divergence, received_waist, absorption_efficiency,
-# collection_efficiency, eta_phi_residual, eta_tau).
+# collection_efficiency, eta_phi_residual, eta_tau), plus key_rate_point and
+# its record KeyRatePoint, the one composition of the four key-rate leaves.
 _PUBLIC = {
-    "BLOCK_SIZE", "BudgetReport", "DetectorModel", "FriedFit", "LinkGeometry",
+    "BLOCK_SIZE", "BudgetReport", "DetectorModel", "FriedFit", "KeyRatePoint", "LinkGeometry",
     "ModeVarianceSet", "OpticalPath", "QkdSessionModel", "RateObservation", "ReceiverChain",
     "SNSPD", "SPAD", "ScintillationReport", "SmfCouplingBreakdown", "SynthConfig",
     "TurbulenceState", "ZernikeSeries", "analyze_session_log", "atmosphere", "calibrate_r_ref",
     "channel_efficiency_from_rate", "cn2_from_r0", "compose_smf", "coupling",
     "coupling_from_power", "empirical_variances", "estimation", "eta0", "eta_phi_on",
     "expected_qber", "expected_signal_rate", "fit_fried", "format_db", "from_db", "full_budget",
-    "generate_series", "greenwood_frequency", "linkbudget", "load_session_log", "load_wfs_log",
-    "mode_match_beta", "model_smf_breakdown", "noll_weight", "obscuration_ratio",
-    "optimize_beta", "predict_eta_smf", "qkd", "r0_from_cn2", "radial_order",
-    "residual_variance", "scale_r0_to_wavelength", "scintillation_report", "secret_key_rate",
-    "sweep_budget", "sweep_columns", "synth", "to_db", "turbulence_variance", "units",
-    "windowed_noise_rate", "write_session_log", "write_wfs_log", "zernike",
+    "generate_series", "greenwood_frequency", "key_rate_point", "linkbudget", "load_session_log",
+    "load_wfs_log", "mode_match_beta", "model_smf_breakdown", "noll_weight", "obscuration_ratio",
+    "optimize_beta", "predict_eta_smf", "qkd", "r0_from_cn2", "radial_order", "residual_variance",
+    "scale_r0_to_wavelength", "scintillation_report", "secret_key_rate", "sweep_budget",
+    "sweep_columns", "synth", "to_db", "turbulence_variance", "units", "windowed_noise_rate",
+    "write_session_log", "write_wfs_log", "zernike",
 }
 
 
@@ -56,7 +57,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 def test_public_names_are_the_pinned_set():
     # In a fresh interpreter: a test that imports skylink.cli adds "cli" here.
     out = _python("-c", "import skylink; print(*dir(skylink))").stdout
-    assert len(_PUBLIC) == 63
+    assert len(_PUBLIC) == 65
     assert {n for n in out.split() if not n.startswith("_")} == _PUBLIC
 
 

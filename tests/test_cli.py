@@ -428,8 +428,11 @@ def test_qkd_requires_one_source(tmp_path, capsys):
         (["--eta-ch", "5"], "eta_ch must be in (0, 1]"),
         (["--eta-ch", "-29", "--intrinsic-qber", "0.6"], "intrinsic_qber must be in [0, 0.5]"),
         (["--log", "zero_rate.csv"], "measured_rate must be finite and positive"),
+        (["--eta-ch", "-3233"], "eta_ch must give a finite, positive block time, got 5e-324"),
+        (["--eta-ch", "5", "--intrinsic-qber", "0.7"], "intrinsic_qber must be in [0, 0.5]"),
     ],
-    ids=["eta-ch-above-1", "qber-above-half", "zero-rate-log"],
+    ids=["eta-ch-above-1", "qber-above-half", "zero-rate-log", "eta-ch-past-block-time",
+         "session-checked-first"],
 )
 def test_qkd_checks_its_operating_point_before_printing(
     tmp_path, capsys, monkeypatch, argv, message
@@ -451,6 +454,35 @@ def test_qkd_intrinsic_qber_defaults_to_0_005_with_eta_ch(capsys):
     assert default[0] == 0
     assert run(capsys, "qkd", "--eta-ch", "-29", "--intrinsic-qber", "0.005") == default
     assert run(capsys, "qkd", "--eta-ch", "-29", "--intrinsic-qber", "0.02")[1] != default[1]
+
+
+@pytest.mark.parametrize("source", [["--eta-ch", "-29"], ["--log", "session.csv"]])
+def test_qkd_rejects_a_pulse_rate_of_zero_from_either_source(tmp_path, capsys, monkeypatch, source):
+    """The pulse rate is a session field, so a log, whose noise is measured, checks it too."""
+    from skylink import qkd as qkd_mod
+
+    monkeypatch.chdir(tmp_path)
+    qkd_mod.write_session_log(
+        [qkd_mod.RateObservation(0.0, 20400.0, 2000.0, 0.008, 0.011)], "session.csv"
+    )
+    (tmp_path / "pulse.json").write_text(json.dumps({"pulse_rate_hz": 0}))
+    code, out, err = run(capsys, "--config", "pulse.json", "qkd", *source)
+    assert (code, out) == (3, "")
+    assert err == "error: pulse_rate must be finite and positive, got 0\n"
+
+
+def test_qkd_intrinsic_qber_flag_sets_the_session_field(tmp_path, capsys):
+    from skylink import qkd as qkd_mod
+    from skylink.units import from_db
+
+    out_file = tmp_path / "q.json"
+    code, _, _ = run(capsys, "--out", str(out_file), "qkd", "--eta-ch", "-29",
+                     "--intrinsic-qber", "0.02")
+    assert code == 0
+    eta_ch = from_db(-29.0)
+    session = qkd_mod.QkdSessionModel(qkd_mod.SNSPD, intrinsic_qber=0.02)
+    point = qkd_mod.key_rate_point(session, eta_ch)
+    assert json.loads(out_file.read_text()) == {"eta_ch": eta_ch, **point._asdict()}
 
 
 def test_qkd_from_a_log_rejects_the_intrinsic_qber_flag(tmp_path, capsys):

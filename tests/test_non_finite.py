@@ -119,6 +119,7 @@ _TABLE = [
     _row(qkd.windowed_noise_rate, raw_rate=2e3, window=600e-12, pulse_rate=1e8),
     _row(qkd.expected_qber, signal_rate=1e4, noise_rate=1e2),
     _row(qkd.secret_key_rate, session=_SESSION, signal_rate=2e4, qber_z=0.01, qber_x=0.01),
+    _row(qkd.key_rate_point, session=_SESSION, eta_ch=1e-3),
     _row(synth.SynthConfig, r0=0.08),
 ]
 
@@ -127,7 +128,7 @@ _TABLE = [
 _NO_NUMBER = [greenwood_frequency, obscuration_ratio, empirical_variances, load_wfs_log,
               synth.generate_series, qkd.analyze_session_log, qkd.load_session_log,
               qkd.write_session_log, main]
-_EXEMPT = [BudgetReport, ScintillationReport, SmfCouplingBreakdown, from_db]
+_EXEMPT = [BudgetReport, ScintillationReport, SmfCouplingBreakdown, qkd.KeyRatePoint, from_db]
 
 # (id, call, arguments, argument, the name its messages use)
 _CASES = {
@@ -284,8 +285,6 @@ _OUT_OF_RANGE = [
     (37, "d_rx", lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e200),  # d_rx^2 overflows
     (38, "d_rx", lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e-200),  # d_rx^2 underflows
     (39, "r0", lambda v: _smf_at(v, 0.0), 1e-80),  # a beta0 power overflows in eta_s
-    (40, "r0", lambda v: scintillation_report(TurbulenceState.from_r0(v, _PATH), _PATH, 0.41),
-     1e-80),
     (41, "r0", lambda v: sweep_columns(_GEOM, [v], 0.5, 0.2), 1e-80),
     (42, "r0", lambda v: _smf_at(v, 0.556), 1e-4),  # eta_phi_residual
     (43, "r0", lambda v: _smf_at(v, 0.72), 7.8e-4),  # eta_smf
@@ -327,6 +326,7 @@ _OUT_OF_RANGE = [
     ("calibrate_r_ref", "internal_loss", lambda v: qkd.calibrate_r_ref(
         qkd.QkdSessionModel(qkd.SNSPD, internal_loss=v), 2e4, 1e-30), 1e-300),
     ("noll_weight", "j", noll_weight, 1e200),  # g(j) ~ 1e-367
+    ("key_rate_point", "eta_ch", lambda v: qkd.key_rate_point(_SESSION, v), 5e-324),  # block time
     ("turbulence_variance", "j", lambda v: turbulence_variance(v, 0.41, 0.1), 1e200),
 ]
 
@@ -348,9 +348,9 @@ def _budget_at(r0, wind, path=_PATH):
     return full_budget(geom, ts, 0.2, model_smf_breakdown(_CHAIN, ts, path))
 
 
-def _scintillation_on(path):
-    """The scintillation report of the default r0 and aperture on path."""
-    return scintillation_report(TurbulenceState.from_r0(0.0875, path), path, 0.41)
+def _scintillation_on(path, r0=0.0875):
+    """The scintillation report of r0 (default 0.0875 m) and the default aperture on path."""
+    return scintillation_report(TurbulenceState.from_r0(r0, path), path, 0.41)
 
 
 @pytest.mark.parametrize(
@@ -363,6 +363,16 @@ def test_rejects_input_whose_result_leaves_the_float_range(name, call, value):
     form = rf"^{name} must give a finite, positive .+, got .+ \(.+ = .+\)$"
     with pytest.raises(ValueError, match=form):
         call(value)
+
+
+@pytest.mark.parametrize("r0", [1e-78, 1e-80])
+def test_scintillation_report_takes_the_beta0_limit_where_its_powers_overflow(r0):
+    """Past r0 ~ 1e-78 a power of beta0 leaves the float range and the report
+    takes the beta0 -> inf limit, T1 = 0 and T2 = 0.51/0.69^(5/6): eta_s
+    stays the one at 1e-77, the smallest of these r0 computed in full."""
+    report, full = (_scintillation_on(_PATH, r) for r in (r0, 1e-77))
+    assert (report.T1, report.T2) == (0.0, 0.51 / 0.69 ** (5.0 / 6.0))
+    assert report.eta_s == pytest.approx(full.eta_s, rel=1e-15, abs=0.0)
 
 
 def test_session_log_names_the_line_of_a_non_finite_field(tmp_path):

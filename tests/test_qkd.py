@@ -156,6 +156,8 @@ def test_skr_rejects_non_finite(snspd_session, bad):
         ("f_ec", -1.0),
         ("f_ec", float("inf")),
         ("f_ec", float("nan")),
+        ("pulse_rate", 0),
+        ("intrinsic_qber", 0.7),
     ],
 )
 def test_session_rejects_protocol_parameters(field, value):
@@ -569,13 +571,9 @@ def test_session_n_x_moves_rates_from_the_per_point_n_x_by_ulps(session):
     Across -46 to -19 dB the two agree to 1e-13 relative and clamp at the
     same points.
     """
-    det = session.detector
-    noise = qkd.windowed_noise_rate(det.noise_rate, det.window, 100e6)
     positive = 0
     for db in np.linspace(-46.0, -19.0, 541):
-        signal = qkd.expected_signal_rate(session, from_db(db))
-        qber = qkd.expected_qber(signal, noise, 0.005)
-        rate = qkd.secret_key_rate(session, signal, qber, qber)
+        signal, _, qber, rate = qkd.key_rate_point(session, from_db(db))
         ref = _reference_skr(session, signal, qber, qber, per_point_n_x=True)
         assert (rate == 0.0) == (ref == 0.0), db
         assert abs(rate - ref) <= 1e-13 * ref, db
@@ -724,6 +722,42 @@ def test_secret_key_rate_guard_decides_as_its_checkers(signal_rate, qber_z, qber
         lambda: _skr_formula(s, signal_rate, qber_z, qber_x),
     ))
     assert _outcome(lambda: qkd.secret_key_rate(s, signal_rate, qber_z, qber_x)) == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    detector=st.sampled_from([qkd.SNSPD, qkd.SPAD]),
+    eta_ch=st.floats(0.0, 1.0, exclude_min=True),
+    pulse_rate=st.floats(1.0, 1e12),
+    intrinsic_qber=st.floats(0.0, 0.5),
+)
+@example(detector=qkd.SNSPD, eta_ch=from_db(-29.0), pulse_rate=1e8, intrinsic_qber=0.005)
+@example(detector=qkd.SPAD, eta_ch=from_db(-35.0), pulse_rate=1e8, intrinsic_qber=0.005)  # clamps
+def test_key_rate_point_is_the_four_leaves_bit_for_bit(
+    detector, eta_ch, pulse_rate, intrinsic_qber
+):
+    """Where the leaves reject the derived signal rate's block time, the point
+    rejects it naming eta_ch."""
+    session = qkd.QkdSessionModel(detector, pulse_rate=pulse_rate, intrinsic_qber=intrinsic_qber)
+    signal = qkd.expected_signal_rate(session, eta_ch)
+    noise = qkd.windowed_noise_rate(detector.noise_rate, detector.window, pulse_rate)
+    qber = qkd.expected_qber(signal, noise, intrinsic_qber)
+    try:
+        skr = qkd.secret_key_rate(session, signal, qber, qber)
+    except ValueError as exc:
+        assert str(exc).startswith("signal_rate must give a finite, positive block time")
+        with pytest.raises(ValueError, match=r"^eta_ch must give a finite, positive block time"):
+            qkd.key_rate_point(session, eta_ch)
+        return
+    point = qkd.key_rate_point(session, eta_ch)
+    assert [x.hex() for x in point] == [x.hex() for x in (signal, noise, qber, skr)]
+    assert point._fields == ("signal_hz", "noise_hz", "qber", "skr_bps")
+
+
+def test_channel_efficiency_divides_by_the_rate_at_unit_eta_ch_bit_for_bit():
+    s = qkd.QkdSessionModel(qkd.SPAD, r_ref=3.3e7)
+    rate_per_eta = s.r_ref * s.internal_loss * s.detector.efficiency
+    assert qkd.channel_efficiency_from_rate(s, 4e3) == 4e3 / rate_per_eta
 
 
 def test_duty_clip_is_exact_at_one_and_takes_an_overflowing_product_as_one():
