@@ -122,9 +122,20 @@ def _check_same_path(ts: TurbulenceState, path: OpticalPath, name: str = "path")
 
 
 def _rytov(cn2, path: OpticalPath):
-    """sigma_R^2 = 1.23 * Cn2 * k^(7/6) * L^(11/6); cn2 may be an array."""
-    k = path.wavenumber
-    return 1.23 * cn2 * k ** (7.0 / 6.0) * path.path_length ** (11.0 / 6.0)
+    """sigma_R^2 = 1.23 * Cn2 * k^(7/6) * L^(11/6); cn2 may be an array.
+
+    Where L^(11/6) leaves the float range (Python's float ** raises), it is
+    taken as L * L^(5/6), so that a Cn2 ~ 1/L keeps sigma_R^2 in range; a
+    scalar sigma_R^2 still past the range raises OverflowError.
+    """
+    k, length = path.wavenumber, path.path_length
+    try:
+        return 1.23 * cn2 * k ** (7.0 / 6.0) * length ** (11.0 / 6.0)
+    except OverflowError:
+        sigma_r2 = 1.23 * cn2 * k ** (7.0 / 6.0) * length * length ** (5.0 / 6.0)
+        if type(sigma_r2) is float and sigma_r2 == math.inf:  # numpy carries the inf
+            raise
+        return sigma_r2
 
 
 @dataclass(frozen=True)
@@ -181,16 +192,17 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     the aperture-averaging terms; both weak- and strong-regime correlation
     widths are reported (the caller picks the branch via sigma_R^2 <= 1).
     path must be ts.path.  Past a beta0 whose powers leave the float range
-    (r0 ~ 1e-78 m on the default path) it takes the beta0 -> inf limit: T1 = 0,
-    T2 = 0.51/0.69^(5/6).  An eta_s out of the float range raises ValueError
-    naming r0, a sigma_R^2 that underflows names path_length (its factor
-    L^(11/6) the smallest), and an aperture_d out of the float range names d_rx.
+    (r0 ~ 1e-78 m on the default path, or a path past ~1e158 m at r0 = 8.75 cm)
+    it takes the beta0 -> inf limit: T1 = 0, T2 = 0.51/0.69^(5/6).  An eta_s
+    out of the float range raises ValueError naming r0, a sigma_R^2 that
+    underflows names path_length (its factor L^(11/6) the smallest), and an
+    aperture_d out of the float range names d_rx.
     """
     _check_same_path(ts, path)
     _check_positive("d_rx", d_rx)
     try:
         terms = _aperture_averaged(math, ts.cn2, path, d_rx, beta0_limit=True)
-    except OverflowError:  # L^(11/6) of sigma_R^2 past the float range: eta_s counts as 0.0
+    except OverflowError:  # sigma_R^2 past the float range: eta_s counts as 0.0
         terms = (0.0,)
     _check_result("r0", ts.fried_r0, "eta_s", terms[-1])
     _check_result("path_length", path.path_length, "sigma_R^2", terms[0])

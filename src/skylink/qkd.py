@@ -461,8 +461,12 @@ class KeyRatePoint(NamedTuple):
 def key_rate_point(session: QkdSessionModel, eta_ch: float) -> KeyRatePoint:
     """The four key-rate leaves at channel efficiency eta_ch, in order, at the
     session's pulse rate and intrinsic QBER; an eta_ch whose block time leaves
-    the float range raises ValueError naming it."""
-    signal = expected_signal_rate(session, eta_ch)
+    the float range raises ValueError naming it.  Any real scalar eta_ch gives
+    Python floats: it is checked as given, so a message keeps a numpy scalar's
+    digits, then taken as a float."""
+    if not 0 < eta_ch <= 1:  # _check_ratio
+        _check_ratio("eta_ch", eta_ch)
+    signal = expected_signal_rate(session, float(eta_ch))
     c = session._finite_key
     # secret_key_rate's block time, checked here so that its message names eta_ch
     _finite_result("eta_ch", eta_ch, "block time", lambda: c.n_z / (signal * c.p_zz))

@@ -754,6 +754,20 @@ def test_key_rate_point_is_the_four_leaves_bit_for_bit(
     assert point._fields == ("signal_hz", "noise_hz", "qber", "skr_bps")
 
 
+@pytest.mark.parametrize("detector", [qkd.SNSPD, qkd.SPAD], ids=["snspd", "spad"])
+@pytest.mark.parametrize("scalar", [np.float32, np.float64])
+def test_key_rate_point_of_a_numpy_eta_ch_is_the_point_of_its_float(detector, scalar):
+    """Every field a Python float, with the bits of float(eta_ch); a bad eta_ch
+    is named with its own digits (float(np.float32(1.1)) prints 1.100000023841858)."""
+    session = qkd.QkdSessionModel(detector)
+    eta_ch = scalar(1e-3)
+    point = qkd.key_rate_point(session, eta_ch)
+    assert [type(x) for x in point] == [float] * 4
+    assert [x.hex() for x in point] == [x.hex() for x in qkd.key_rate_point(session, float(eta_ch))]
+    with pytest.raises(ValueError, match=r"^eta_ch must be in \(0, 1\], got 1\.1$"):
+        qkd.key_rate_point(session, scalar(1.1))
+
+
 def test_channel_efficiency_divides_by_the_rate_at_unit_eta_ch_bit_for_bit():
     s = qkd.QkdSessionModel(qkd.SPAD, r_ref=3.3e7)
     rate_per_eta = s.r_ref * s.internal_loss * s.detector.efficiency
