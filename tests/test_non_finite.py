@@ -202,104 +202,117 @@ def test_every_public_callable_has_one_place_in_the_table():
                        for p in inspect.signature(func).parameters.values()), func.__name__
 
 
+# The nan and ±inf cases as this file numbered them before the table, "<i>-<name>":
+# each is the table case named here, kept under its old id.  None stands for
+# the deleted ZernikeSeries.to_wavelength.
+_NUMBERED = [
+    "DetectorModel-noise_rate", "DetectorModel-window", "RateObservation-timestamp",
+    "RateObservation-signal_rate", "RateObservation-noise_rate", "RateObservation-qber_z",
+    "RateObservation-qber_x", "RateObservation-skr", "QkdSessionModel-block_size",
+    "QkdSessionModel-mu1", "QkdSessionModel-r_ref", "channel_efficiency_from_rate-measured_rate",
+    "calibrate_r_ref-measured_rate", "calibrate_r_ref-eta_ch", "windowed_noise_rate-raw_rate",
+    "windowed_noise_rate-window", "windowed_noise_rate-pulse_rate", "expected_qber-signal_rate",
+    "expected_qber-noise_rate", "expected_qber-intrinsic_qber", "to_db-ratio",
+    "model_smf_breakdown-J", "ReceiverChain-f_3db", "residual_variance-d_rx",
+    "residual_variance-r0", "scale_r0_to_wavelength-r0", "scale_r0_to_wavelength-wavelength_from",
+    "scale_r0_to_wavelength-wavelength_to", "scintillation_report-d_rx",
+    "mode_match_beta-wavelength", "eta0-beta", "TurbulenceState-fried_r0",
+    "full_budget-a_coeff_db_km", "TurbulenceState-wind_speed", "coupling_from_power-p_in",
+    "coupling_from_power-p_focus", "coupling_from_power-eta_focus_to_fiber", "SynthConfig-r0",
+    "SynthConfig-d_rx", "SynthConfig-sample_rate", "SynthConfig-wind_speed", "SynthConfig-f_3db",
+    "SynthConfig-wavelength", "fit_fried-d_rx", "FriedFit-r0_hat", "write_wfs_log-d_rx",
+    "ZernikeSeries-wavelength_tag", None, "ModeVarianceSet-mode_2", "radial_order-j",
+    "noll_weight-j", "turbulence_variance-j",
+]
+_NUMBERED_CASES = {f"{i}-{_CASES[case][3]}": _CASES[case]
+                   for i, case in enumerate(_NUMBERED) if case is not None}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("call, arguments, arg, name", _NUMBERED_CASES.values(),
+                         ids=_NUMBERED_CASES.keys())
+def test_rejects_non_finite_input(call, arguments, arg, name, value):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(**{**arguments, arg: value})
+
+
 def _first_key_rate(**fields):
     """The first rate of a session; the session builds and checks its
     finite-key constants when it is built, so a bad field raises there."""
     return qkd.secret_key_rate(qkd.QkdSessionModel(qkd.SNSPD, **fields), 2e4, 0.01, 0.01)
 
 
-# (the callable driven, input name, call, a finite value in range whose result
-# overflows or underflows); a row's id is "<callable>-<input name>-<value>".
+# (id, input name, call, a finite value in range whose result overflows or
+# underflows).  Each row's id is its own, so removing a row renames no other:
+# rows 0-63 keep the numbers they have always been reported under, and a later
+# row is labelled with the callable it drives.
 _OUT_OF_RANGE = [
-    ("secret_key_rate", "signal_rate",
-     lambda v: qkd.secret_key_rate(_SESSION, v, 0.01, 0.01), 5e-324),
-    ("secret_key_rate", "signal_rate",
-     lambda v: qkd.secret_key_rate(_SESSION, v, 0.01, 0.01), 1e-305),
-    ("TurbulenceState", "r0", lambda v: TurbulenceState.from_r0(v, _PATH), 5e-324),
-    ("full_budget", "r0", lambda v: _budget_at(v, 0.556), 1e-315),
-    ("QkdSessionModel", "r_ref",  # r_ref * 0.11 -> 0
-     lambda v: qkd.QkdSessionModel(qkd.SPAD, r_ref=v), 5e-324),
-    ("residual_variance", "r0", lambda v: residual_variance(35, 0.41, v), 1e-300),
-    ("model_smf_breakdown", "r0", lambda v: _smf_at(v, 0.556), 1e-300),
-    ("turbulence_variance", "r0", lambda v: turbulence_variance(2, 0.41, v), 1e-300),
-    ("mode_match_beta", "wavelength", lambda v: mode_match_beta(_CHAIN, v), 1e-320),
-    ("scale_r0_to_wavelength", "r0", lambda v: scale_r0_to_wavelength(v, 1e-9, 1.0), 1e300),
-    ("scale_r0_to_wavelength", "r0", lambda v: scale_r0_to_wavelength(v, 1.0, 1e-9), 5e-324),
-    ("turbulence_variance", "r0", lambda v: turbulence_variance(2, 0.41, v), 1e300),
-    ("r0_from_cn2", "cn2", lambda v: r0_from_cn2(v, _PATH), 1e300),
-    ("r0_from_cn2", "cn2", lambda v: r0_from_cn2(v, _PATH), 5e-324),
-    ("QkdSessionModel", "internal_loss",
+    (0, "signal_rate", lambda v: qkd.secret_key_rate(_SESSION, v, 0.01, 0.01), 5e-324),
+    (1, "signal_rate", lambda v: qkd.secret_key_rate(_SESSION, v, 0.01, 0.01), 1e-305),
+    (2, "r0", lambda v: TurbulenceState.from_r0(v, _PATH), 5e-324),
+    (3, "r0", lambda v: _budget_at(v, 0.556), 1e-315),
+    (4, "r_ref", lambda v: qkd.QkdSessionModel(qkd.SPAD, r_ref=v), 5e-324),  # r_ref * 0.11 -> 0
+    (5, "r0", lambda v: residual_variance(35, 0.41, v), 1e-300),
+    (6, "r0", lambda v: _smf_at(v, 0.556), 1e-300),
+    (7, "r0", lambda v: turbulence_variance(2, 0.41, v), 1e-300),
+    (8, "wavelength", lambda v: mode_match_beta(_CHAIN, v), 1e-320),
+    (9, "r0", lambda v: scale_r0_to_wavelength(v, 1e-9, 1.0), 1e300),
+    (10, "r0", lambda v: scale_r0_to_wavelength(v, 1.0, 1e-9), 5e-324),
+    (11, "r0", lambda v: turbulence_variance(2, 0.41, v), 1e300),
+    (12, "cn2", lambda v: r0_from_cn2(v, _PATH), 1e300),
+    (13, "cn2", lambda v: r0_from_cn2(v, _PATH), 5e-324),
+    (14, "internal_loss",
      lambda v: qkd.QkdSessionModel(qkd.SNSPD, internal_loss=1e-300, r_ref=v), 1e-30),
-    ("OpticalPath", "wavelength", lambda v: OpticalPath(wavelength=v), 1e-320),
-    ("model_smf_breakdown", "r0", lambda v: _smf_at(v, 0.556), 1e-5),
-    ("sweep_columns", "wind_speed",  # eta_tau underflows
-     lambda v: sweep_columns(_GEOM, 0.0875, [v], 0.2), 1e5),
-    ("sweep_columns", "wind_speed",  # in eta_ch
-     lambda v: sweep_columns(_GEOM, 0.0875, [0.5, v], 0.2), 107.5),
-    ("sweep_columns", "a_coeff_db_km", lambda v: sweep_columns(_GEOM, 0.0875, 0.556, v), 1e3),
-    ("sweep_columns", "r0",  # eta_coll
-     lambda v: sweep_columns(_GEOM, [0.0875, v], 0.556, 0.2), 1e-180),
-    ("eta0", "beta", lambda v: eta0(v, 0.4), 100.0),
-    ("full_budget", "a_coeff_db_km", lambda v: full_budget(_GEOM, _TURB, v, _SMF), 1e3),
-    ("full_budget", "r0",
-     lambda v: full_budget(_GEOM, TurbulenceState.from_r0(v, _PATH), 0.2, _SMF), 1e-180),
-    ("sweep_columns", "a_coeff_db_km",  # at sweep point 1
-     lambda v: sweep_columns(_GEOM, [0.09, 0.09], 0.5, [0.2, v]), 2e3),
-    ("LinkGeometry", "w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-200),
-    ("LinkGeometry", "w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-320),
-    ("cn2_from_r0", "r0",  # numpy warns; the rule raises
-     lambda v: cn2_from_r0(v, _PATH), np.float32(1e-30)),
-    ("LinkGeometry", "w0",  # no r0 gives an eta_coll
-     lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-150),
-    ("LinkGeometry", "w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-20),
-    ("QkdSessionModel", "eps_sec", lambda v: _first_key_rate(eps_sec=v), 1e-300),
-    ("QkdSessionModel", "mu1", lambda v: _first_key_rate(mu1=v), 800.0),
-    ("QkdSessionModel", "eps_sec", lambda v: _first_key_rate(eps_sec=v), 5e-324),
-    ("QkdSessionModel", "mu2", lambda v: _first_key_rate(mu1=1e-300, mu2=v), 5e-324),
-    ("QkdSessionModel", "eps_cor", lambda v: _first_key_rate(eps_cor=v), 1e-320),
-    ("QkdSessionModel", "p_mu1", lambda v: _first_key_rate(p_mu1=v), 1e-320),
-    ("QkdSessionModel", "p_z_alice", lambda v: _first_key_rate(p_z_alice=v), 1e-320),
-    ("ReceiverChain", "d_rx",  # d_rx^2 overflows
-     lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e200),
-    ("ReceiverChain", "d_rx",  # d_rx^2 underflows
-     lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e-200),
-    ("model_smf_breakdown", "r0",  # a beta0 power overflows in eta_s
-     lambda v: _smf_at(v, 0.0), 1e-80),
-    ("sweep_columns", "r0", lambda v: sweep_columns(_GEOM, [v], 0.5, 0.2), 1e-80),
-    ("model_smf_breakdown", "r0", lambda v: _smf_at(v, 0.556), 1e-4),  # eta_phi_residual
-    ("model_smf_breakdown", "r0", lambda v: _smf_at(v, 0.72), 7.8e-4),  # eta_smf
-    ("full_budget", "r0", lambda v: _budget_at(v, 0.556), 7.97e-4),  # eta_ch
-    ("model_smf_breakdown", "wind_speed",  # the servo-lag power overflows
-     lambda v: _smf_at(0.0875, v), 1e300),
-    ("model_smf_breakdown", "wind_speed", lambda v: _smf_at(0.0875, v), 1e5),  # eta_tau underflows
-    ("sweep_columns", "wind_speed", lambda v: sweep_columns(_GEOM, 0.0875, [v], 0.2), 1e300),
-    ("predict_eta_smf", "wind_speed",
-     lambda v: predict_eta_smf(_AO_ON, _FIT, v, _CHAIN, _PATH), 1e300),
-    ("SynthConfig", "sample_rate",
-     lambda v: synth.SynthConfig(r0=0.08, n_samples=3, sample_rate=v), 1e-320),
-    ("full_budget", "a_coeff_db_km",  # eta_a ~6e-323
-     lambda v: full_budget(_GEOM, _TURB, v, _SMF), 179.0),
-    ("full_budget", "eta_smf",
-     lambda v: full_budget(_GEOM, _TURB, 0.2, replace(_SMF, eta_smf=v)), 1e-323),
-    ("model_smf_breakdown", "wind_speed",  # eta_tau, in eta_smf
-     lambda v: _smf_at(0.0875, v), 107.53),
-    ("full_budget", "wind_speed", lambda v: _budget_at(0.0875, v), 107.5),  # eta_tau, in eta_ch
-    ("eta_phi_on", "variance of mode 7", lambda v: eta_phi_on(_variances_1e30(v), 35), 1e31),
-    ("predict_eta_smf", "variance of mode 7", lambda v: predict_eta_smf(
+    (15, "wavelength", lambda v: OpticalPath(wavelength=v), 1e-320),
+    (16, "r0", lambda v: _smf_at(v, 0.556), 1e-5),
+    (17, "wind_speed", lambda v: sweep_columns(_GEOM, 0.0875, [v], 0.2), 1e5),  # eta_tau underflows
+    (18, "wind_speed", lambda v: sweep_columns(_GEOM, 0.0875, [0.5, v], 0.2), 107.5),  # in eta_ch
+    (19, "a_coeff_db_km", lambda v: sweep_columns(_GEOM, 0.0875, 0.556, v), 1e3),
+    (20, "r0", lambda v: sweep_columns(_GEOM, [0.0875, v], 0.556, 0.2), 1e-180),  # eta_coll
+    (21, "beta", lambda v: eta0(v, 0.4), 100.0),
+    (22, "a_coeff_db_km", lambda v: full_budget(_GEOM, _TURB, v, _SMF), 1e3),
+    (23, "r0", lambda v: full_budget(_GEOM, TurbulenceState.from_r0(v, _PATH), 0.2, _SMF), 1e-180),
+    (24, "a_coeff_db_km", lambda v: sweep_columns(_GEOM, [0.09, 0.09], 0.5, [0.2, v]), 1e3),
+    (25, "w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-200),
+    (26, "w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-320),
+    (27, "r0", lambda v: cn2_from_r0(v, _PATH), np.float32(1e-30)),  # numpy warns; the rule raises
+    (28, "w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-150),  # no r0 gives an eta_coll
+    (29, "w0", lambda v: LinkGeometry(_PATH, _CHAIN, w0=v), 1e-20),
+    (30, "eps_sec", lambda v: _first_key_rate(eps_sec=v), 1e-300),
+    (31, "mu1", lambda v: _first_key_rate(mu1=v), 800.0),
+    (32, "eps_sec", lambda v: _first_key_rate(eps_sec=v), 5e-324),
+    (33, "mu2", lambda v: _first_key_rate(mu1=1e-300, mu2=v), 5e-324),
+    (34, "eps_cor", lambda v: _first_key_rate(eps_cor=v), 1e-320),
+    (35, "p_mu1", lambda v: _first_key_rate(p_mu1=v), 1e-320),
+    (36, "p_z_alice", lambda v: _first_key_rate(p_z_alice=v), 1e-320),
+    (37, "d_rx", lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e200),  # d_rx^2 overflows
+    (38, "d_rx", lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e-200),  # d_rx^2 underflows
+    (39, "r0", lambda v: _smf_at(v, 0.0), 1e-80),  # a beta0 power overflows in eta_s
+    (41, "r0", lambda v: sweep_columns(_GEOM, [v], 0.5, 0.2), 1e-80),
+    (42, "r0", lambda v: _smf_at(v, 0.556), 1e-4),  # eta_phi_residual
+    (43, "r0", lambda v: _smf_at(v, 0.72), 7.8e-4),  # eta_smf
+    (44, "r0", lambda v: _budget_at(v, 0.556), 7.97e-4),  # eta_ch
+    (45, "wind_speed", lambda v: _smf_at(0.0875, v), 1e300),  # the servo-lag power overflows
+    (46, "wind_speed", lambda v: _smf_at(0.0875, v), 1e5),  # eta_tau underflows
+    (47, "wind_speed", lambda v: sweep_columns(_GEOM, 0.0875, [v], 0.2), 1e300),
+    (48, "wind_speed", lambda v: predict_eta_smf(_AO_ON, _FIT, v, _CHAIN, _PATH), 1e300),
+    (49, "sample_rate", lambda v: synth.SynthConfig(r0=0.08, n_samples=3, sample_rate=v), 1e-320),
+    (50, "a_coeff_db_km", lambda v: full_budget(_GEOM, _TURB, v, _SMF), 179.0),  # eta_a ~6e-323
+    (51, "eta_smf", lambda v: full_budget(_GEOM, _TURB, 0.2, replace(_SMF, eta_smf=v)), 1e-323),
+    (52, "wind_speed", lambda v: _smf_at(0.0875, v), 107.53),  # eta_tau, in eta_smf
+    (53, "wind_speed", lambda v: _budget_at(0.0875, v), 107.5),  # eta_tau, in eta_ch
+    (54, "variance of mode 7", lambda v: eta_phi_on(_variances_1e30(v), 35), 1e31),
+    (55, "variance of mode 7", lambda v: predict_eta_smf(
         series_with_exact_variances(_variances_1e30(v), n=64), _FIT, 0.5, _CHAIN, _PATH), 1e31),
-    ("greenwood_frequency", "wind_speed",
-     lambda v: greenwood_frequency(TurbulenceState.from_r0(0.0875, _PATH, v)), 1.7e308),
-    ("coupling_from_power", "p_in", lambda v: coupling_from_power(v, 1e-3, 0.5), 1.7e308),
-    ("coupling_from_power", "p_focus", lambda v: coupling_from_power(1e-4, v, 0.5), 5e-324),
-    ("coupling_from_power", "eta_focus_to_fiber",
-     lambda v: coupling_from_power(1e-4, 1e-3, v), 5e-324),
-    ("calibrate_r_ref", "eta_ch",  # r_ref = inf
-     lambda v: qkd.calibrate_r_ref(_SESSION, 2e4, v), 1e-320),
-    ("calibrate_r_ref", "eta_ch",  # the system efficiency underflows
-     lambda v: qkd.calibrate_r_ref(qkd.QkdSessionModel(qkd.SPAD), 2e4, v), 5e-324),
-    ("calibrate_r_ref", "measured_rate", lambda v: qkd.calibrate_r_ref(_SESSION, v, 1e-3), 1.7e308),
-    ("channel_efficiency_from_rate", "measured_rate",
-     lambda v: qkd.channel_efficiency_from_rate(_SESSION, v), 5e-324),
+    (56, "wind_speed", lambda v: greenwood_frequency(TurbulenceState.from_r0(0.0875, _PATH, v)),
+     1.7e308),
+    (57, "p_in", lambda v: coupling_from_power(v, 1e-3, 0.5), 1.7e308),
+    (58, "p_focus", lambda v: coupling_from_power(1e-4, v, 0.5), 5e-324),
+    (59, "eta_focus_to_fiber", lambda v: coupling_from_power(1e-4, 1e-3, v), 5e-324),
+    (60, "eta_ch", lambda v: qkd.calibrate_r_ref(_SESSION, 2e4, v), 5e-324),  # r_ref = inf
+    (61, "eta_ch", lambda v: qkd.calibrate_r_ref(qkd.QkdSessionModel(qkd.SPAD), 2e4, v), 5e-324),
+    (62, "measured_rate", lambda v: qkd.calibrate_r_ref(_SESSION, v, 1e-3), 1.7e308),
+    (63, "measured_rate", lambda v: qkd.channel_efficiency_from_rate(_SESSION, v), 5e-324),
     ("full_budget", "r0", lambda v: _budget_at(0.0875, 0.556, OpticalPath(path_length=v)),
      1e-158),
     ("sweep_columns", "r0", lambda v: sweep_columns(
