@@ -61,16 +61,24 @@ def _cn2_from_r0(r0, path: OpticalPath):
 def r0_from_cn2(cn2: float, path: OpticalPath) -> float:
     """Fried parameter of a spherical wave on a horizontal path.
 
-    r0 = (0.16 * Cn2 * k^2 * L)^(-3/5)
+    r0 = (0.16 * Cn2 * k^2 * L)^(-3/5), with k = 2*pi/lambda.  An r0 out of
+    the float range names cn2, wavelength or path_length (the extreme factor).
     """
     _check_positive("cn2", cn2)
-    return _finite_result("cn2", cn2, "r0", _r0_from_cn2, cn2, path)
+    factors = (("cn2", cn2, -3.0 / 5.0), ("wavelength", path.wavelength, 6.0 / 5.0),
+               ("path_length", path.path_length, -3.0 / 5.0))
+    return _finite_product("r0", factors, _r0_from_cn2, cn2, path)
 
 
 def cn2_from_r0(r0: float, path: OpticalPath) -> float:
-    """Exact algebraic inverse of :func:`r0_from_cn2`."""
+    """Exact algebraic inverse of :func:`r0_from_cn2`.
+
+    A Cn2 out of the float range names r0, wavelength or path_length.
+    """
     _check_positive("r0", r0)
-    return _finite_result("r0", r0, "Cn2", _cn2_from_r0, r0, path)
+    factors = (("r0", r0, -5.0 / 3.0), ("wavelength", path.wavelength, 2.0),
+               ("path_length", path.path_length, -1.0))
+    return _finite_product("Cn2", factors, _cn2_from_r0, r0, path)
 
 
 def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: float) -> float:
@@ -158,9 +166,8 @@ class ScintillationReport:
     rho_c_strong: float  # m
 
 
-def _aperture_averaged(xp, cn2, path: OpticalPath, d_rx: float, beta0_limit: bool = False):
-    """ScintillationReport's first eight fields, in order; cn2 may be an array."""
-    sigma_r2 = _rytov(cn2, path)
+def _aperture_averaged(xp, sigma_r2, path: OpticalPath, d_rx: float, beta0_limit: bool = False):
+    """ScintillationReport's first eight fields, in order; sigma_r2 may be an array."""
     beta0 = 0.4065 * sigma_r2
     d = math.sqrt(path.wavenumber * d_rx * d_rx / (4.0 * path.path_length))
     try:  # a float power past the range (math only: numpy gives inf)
@@ -182,7 +189,7 @@ def _aperture_averaged(xp, cn2, path: OpticalPath, d_rx: float, beta0_limit: boo
 
 
 def _eta_s(xp, cn2, path: OpticalPath, d_rx: float):
-    return _aperture_averaged(xp, cn2, path, d_rx)[-1]
+    return _aperture_averaged(xp, _rytov(cn2, path), path, d_rx)[-1]
 
 
 def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) -> ScintillationReport:
@@ -193,19 +200,18 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     widths are reported (the caller picks the branch via sigma_R^2 <= 1).
     path must be ts.path.  Past a beta0 whose powers leave the float range
     (r0 ~ 1e-78 m on the default path, or a path past ~1e158 m at r0 = 8.75 cm)
-    it takes the beta0 -> inf limit: T1 = 0, T2 = 0.51/0.69^(5/6).  An eta_s
-    out of the float range raises ValueError naming r0, a sigma_R^2 that
-    underflows names path_length (its factor L^(11/6) the smallest), and an
+    it takes the beta0 -> inf limit: T1 = 0, T2 = 0.51/0.69^(5/6), so eta_s
+    stays in range.  A sigma_R^2 out of the float range raises ValueError
+    naming r0, wavelength or path_length (the extreme factor), and an
     aperture_d out of the float range names d_rx.
     """
     _check_same_path(ts, path)
     _check_positive("d_rx", d_rx)
-    try:
-        terms = _aperture_averaged(math, ts.cn2, path, d_rx, beta0_limit=True)
-    except OverflowError:  # sigma_R^2 past the float range: eta_s counts as 0.0
-        terms = (0.0,)
-    _check_result("r0", ts.fried_r0, "eta_s", terms[-1])
-    _check_result("path_length", path.path_length, "sigma_R^2", terms[0])
+    # sigma_R^2 = (1.23/0.16) r0^(-5/3) k^(-5/6) L^(5/6), with k = 2*pi/lambda
+    factors = (("r0", ts.fried_r0, -5.0 / 3.0), ("wavelength", path.wavelength, 5.0 / 6.0),
+               ("path_length", path.path_length, 5.0 / 6.0))
+    sigma_r2 = _finite_product("sigma_R^2", factors, _rytov, ts.cn2, path)
+    terms = _aperture_averaged(math, sigma_r2, path, d_rx, beta0_limit=True)
     _check_result("d_rx", d_rx, "aperture_d", terms[2])
     sqrt_ll = math.sqrt(path.wavelength * path.path_length)
     rho_strong = 0.36 * terms[0] ** (-3.0 / 10.0) * sqrt_ll  # sigma_R^(-3/5) on the amplitude

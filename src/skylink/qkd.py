@@ -460,16 +460,21 @@ class KeyRatePoint(NamedTuple):
 
 def key_rate_point(session: QkdSessionModel, eta_ch: float) -> KeyRatePoint:
     """The four key-rate leaves at channel efficiency eta_ch, in order, at the
-    session's pulse rate and intrinsic QBER; an eta_ch whose block time leaves
-    the float range raises ValueError naming it.  Any real scalar eta_ch gives
+    session's pulse rate and intrinsic QBER; a block time that leaves the float
+    range raises ValueError naming the input behind its largest factor, eta_ch
+    or a session field such as r_ref.  Any real scalar eta_ch gives
     Python floats: it is checked as given, so a message keeps a numpy scalar's
     digits, then taken as a float."""
     if not 0 < eta_ch <= 1:  # _check_ratio
         _check_ratio("eta_ch", eta_ch)
     signal = expected_signal_rate(session, float(eta_ch))
     c = session._finite_key
-    # secret_key_rate's block time, checked here so that its message names eta_ch
-    _finite_result("eta_ch", eta_ch, "block time", lambda: c.n_z / (signal * c.p_zz))
+    # secret_key_rate's block time, checked here so that its message names the
+    # input behind its largest factor: eta_ch, or a session field
+    factors = (("block_size", session.block_size, 1.0), ("eta_ch", eta_ch, -1.0),
+               ("r_ref", session.r_ref, -1.0), *_loss_factors(session, -1.0),
+               ("p_z_alice", session.p_z_alice, -1.0), ("p_z_bob", session.p_z_bob, -1.0))
+    _finite_product("block time", factors, lambda: c.n_z / (signal * c.p_zz))
     det = session.detector
     noise = windowed_noise_rate(det.noise_rate, det.window, session.pulse_rate)
     qber = expected_qber(signal, noise, session.intrinsic_qber)

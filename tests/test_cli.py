@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from skylink import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -77,8 +83,11 @@ def test_a_transmit_waist_no_r0_can_collect_exits_3_naming_w0(tmp_path, capsys):
          "r0 must give a finite, positive eta_coll, got 0.03 (eta_coll = 0.0) (sweep point 0)"),
         ('{"f_3db_hz": 0.001}', ["budget"],
          "f_3db must give a finite, positive eta_tau, got 0.001 (eta_tau = 0.0)"),
+        ('{"w0_m": 1e-200}', ["budget"],
+         "w0 must give a finite, positive rayleigh range, got 1e-200 (rayleigh range = 0.0)"),
     ],
-    ids=["qkd-eps_sec", "budget-d_rx", "budget-path_length", "sweep-path_length", "budget-f_3db"],
+    ids=["qkd-eps_sec", "budget-d_rx", "budget-path_length", "sweep-path_length", "budget-f_3db",
+         "budget-w0"],
 )
 def test_a_setting_past_the_float_range_exits_3_naming_it(tmp_path, capsys, config, argv, message):
     cfg = tmp_path / "cfg.json"
@@ -406,6 +415,50 @@ def test_qkd_from_eta(tmp_path, capsys):
     assert 500 <= payload["skr_bps"] <= 2000
 
 
+@pytest.mark.parametrize(
+    "config, argv, protocol_tail, rate",
+    [
+        (None, [], "n_z=250000 bytes detector=snspd", "  secret key rate        1566.9 bit/s"),
+        (None, ["--detector", "spad"], "n_z=50000 bytes detector=spad",
+         "  secret key rate         167.1 bit/s"),
+        ({"ao_modes": 20.0, "n_z_bytes": None, "detector": "SPAD", "eta_tel_db": -1.0}, [],
+         "n_z=50000 bytes detector=spad", "  secret key rate         167.1 bit/s"),
+    ],
+    ids=["snspd", "spad", "config-SPAD"],
+)
+def test_qkd_prints_the_key_rate_anchor_at_29_db(
+    tmp_path, capsys, monkeypatch, config, argv, protocol_tail, rate
+):
+    """The -29 dB anchors as printed.  A config's detector name is matched
+    case-free, and its null n_z_bytes takes that detector's block size."""
+    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
+    cfg = []
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        cfg = ["--config", str(tmp_path / "cfg.json")]
+    code, out, err = run(capsys, *cfg, "qkd", "--eta-ch", "-29", *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].endswith(f" {protocol_tail}")
+    assert lines[-1] == rate
+
+
+def test_verbose_names_why_the_key_rate_clamped_on_stderr():
+    """At -35 dB the SPAD's bound is non-positive: qkd prints 0.0 bit/s, and
+    --verbose logs why on stderr.  In a fresh interpreter, since under pytest
+    the root logger has handlers already and logging.basicConfig adds none."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("SKYLINK_CONFIG", None)
+    code = "import sys\nfrom skylink.cli import main\nsys.exit(main(sys.argv[1:]))"
+    argv = ["--verbose", "qkd", "--eta-ch", "-35", "--detector", "spad"]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "  secret key rate           0.0 bit/s"
+    assert "secret_key_rate: bound non-positive" in done.stderr
+
+
 def test_qkd_prints_the_protocol_it_runs_at(tmp_path, capsys):
     """The protocol line names the configured values, not the built-in defaults."""
     cfg = tmp_path / "cfg.json"
@@ -429,7 +482,8 @@ def test_qkd_requires_one_source(tmp_path, capsys):
         (["--eta-ch", "-29", "--intrinsic-qber", "0.6"], "intrinsic_qber must be in [0, 0.5]"),
         (["--log", "zero_rate.csv"], "measured_rate must be finite and positive"),
         (["--eta-ch", "-3233"], "eta_ch must give a finite, positive block time, got 5e-324"),
-        (["--eta-ch", "5", "--intrinsic-qber", "0.7"], "intrinsic_qber must be in [0, 0.5]"),
+        (["--eta-ch", "5", "--intrinsic-qber", "0.7"],
+         "intrinsic_qber must be in [0, 0.5], got 0.7"),
     ],
     ids=["eta-ch-above-1", "qber-above-half", "zero-rate-log", "eta-ch-past-block-time",
          "session-checked-first"],
@@ -991,21 +1045,32 @@ def test_out_in_a_missing_directory_exits_4_after_the_table(tmp_path, capsys):
         ["qkd", "--eta-ch", "-29"],
         ["qkd", "--log", "{session}"],
         ["sweep", "--var", "J", "--min", "1", "--max", "36", "--steps", "4"],
+        ["fit-r0", "{plus}"],
+        ["fit-r0", "{masked}"],
+        ["predict-smf", "--ao-on", "{masked}", "--ao-off", "{plus}"],
     ],
-    ids=["budget", "fit-r0", "predict-smf", "qkd-eta-ch", "qkd-log", "sweep"],
+    ids=["budget", "fit-r0", "predict-smf", "qkd-eta-ch", "qkd-log", "sweep", "fit-r0-plus-flag",
+         "fit-r0-masked-row", "predict-smf-plus-flag-masked-row"],
 )
 def test_json_and_csv_records_agree(tmp_path, capsys, argv):
     """The .csv record holds the .json record's keys, each value as str() writes it.
 
-    A list (fit-r0's modes_used) is its items joined by commas.
+    A list (fit-r0's modes_used) is its items joined by commas.  The logs
+    include one with a "+1" flag, which the per-line pass reads, not numpy's
+    parser, and one with a single valid=0 row.
     """
     import csv as csv_mod
 
     from skylink import qkd as qkd_mod
 
-    files = {name: tmp_path / f"{name}.csv" for name in ("on", "off", "session")}
+    files = {name: tmp_path / f"{name}.csv" for name in ("on", "off", "session", "plus", "masked")}
     run(capsys, "synth", str(files["on"]), "--r0", "0.08", "--n", "500", "--seed", "1", "--ao-on")
     run(capsys, "synth", str(files["off"]), "--r0", "0.08", "--n", "500", "--seed", "2")
+    for name, source, flag in (("plus", "off", "+1"), ("masked", "on", "0")):
+        lines = files[source].read_text().splitlines(keepends=True)
+        t_s, _, cells = lines[3].split(",", 2)  # the second data row
+        lines[3] = f"{t_s},{flag},{cells}"
+        files[name].write_text("".join(lines))
     records = [
         qkd_mod.RateObservation(float(i), 20400.0 + i, 2000.0, 0.008, 0.011) for i in range(3)
     ]

@@ -155,6 +155,14 @@ def test_wfs_log_round_trip_bit_identical(tmp_path):
     p2 = tmp_path / "wfs2.csv"
     estimation.write_wfs_log(loaded, d_rx, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # A "+1" flag sends the rows through the per-line pass, which skips a blank line.
+    lines = p1.read_text().splitlines(keepends=True)
+    t_s, _, cells = lines[3].split(",", 2)
+    lines[3] = f"{t_s},+1,{cells}"
+    plus, blank = tmp_path / "plus.csv", tmp_path / "blank.csv"
+    plus.write_text("".join(lines))
+    blank.write_text("".join([*lines[:4], "\n", *lines[4:]]))
+    assert _outcome(estimation.load_wfs_log, blank) == _outcome(estimation.load_wfs_log, plus)
 
 
 def test_wfs_log_invalid_rows_masked(tmp_path):

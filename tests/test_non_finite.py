@@ -330,6 +330,15 @@ _OUT_OF_RANGE = [
         qkd.QkdSessionModel(qkd.SNSPD, internal_loss=v), 2e4, 1e-30), 1e-300),
     ("noll_weight", "j", noll_weight, 1e200),  # g(j) ~ 1e-367
     ("key_rate_point", "eta_ch", lambda v: qkd.key_rate_point(_SESSION, v), 5e-324),  # block time
+    ("key_rate_point", "r_ref",
+     lambda v: qkd.key_rate_point(qkd.QkdSessionModel(qkd.SNSPD, r_ref=v), 1e-3), 1e-300),
+    # a path field behind Cn2 or r0 is named, not the nominal r0 or Cn2
+    ("TurbulenceState", "path_length",
+     lambda v: TurbulenceState.from_r0(0.0875, OpticalPath(path_length=v)), 1e300),
+    ("TurbulenceState", "wavelength",
+     lambda v: TurbulenceState.from_r0(0.0875, OpticalPath(wavelength=v)), 1e-200),
+    ("r0_from_cn2", "path_length", lambda v: r0_from_cn2(1.2e-15, OpticalPath(path_length=v)),
+     5e-324),
     ("turbulence_variance", "j", lambda v: turbulence_variance(v, 0.41, 0.1), 1e200),
 ]
 
@@ -386,6 +395,21 @@ def test_scintillation_report_takes_the_beta0_limit_where_its_path_power_overflo
     report, full = (_scintillation_on(OpticalPath(path_length=L)) for L in (length, 1e150))
     assert (report.T1, report.T2) == (0.0, 0.51 / 0.69 ** (5.0 / 6.0))
     assert report.eta_s == pytest.approx(full.eta_s, rel=1e-15, abs=0.0)
+
+
+def test_scintillation_report_names_the_largest_factor_of_a_sigma_r2_past_the_float_range():
+    """On a 1e295 m path, sigma_R^2 ~ r0^(-5/3) L^(5/6) is in range at r0 = 1e-30,
+    where the report takes the beta0 -> inf limit, and overflows at 1e-45, where
+    L^(5/6) is its largest factor."""
+    path = OpticalPath(path_length=1e295)
+    report = _scintillation_on(path, 1e-30)
+    assert (report.T1, report.T2) == (0.0, 0.51 / 0.69 ** (5.0 / 6.0))
+    assert report.eta_s == _scintillation_on(_PATH, 1e-80).eta_s  # the limit's
+    with pytest.raises(ValueError) as exc:
+        _scintillation_on(path, 1e-45)
+    assert str(exc.value) == (
+        "path_length must give a finite, positive sigma_R^2, got 1e+295 (sigma_R^2 = inf)"
+    )
 
 
 def test_session_log_names_the_line_of_a_non_finite_field(tmp_path):
