@@ -471,10 +471,15 @@ def key_rate_point(session: QkdSessionModel, eta_ch: float) -> KeyRatePoint:
     c = session._finite_key
     # secret_key_rate's block time, checked here so that its message names the
     # input behind its largest factor: eta_ch, or a session field
-    factors = (("block_size", session.block_size, 1.0), ("eta_ch", eta_ch, -1.0),
-               ("r_ref", session.r_ref, -1.0), *_loss_factors(session, -1.0),
-               ("p_z_alice", session.p_z_alice, -1.0), ("p_z_bob", session.p_z_bob, -1.0))
-    _finite_product("block time", factors, lambda: c.n_z / (signal * c.p_zz))
+    try:
+        block_time = c.n_z / (signal * c.p_zz)
+    except ZeroDivisionError:  # signal * p_zz underflows to 0
+        block_time = math.inf
+    if block_time == math.inf:  # the factors are listed only to name one
+        factors = (("block_size", session.block_size, 1.0), ("eta_ch", eta_ch, -1.0),
+                   ("r_ref", session.r_ref, -1.0), *_loss_factors(session, -1.0),
+                   ("p_z_alice", session.p_z_alice, -1.0), ("p_z_bob", session.p_z_bob, -1.0))
+        _finite_product("block time", factors, lambda: block_time)
     det = session.detector
     noise = windowed_noise_rate(det.noise_rate, det.window, session.pulse_rate)
     qber = expected_qber(signal, noise, session.intrinsic_qber)

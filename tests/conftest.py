@@ -1,8 +1,11 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skylink
 from skylink.atmosphere import OpticalPath
 from skylink.coupling import ReceiverChain
 from skylink.linkbudget import LinkGeometry
@@ -50,3 +53,14 @@ def series_with_exact_variances(targets, n=512, seed=123, sample_rate=100.0, wav
     timestamps = np.arange(n) / sample_rate
     mask = np.ones(n, dtype=bool)
     return ZernikeSeries(timestamps, coeffs, mask, wavelength)
+
+
+def fresh_env():
+    """os.environ for a fresh interpreter that imports the skylink this one
+    imported (the checkout's src/, or an installed copy) and reads no
+    SKYLINK_CONFIG."""
+    env = dict(os.environ)
+    home = str(Path(skylink.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [home, env.get("PYTHONPATH")]))
+    env.pop("SKYLINK_CONFIG", None)
+    return env

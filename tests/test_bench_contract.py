@@ -8,7 +8,6 @@ missing there stops the run.  These tests read bench/workloads.py as source
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +15,8 @@ from pathlib import Path
 import skylink
 import skylink.cli
 from skylink import qkd
+
+from conftest import fresh_env
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "bench" / "workloads.py"
@@ -45,12 +46,9 @@ _PUBLIC = {
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with the checkout's src/ first on its path."""
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    """A fresh interpreter that imports the skylink this one imported."""
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *args], env=fresh_env(), capture_output=True, text=True, check=True
     )
 
 

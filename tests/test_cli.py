@@ -1,15 +1,13 @@
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
 from skylink import cli
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import fresh_env
 
 
 def run(capsys, *argv):
@@ -405,55 +403,27 @@ def test_predict_smf_names_a_bad_r0_flag_as_r0(tmp_path, capsys, value):
 
 
 def test_qkd_from_eta(tmp_path, capsys):
+    """The -29 dB key-rate anchors as printed, SNSPD and SPAD."""
     out_file = tmp_path / "qkd.json"
     code, out, _ = run(capsys, "--out", str(out_file), "qkd", "--eta-ch", "-29")
     assert code == 0
-    assert "secret key rate" in out
+    assert out.splitlines()[-1] == "  secret key rate        1566.9 bit/s"
     assert "mu1=" in out
     payload = json.loads(out_file.read_text())
     assert payload["signal_hz"] == pytest.approx(20.4e3, rel=1e-6)
     assert 500 <= payload["skr_bps"] <= 2000
-
-
-@pytest.mark.parametrize(
-    "config, argv, protocol_tail, rate",
-    [
-        (None, [], "n_z=250000 bytes detector=snspd", "  secret key rate        1566.9 bit/s"),
-        (None, ["--detector", "spad"], "n_z=50000 bytes detector=spad",
-         "  secret key rate         167.1 bit/s"),
-        ({"ao_modes": 20.0, "n_z_bytes": None, "detector": "SPAD", "eta_tel_db": -1.0}, [],
-         "n_z=50000 bytes detector=spad", "  secret key rate         167.1 bit/s"),
-    ],
-    ids=["snspd", "spad", "config-SPAD"],
-)
-def test_qkd_prints_the_key_rate_anchor_at_29_db(
-    tmp_path, capsys, monkeypatch, config, argv, protocol_tail, rate
-):
-    """The -29 dB anchors as printed.  A config's detector name is matched
-    case-free, and its null n_z_bytes takes that detector's block size."""
-    monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
-    cfg = []
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        cfg = ["--config", str(tmp_path / "cfg.json")]
-    code, out, err = run(capsys, *cfg, "qkd", "--eta-ch", "-29", *argv)
-    assert (code, err) == (0, "")
-    lines = out.splitlines()
-    assert lines[0].endswith(f" {protocol_tail}")
-    assert lines[-1] == rate
+    code, out, _ = run(capsys, "qkd", "--eta-ch", "-29", "--detector", "spad")
+    assert (code, out.splitlines()[-1]) == (0, "  secret key rate         167.1 bit/s")
 
 
 def test_verbose_names_why_the_key_rate_clamped_on_stderr():
     """At -35 dB the SPAD's bound is non-positive: qkd prints 0.0 bit/s, and
     --verbose logs why on stderr.  In a fresh interpreter, since under pytest
     the root logger has handlers already and logging.basicConfig adds none."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.pop("SKYLINK_CONFIG", None)
     code = "import sys\nfrom skylink.cli import main\nsys.exit(main(sys.argv[1:]))"
     argv = ["--verbose", "qkd", "--eta-ch", "-35", "--detector", "spad"]
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                          text=True)
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(),
+                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "  secret key rate           0.0 bit/s"
     assert "secret_key_rate: bound non-positive" in done.stderr
@@ -1007,12 +977,20 @@ def test_sweep_of_zero_steps_exits_2(capsys):
 
 
 def test_null_block_size_in_the_config_takes_the_detectors(tmp_path, capsys, monkeypatch):
+    """Also for a detector named in another case, beside a whole-float count."""
     monkeypatch.delenv("SKYLINK_CONFIG", raising=False)
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"n_z_bytes": null}')
     code, out, _ = run(capsys, "--config", str(cfg), "qkd", "--eta-ch", "-29")
     assert code == 0
     assert " n_z=250000 bytes detector=snspd\n" in out.splitlines(keepends=True)[0]
+    spad = {"n_z_bytes": None, "detector": "SPAD", "ao_modes": 20.0, "eta_tel_db": -1.0}
+    cfg.write_text(json.dumps(spad))
+    code, out, _ = run(capsys, "--config", str(cfg), "qkd", "--eta-ch", "-29")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0].endswith(" n_z=50000 bytes detector=spad")
+    assert lines[-1] == "  secret key rate         167.1 bit/s"
 
 
 def test_qkd_from_a_session_log_without_data_rows_exits_3(tmp_path, capsys):

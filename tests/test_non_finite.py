@@ -372,6 +372,8 @@ def _scintillation_on(path, r0=0.0875):
 )
 def test_rejects_input_whose_result_leaves_the_float_range(name, call, value):
     """Every row raises the one message form of units._check_result."""
+    if type(value) is np.float32 and type(value ** -1.0) is not np.float32:
+        pytest.skip("numpy before 2.0 takes a float32's power of a Python float in float64")
     form = rf"^{name} must give a finite, positive .+, got .+ \(.+ = .+\)$"
     with pytest.raises(ValueError, match=form):
         call(value)
