@@ -83,11 +83,10 @@ def cn2_from_r0(r0: float, path: OpticalPath) -> float:
 
 def scale_r0_to_wavelength(r0: float, wavelength_from: float, wavelength_to: float) -> float:
     """Rescale r0 between wavelengths at fixed Cn2 (lambda^(6/5) law)."""
-    args = (("r0", r0), ("wavelength_from", wavelength_from), ("wavelength_to", wavelength_to))
-    for name, v in args:
-        _check_positive(name, v)
     factors = (("r0", r0, 1.0), ("wavelength_from", wavelength_from, -6.0 / 5.0),
                ("wavelength_to", wavelength_to, 6.0 / 5.0))
+    for name, v, _ in factors:
+        _check_positive(name, v)
     return _finite_product(
         "rescaled r0", factors, lambda: r0 * (wavelength_to / wavelength_from) ** (6.0 / 5.0)
     )
@@ -134,16 +133,13 @@ def _rytov(cn2, path: OpticalPath):
 
     Where L^(11/6) leaves the float range (Python's float ** raises), it is
     taken as L * L^(5/6), so that a Cn2 ~ 1/L keeps sigma_R^2 in range; a
-    scalar sigma_R^2 still past the range raises OverflowError.
+    sigma_R^2 still past the range is inf.
     """
     k, length = path.wavenumber, path.path_length
     try:
         return 1.23 * cn2 * k ** (7.0 / 6.0) * length ** (11.0 / 6.0)
     except OverflowError:
-        sigma_r2 = 1.23 * cn2 * k ** (7.0 / 6.0) * length * length ** (5.0 / 6.0)
-        if type(sigma_r2) is float and sigma_r2 == math.inf:  # numpy carries the inf
-            raise
-        return sigma_r2
+        return 1.23 * cn2 * k ** (7.0 / 6.0) * length * length ** (5.0 / 6.0)
 
 
 @dataclass(frozen=True)
@@ -166,15 +162,24 @@ class ScintillationReport:
     rho_c_strong: float  # m
 
 
-def _aperture_averaged(xp, sigma_r2, path: OpticalPath, d_rx: float, beta0_limit: bool = False):
-    """ScintillationReport's first eight fields, in order; sigma_r2 may be an array."""
+def _aperture_averaged(xp, r0, cn2, path: OpticalPath, d_rx: float):
+    """ScintillationReport's first eight fields, in order; r0 and cn2 may be arrays.
+
+    At one point (xp is math) sigma_R^2 follows the range rule; a sweep tests
+    its eta_ch instead.
+    """
+    if xp is math:
+        # sigma_R^2 = (1.23/0.16) r0^(-5/3) k^(-5/6) L^(5/6), with k = 2*pi/lambda
+        factors = (("r0", r0, -5.0 / 3.0), ("wavelength", path.wavelength, 5.0 / 6.0),
+                   ("path_length", path.path_length, 5.0 / 6.0))
+        sigma_r2 = _finite_product("sigma_R^2", factors, _rytov, cn2, path)
+    else:
+        sigma_r2 = _rytov(cn2, path)
     beta0 = 0.4065 * sigma_r2
     d = math.sqrt(path.wavenumber * d_rx * d_rx / (4.0 * path.path_length))
     try:  # a float power past the range (math only: numpy gives inf)
         beta0_sq, beta0_12_5 = beta0**2, beta0 ** (12.0 / 5.0)
     except OverflowError:
-        if not beta0_limit:
-            raise
         t1, t2 = 0.0, 0.51 / 0.69 ** (5.0 / 6.0)  # beta0 -> inf, exact to float precision here
     else:
         t1_base = 1.0 + 0.18 * d * d + 0.56 * beta0_12_5
@@ -186,10 +191,6 @@ def _aperture_averaged(xp, sigma_r2, path: OpticalPath, d_rx: float, beta0_limit
     sigma_i2 = xp.exp(t1 + t2) - 1.0
     sigma_chi2 = 0.25 * xp.log(sigma_i2 + 1.0)
     return sigma_r2, beta0, d, t1, t2, sigma_i2, sigma_chi2, xp.exp(-sigma_chi2)
-
-
-def _eta_s(xp, cn2, path: OpticalPath, d_rx: float):
-    return _aperture_averaged(xp, _rytov(cn2, path), path, d_rx)[-1]
 
 
 def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) -> ScintillationReport:
@@ -207,11 +208,7 @@ def scintillation_report(ts: TurbulenceState, path: OpticalPath, d_rx: float) ->
     """
     _check_same_path(ts, path)
     _check_positive("d_rx", d_rx)
-    # sigma_R^2 = (1.23/0.16) r0^(-5/3) k^(-5/6) L^(5/6), with k = 2*pi/lambda
-    factors = (("r0", ts.fried_r0, -5.0 / 3.0), ("wavelength", path.wavelength, 5.0 / 6.0),
-               ("path_length", path.path_length, 5.0 / 6.0))
-    sigma_r2 = _finite_product("sigma_R^2", factors, _rytov, ts.cn2, path)
-    terms = _aperture_averaged(math, sigma_r2, path, d_rx, beta0_limit=True)
+    terms = _aperture_averaged(math, ts.fried_r0, ts.cn2, path, d_rx)
     _check_result("d_rx", d_rx, "aperture_d", terms[2])
     sqrt_ll = math.sqrt(path.wavelength * path.path_length)
     rho_strong = 0.36 * terms[0] ** (-3.0 / 10.0) * sqrt_ll  # sigma_R^(-3/5) on the amplitude

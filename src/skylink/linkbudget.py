@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from .atmosphere import (
     OpticalPath,
     TurbulenceState,
+    _aperture_averaged,
     _check_same_path,
     _cn2_from_r0,
-    _eta_s,
     _greenwood,
 )
 from .coupling import (
@@ -123,17 +123,27 @@ def _smf_factors(xp, chain: ReceiverChain, path: OpticalPath, r0, cn2, wind, J):
     """(eta0, eta_s, eta_phi_on = 1.0, eta_phi_residual, eta_tau), in compose_smf order.
 
     At one point (xp is math) each modelled term follows the range rule,
-    naming r0, or for eta_tau the input _tau_input names; a sweep tests its
-    eta_ch instead.
+    eta_s through sigma_R^2 as scintillation_report does, eta_phi_residual and
+    eta_tau naming the inputs _residual_input and _tau_input name; a sweep
+    tests its eta_ch instead.
     """
     d_rx, f_g = chain.d_rx, _greenwood(wind, r0)
     term = _finite_result if xp is math else _unchecked
+    residual = _residual_input(d_rx, r0) if xp is math else (None, None)
     tau = _tau_input(wind, f_g, chain) if xp is math else (None, None)
     e0 = eta0(mode_match_beta(chain, path.wavelength), obscuration_ratio(chain))
-    e_s = term("r0", r0, "eta_s", _eta_s, xp, cn2, path, d_rx, on_error=0.0)
-    e_phi_j = term("r0", r0, "eta_phi_residual", _eta_phi_residual, xp, J, d_rx, r0, on_error=0.0)
+    e_s = _aperture_averaged(xp, r0, cn2, path, d_rx)[-1]
+    e_phi_j = term(*residual, "eta_phi_residual", _eta_phi_residual, xp, J, d_rx, r0, on_error=0.0)
     e_tau = term(*tau, "eta_tau", _eta_tau, xp, f_g, chain.f_3db, on_error=0.0)
     return e0, e_s, 1.0, e_phi_j, e_tau
+
+
+def _residual_input(d_rx: float, r0: float) -> tuple[str, float]:
+    """(name, value) of the input behind eta_phi_residual = exp(-Delta_J (d_rx/r0)^(5/3)).
+
+    The larger factor of d_rx*(1/r0): d_rx where d_rx*r0 >= 1, else r0.
+    """
+    return ("d_rx", d_rx) if d_rx * r0 >= 1.0 else ("r0", r0)
 
 
 def _tau_input(wind: float, f_g: float, chain: ReceiverChain) -> tuple[str, float]:
@@ -151,8 +161,10 @@ def model_smf_breakdown(
     """Design-model coupling breakdown (ideal correction of the first J modes).
 
     The design model's eta_phi_on is 1; measured terms meet it in compose_smf.
-    path must be ts.path.  A term or an eta_smf that leaves the float range
-    raises ValueError naming r0 (for eta_tau, wind_speed or f_3db).
+    path must be ts.path.  eta_s is scintillation_report's.  A term or an
+    eta_smf that leaves the float range raises ValueError naming r0, or the
+    input behind it: for sigma_R^2 wavelength or path_length, for
+    eta_phi_residual d_rx, for eta_tau wind_speed or f_3db.
     """
     _check_same_path(ts, path)
     J = chain.ao_modes if J is None else J
@@ -168,16 +180,17 @@ def _smf_input(
 ) -> tuple[str, float]:
     """(name, value) of the input behind the smallest factor of smf.eta_smf.
 
-    eta_s and eta_phi_residual name r0, eta_tau the input _tau_input names;
-    eta0 and a measured eta_phi_on name themselves, and so does an eta_smf
-    that its terms do not compose to, set apart from them (``budget --eta-smf``).
+    eta_s names r0, eta_phi_residual and eta_tau the inputs _residual_input
+    and _tau_input name; eta0 and a measured eta_phi_on name themselves, and
+    so does an eta_smf that its terms do not compose to, set apart from them
+    (``budget --eta-smf``).
     """
     terms = (smf.eta0, smf.eta_s, smf.eta_phi_on, smf.eta_phi_residual, smf.eta_tau)
     if _smf_products(*terms)[1] != smf.eta_smf:
         return "eta_smf", smf.eta_smf
     r0, wind = ts.fried_r0, ts.wind_speed
-    inputs = (("eta0", smf.eta0), ("r0", r0), ("eta_phi_on", smf.eta_phi_on), ("r0", r0),
-              _tau_input(wind, _greenwood(wind, r0), chain))
+    inputs = (("eta0", smf.eta0), ("r0", r0), ("eta_phi_on", smf.eta_phi_on),
+              _residual_input(chain.d_rx, r0), _tau_input(wind, _greenwood(wind, r0), chain))
     return inputs[terms.index(min(terms))]
 
 

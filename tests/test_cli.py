@@ -103,7 +103,7 @@ def _range(name, value, what, result="0.0"):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["budget", "--r0", "1e-80"], _range("r0", "1e-80", "eta_s")),
+        (["budget", "--r0", "1e-80"], _range("r0", "1e-80", "eta_phi_residual")),
         (["budget", "--r0", "1e-4"], _range("r0", "0.0001", "eta_phi_residual")),
         (["budget", "--r0", "7.8e-4", "--wind", "0.72"], _range("r0", "0.00078", "eta_smf")),
         (["budget", "--wind", "1e300"], _range("wind_speed", "1e+300", "eta_tau")),

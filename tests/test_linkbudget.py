@@ -1,9 +1,10 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from skylink.atmosphere import OpticalPath, TurbulenceState, scintillation_report
@@ -286,6 +287,26 @@ def test_sweep_raises_exactly_where_the_scalar_path_raises(points):
         with pytest.raises(ValueError) as got:
             sweep_columns(GEOM, *cols)
         assert str(got.value) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(r0=_log_uniform(1e-3, 1.0), length=_log_uniform(1.0, 1e200))
+def test_the_design_coupling_has_the_eta_s_of_the_scintillation_report(r0, length):
+    """model_smf_breakdown reaches eta_s through scintillation_report's code, so
+    over r0 and path lengths far past the link's, its eta_s has the report's bits,
+    and it never rejects a point through eta_s or sigma_R^2 where the report returns."""
+    path, chain = OpticalPath(path_length=length), ReceiverChain()
+    try:
+        ts = TurbulenceState.from_r0(r0, path, 0.556)
+    except ValueError:
+        reject()
+    report = scintillation_report(ts, path, chain.d_rx)
+    try:
+        smf = model_smf_breakdown(chain, ts, path)
+    except ValueError as exc:  # another term left the float range
+        assert not re.search(r"\beta_s\b|sigma_R\^2", str(exc))
+    else:
+        assert smf.eta_s == report.eta_s
 
 
 _REFERENCE_KEYS = ("r0_m", "w_l_m", "eta_a", "eta_coll", "eta_focus", "eta0", "eta_s",

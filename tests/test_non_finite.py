@@ -287,7 +287,7 @@ _OUT_OF_RANGE = [
     (36, "p_z_alice", lambda v: _first_key_rate(p_z_alice=v), 1e-320),
     (37, "d_rx", lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e200),  # d_rx^2 overflows
     (38, "d_rx", lambda v: ReceiverChain(d_rx=v, d_obs=v / 10), 1e-200),  # d_rx^2 underflows
-    (39, "r0", lambda v: _smf_at(v, 0.0), 1e-80),  # a beta0 power overflows in eta_s
+    (39, "r0", lambda v: _smf_at(v, 0.0), 1e-80),  # eta_phi_residual; eta_s takes the beta0 limit
     (41, "r0", lambda v: sweep_columns(_GEOM, [v], 0.5, 0.2), 1e-80),
     (42, "r0", lambda v: _smf_at(v, 0.556), 1e-4),  # eta_phi_residual
     (43, "r0", lambda v: _smf_at(v, 0.72), 7.8e-4),  # eta_smf
@@ -326,6 +326,8 @@ _OUT_OF_RANGE = [
     ("fit_fried", "d_rx", lambda v: fit_fried(_VARIANCES, v), 5e-324),
     ("model_smf_breakdown", "f_3db",
      lambda v: model_smf_breakdown(ReceiverChain(f_3db=v), _TURB, _PATH), 1e-3),
+    ("model_smf_breakdown", "d_rx",  # eta_phi_residual: d_rx, not r0, is the larger factor
+     lambda v: model_smf_breakdown(ReceiverChain(d_rx=v, d_obs=0.168), _TURB, _PATH), 1e30),
     ("calibrate_r_ref", "internal_loss", lambda v: qkd.calibrate_r_ref(
         qkd.QkdSessionModel(qkd.SNSPD, internal_loss=v), 2e4, 1e-30), 1e-300),
     ("noll_weight", "j", noll_weight, 1e200),  # g(j) ~ 1e-367
@@ -409,6 +411,26 @@ def test_scintillation_report_names_the_largest_factor_of_a_sigma_r2_past_the_fl
     assert report.eta_s == _scintillation_on(_PATH, 1e-80).eta_s  # the limit's
     with pytest.raises(ValueError) as exc:
         _scintillation_on(path, 1e-45)
+    assert str(exc.value) == (
+        "path_length must give a finite, positive sigma_R^2, got 1e+295 (sigma_R^2 = inf)"
+    )
+
+
+@pytest.mark.parametrize("length", [1e170, 1e200])
+def test_the_design_coupling_takes_the_reports_beta0_limit_where_its_path_power_overflows(length):
+    """model_smf_breakdown reaches eta_s through scintillation_report's code:
+    on these paths both take the beta0 -> inf limit rather than naming r0."""
+    path = OpticalPath(path_length=length)
+    ts = TurbulenceState.from_r0(0.0875, path, 0.556)
+    smf, report = model_smf_breakdown(_CHAIN, ts, path), scintillation_report(ts, path, 0.41)
+    assert smf.eta_s == report.eta_s == 0.8405480863475615
+
+
+def test_the_design_coupling_names_the_largest_factor_of_a_sigma_r2_past_the_float_range():
+    """On a 1e295 m path at r0 = 1e-45, model_smf_breakdown raises the report's error."""
+    path = OpticalPath(path_length=1e295)
+    with pytest.raises(ValueError) as exc:
+        model_smf_breakdown(_CHAIN, TurbulenceState.from_r0(1e-45, path), path)
     assert str(exc.value) == (
         "path_length must give a finite, positive sigma_R^2, got 1e+295 (sigma_R^2 = inf)"
     )
